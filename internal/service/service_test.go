@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -528,5 +529,49 @@ func TestSubmitDedupsAcrossWorkerCounts(t *testing.T) {
 	}
 	if n := execs.Load(); n != 1 {
 		t.Fatalf("executed %d simulations, want 1", n)
+	}
+}
+
+// A configuration sizing physical memory past vm.MaxPhysFrames —
+// explicitly or through a workload footprint — fails as that job's
+// error, through the real simulator, and the coordinator keeps serving.
+func TestOversizedMachineFailsJob(t *testing.T) {
+	co, err := New(Options{Pool: runner.New(runner.Options{Parallelism: 1}), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	small := func(seed int64) sim.Config {
+		cfg := cfgSeed(seed)
+		cfg.Records = 1000
+		cfg.Workloads[0].Footprint = 64 << 20
+		return cfg
+	}
+	huge := small(1)
+	huge.PhysFrames = 1 << 40
+	hugeFP := small(2)
+	hugeFP.Workloads[0].Footprint = 1 << 62
+	for _, cfg := range []sim.Config{huge, hugeFP} {
+		s, err := co.Submit(cfg, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, co, s.Job.ID)
+		v, _ := co.Job(s.Job.ID)
+		if v.State != StateFailed || !strings.Contains(v.Err, "limit") {
+			t.Fatalf("oversized job: state %s, err %q; want failed on the memory limit", v.State, v.Err)
+		}
+	}
+	ok, err := co.Submit(small(3), "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, co, ok.Job.ID)
+	if v, _ := co.Job(ok.Job.ID); v.State != StateCompleted {
+		t.Fatalf("job after the failures: state %s, err %q", v.State, v.Err)
+	}
+	if qv := co.Queue(); qv.Failed != 2 || qv.Completed != 1 {
+		t.Fatalf("accounting: %+v", qv)
 	}
 }

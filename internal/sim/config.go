@@ -9,6 +9,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/mem"
@@ -227,15 +229,23 @@ func DefaultConfig(workload string) Config {
 	}
 }
 
-// physFrames returns the modelled physical memory size in frames.
-func (c *Config) physFrames(totalFootprint uint64) uint64 {
+// physFrames returns the modelled physical memory size in frames. It
+// fails when the explicit or derived size exceeds vm.MaxPhysFrames.
+func (c *Config) physFrames(totalFootprint uint64) (uint64, error) {
 	if c.PhysFrames != 0 {
-		return c.PhysFrames
+		if c.PhysFrames > vm.MaxPhysFrames {
+			return 0, fmt.Errorf("sim: PhysFrames %d exceeds the %d-frame limit", c.PhysFrames, uint64(vm.MaxPhysFrames))
+		}
+		return c.PhysFrames, nil
 	}
-	frames := 2 * totalFootprint / mem.PageSize
+	// Twice the footprint, in frames; dividing first cannot overflow.
+	frames := totalFootprint / (mem.PageSize / 2)
+	if frames > vm.MaxPhysFrames {
+		return 0, fmt.Errorf("sim: footprint of %d bytes needs %d frames, over the %d-frame limit", totalFootprint, frames, uint64(vm.MaxPhysFrames))
+	}
 	const min = 1 << 16 // 256MB floor
 	if frames < min {
-		return min
+		return min, nil
 	}
-	return frames
+	return frames, nil
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/vm"
 )
@@ -280,5 +282,44 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Records = 10
 	if _, err := Run(cfg); err == nil {
 		t.Error("unknown workload should fail")
+	}
+}
+
+// Physical memory is bounded by vm.MaxPhysFrames whether it is given
+// explicitly or derived from the footprints, and an oversized machine
+// is a configuration error rather than an allocation.
+func TestPhysicalMemoryLimit(t *testing.T) {
+	big := func(fps ...uint64) Config {
+		cfg := quickCfg("xsbench", 10)
+		cfg.Workloads = nil
+		for _, fp := range fps {
+			cfg.Workloads = append(cfg.Workloads, WorkloadSpec{Name: "xsbench", Footprint: fp})
+		}
+		return cfg
+	}
+	const limitBytes = vm.MaxPhysFrames * mem.PageSize / 2 // derived memory is twice the footprint
+	for name, cfg := range map[string]Config{
+		"PhysFrames over": func() Config { c := quickCfg("xsbench", 10); c.PhysFrames = vm.MaxPhysFrames + 1; return c }(),
+		"PhysFrames huge": func() Config { c := quickCfg("xsbench", 10); c.PhysFrames = 1 << 40; return c }(),
+		"footprint over":  big(limitBytes + mem.PageSize/2),
+		"footprint max":   big(^uint64(0)),
+		"footprints sum":  big(limitBytes/2+mem.PageSize, limitBytes/2),
+		"footprints wrap": big(1<<63, 1<<63),
+	} {
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("%s: New error = %v, want the physical memory limit", name, err)
+		}
+	}
+	for name, cfg := range map[string]Config{
+		"PhysFrames at limit": func() Config { c := quickCfg("xsbench", 10); c.PhysFrames = vm.MaxPhysFrames; return c }(),
+		"footprint at limit":  big(limitBytes),
+	} {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := s.cores[0].as.Buddy().TotalFrames(); got != vm.MaxPhysFrames {
+			t.Errorf("%s: %d frames, want %d", name, got, uint64(vm.MaxPhysFrames))
+		}
 	}
 }

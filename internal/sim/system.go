@@ -8,6 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/mem"
 	"repro/internal/obsv"
 	"repro/internal/prefetch"
 	"repro/internal/ptwalk"
@@ -131,31 +132,35 @@ func New(cfg Config) (*System, error) {
 	var footprints []uint64
 	var totalFootprint uint64
 	for i, spec := range cfg.Workloads {
+		var stream trace.Stream
+		var fp uint64
 		if spec.TracePath != "" {
-			stream, err := openTraceStream(spec.TracePath)
-			if err != nil {
+			var err error
+			if stream, err = openTraceStream(spec.TracePath); err != nil {
 				return nil, err
 			}
-			fp := spec.Footprint
+			fp = spec.Footprint
 			if fp == 0 {
 				fp = workload.DefaultBigFootprint
 			}
-			gens = append(gens, stream)
-			footprints = append(footprints, fp)
-			totalFootprint += fp
-			continue
+		} else {
+			seed := spec.Seed
+			if seed == 0 {
+				seed = cfg.Seed*1000 + int64(i) + 1
+			}
+			g, err := workload.New(spec.Name, workload.Config{FootprintBytes: spec.Footprint, Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			stream, fp = g, g.Footprint()
 		}
-		seed := spec.Seed
-		if seed == 0 {
-			seed = cfg.Seed*1000 + int64(i) + 1
+		// Checked per workload so the sum below cannot overflow.
+		if fp > vm.MaxPhysFrames*mem.PageSize {
+			return nil, fmt.Errorf("sim: workload %d footprint of %d bytes exceeds the %d-frame physical memory limit", i, fp, uint64(vm.MaxPhysFrames))
 		}
-		g, err := workload.New(spec.Name, workload.Config{FootprintBytes: spec.Footprint, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		gens = append(gens, g)
-		footprints = append(footprints, g.Footprint())
-		totalFootprint += g.Footprint()
+		gens = append(gens, stream)
+		footprints = append(footprints, fp)
+		totalFootprint += fp
 	}
 
 	// Shared physical memory and per-core address spaces. Memhog
@@ -165,7 +170,11 @@ func New(cfg Config) (*System, error) {
 		// needs to back one copy.
 		totalFootprint = footprints[0]
 	}
-	buddy := vm.NewBuddy(cfg.physFrames(totalFootprint))
+	frames, err := cfg.physFrames(totalFootprint)
+	if err != nil {
+		return nil, err
+	}
+	buddy := vm.NewBuddy(frames)
 	var spaces []*vm.AddressSpace
 	var readers core.MultiReader
 	for i := range cfg.Workloads {

@@ -4,6 +4,12 @@
 // physical frames, and a demand-paging address space that implements
 // the paper's page-size policies (4KB-only, transparent 2MB hugepages,
 // libhugetlbfs 2MB, and libhugetlbfs 1GB).
+//
+// Per-frame state — the buddy allocator's block heads and free-list
+// links, and the page table's frame-to-table-page index — lives in
+// frameIndex, a frame-indexed dense array whose 2MB chunks materialise
+// on first write: lookups are two indexings rather than a hash, and a
+// machine costs memory only where its frames have been touched.
 package vm
 
 import (
@@ -17,38 +23,60 @@ import (
 // ErrNoMemory is returned when an allocation cannot be satisfied.
 var ErrNoMemory = errors.New("vm: out of physical memory")
 
-// nilFrame is the sentinel for empty free-list links.
-const nilFrame = ^mem.Frame(0)
-
 // MaxOrder is the largest buddy order supported: order 18 blocks are
 // 2^18 frames = 1GB, the largest x86-64 page size.
 const MaxOrder = 18
 
+// MaxPhysFrames bounds the simulated physical memory: 2^24 4KB frames
+// (64GB), 8x the largest configuration the paper's figures use. It
+// keeps every frame number representable in the buddy allocator's
+// 32-bit free-list links, and it keeps an untrusted configuration from
+// sizing a machine the host cannot hold.
+const MaxPhysFrames = 1 << 24
+
+// nilLink is the sentinel for empty free-list links.
+const nilLink = ^uint32(0)
+
+// Block-head states. A frame that heads no block has state 0; the head
+// of a free block carries freeHead|order and the head of an allocated
+// block allocHead|order.
+const (
+	freeHead  = 1 << 6
+	allocHead = 1 << 7
+)
+
+// blockHead is the buddy allocator's state for one frame. next and
+// prev link a free block into its order's free list; they are
+// meaningful only while state is freeHead|order.
+type blockHead struct {
+	next, prev uint32
+	state      uint8
+}
+
 // Buddy is a binary buddy allocator over 4KB physical frames. Orders
 // run from 0 (one 4KB frame) to MaxOrder (one 1GB block); order 9
-// blocks are exactly 2MB superpages. The allocator is deterministic:
-// free lists are LIFO and no map iteration order is observable.
+// blocks are exactly 2MB superpages. Each order's free list is a
+// doubly linked LIFO list threaded through the heads of its blocks,
+// stored in a lazily chunked frame-indexed array; the allocator is
+// deterministic, since no step depends on anything but the sequence of
+// calls.
 type Buddy struct {
 	frames     uint64
 	freeFrames uint64
-	heads      [MaxOrder + 1]mem.Frame
-	next       map[mem.Frame]mem.Frame
-	prev       map[mem.Frame]mem.Frame
-	freeOrd    map[mem.Frame]int8
-	allocOrd   map[mem.Frame]int8
+	heads      [MaxOrder + 1]uint32
+	blocks     frameIndex[blockHead]
 }
 
 // NewBuddy creates an allocator over the given number of 4KB frames.
+// It panics if frames exceeds MaxPhysFrames; callers sizing memory
+// from untrusted input must check first.
 func NewBuddy(frames uint64) *Buddy {
-	b := &Buddy{
-		frames:   frames,
-		next:     make(map[mem.Frame]mem.Frame),
-		prev:     make(map[mem.Frame]mem.Frame),
-		freeOrd:  make(map[mem.Frame]int8),
-		allocOrd: make(map[mem.Frame]int8),
+	if frames > MaxPhysFrames {
+		panic(fmt.Sprintf("vm: %d frames exceeds MaxPhysFrames (%d)", frames, uint64(MaxPhysFrames)))
 	}
+	b := &Buddy{frames: frames, blocks: newFrameIndex[blockHead](frames)}
 	for i := range b.heads {
-		b.heads[i] = nilFrame
+		b.heads[i] = nilLink
 	}
 	// Cover [0, frames) greedily with maximal aligned blocks.
 	var pos uint64
@@ -79,7 +107,7 @@ func (b *Buddy) FreeFrames() uint64 { return b.freeFrames }
 // directly or by splitting a larger free block.
 func (b *Buddy) HasFree(order int) bool {
 	for o := order; o <= MaxOrder; o++ {
-		if b.heads[o] != nilFrame {
+		if b.heads[o] != nilLink {
 			return true
 		}
 	}
@@ -90,37 +118,39 @@ func (b *Buddy) HasFree(order int) bool {
 // if memory is exhausted.
 func (b *Buddy) LargestFreeOrder() int {
 	for o := MaxOrder; o >= 0; o-- {
-		if b.heads[o] != nilFrame {
+		if b.heads[o] != nilLink {
 			return o
 		}
 	}
 	return -1
 }
 
+// isFreeHead reports whether f heads a free block of the given order.
+func (b *Buddy) isFreeHead(f mem.Frame, order int) bool {
+	return b.blocks.get(f).state == freeHead|uint8(order)
+}
+
 func (b *Buddy) insertFree(f mem.Frame, order int) {
 	h := b.heads[order]
-	b.next[f] = h
-	b.prev[f] = nilFrame
-	if h != nilFrame {
-		b.prev[h] = f
+	*b.blocks.at(f) = blockHead{next: h, prev: nilLink, state: freeHead | uint8(order)}
+	if h != nilLink {
+		b.blocks.at(mem.Frame(h)).prev = uint32(f)
 	}
-	b.heads[order] = f
-	b.freeOrd[f] = int8(order)
+	b.heads[order] = uint32(f)
 }
 
 func (b *Buddy) removeFree(f mem.Frame, order int) {
-	n, p := b.next[f], b.prev[f]
-	if p != nilFrame {
-		b.next[p] = n
+	e := b.blocks.at(f)
+	n, p := e.next, e.prev
+	e.state = 0
+	if p != nilLink {
+		b.blocks.at(mem.Frame(p)).next = n
 	} else {
 		b.heads[order] = n
 	}
-	if n != nilFrame {
-		b.prev[n] = p
+	if n != nilLink {
+		b.blocks.at(mem.Frame(n)).prev = p
 	}
-	delete(b.next, f)
-	delete(b.prev, f)
-	delete(b.freeOrd, f)
 }
 
 // Alloc allocates a block of 2^order contiguous, naturally aligned
@@ -130,19 +160,19 @@ func (b *Buddy) Alloc(order int) (mem.Frame, error) {
 		return 0, fmt.Errorf("vm: invalid order %d", order)
 	}
 	o := order
-	for o <= MaxOrder && b.heads[o] == nilFrame {
+	for o <= MaxOrder && b.heads[o] == nilLink {
 		o++
 	}
 	if o > MaxOrder {
 		return 0, ErrNoMemory
 	}
-	f := b.heads[o]
+	f := mem.Frame(b.heads[o])
 	b.removeFree(f, o)
 	for o > order {
 		o--
 		b.insertFree(f+mem.Frame(1)<<uint(o), o)
 	}
-	b.allocOrd[f] = int8(order)
+	b.blocks.at(f).state = allocHead | uint8(order)
 	b.freeFrames -= 1 << uint(order)
 	return f, nil
 }
@@ -163,7 +193,7 @@ func (b *Buddy) AllocSpecific(f mem.Frame) error {
 	var head mem.Frame
 	for o := 0; o <= MaxOrder; o++ {
 		h := f &^ (mem.Frame(1)<<uint(o) - 1)
-		if ord, ok := b.freeOrd[h]; ok && int(ord) == o {
+		if b.isFreeHead(h, o) {
 			found, head = o, h
 			break
 		}
@@ -182,7 +212,7 @@ func (b *Buddy) AllocSpecific(f mem.Frame) error {
 			b.insertFree(half, o)
 		}
 	}
-	b.allocOrd[f] = 0
+	b.blocks.at(f).state = allocHead
 	b.freeFrames--
 	return nil
 }
@@ -190,19 +220,19 @@ func (b *Buddy) AllocSpecific(f mem.Frame) error {
 // Free releases a previously allocated block, coalescing with free
 // buddies as far as possible.
 func (b *Buddy) Free(f mem.Frame) error {
-	ord, ok := b.allocOrd[f]
-	if !ok {
+	st := b.blocks.get(f).state
+	if st&allocHead == 0 {
 		return fmt.Errorf("vm: frame %d not allocated", f)
 	}
-	delete(b.allocOrd, f)
-	order := int(ord)
+	b.blocks.at(f).state = 0
+	order := int(st &^ allocHead)
 	b.freeFrames += 1 << uint(order)
 	for order < MaxOrder {
 		buddy := f ^ (mem.Frame(1) << uint(order))
 		if uint64(buddy)+(1<<uint(order)) > b.frames {
 			break
 		}
-		if bo, ok := b.freeOrd[buddy]; !ok || int(bo) != order {
+		if !b.isFreeHead(buddy, order) {
 			break
 		}
 		b.removeFree(buddy, order)
@@ -217,6 +247,5 @@ func (b *Buddy) Free(f mem.Frame) error {
 
 // Allocated reports whether f is the head of an allocated block.
 func (b *Buddy) Allocated(f mem.Frame) bool {
-	_, ok := b.allocOrd[f]
-	return ok
+	return b.blocks.get(f).state&allocHead != 0
 }

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -94,6 +95,19 @@ func TestBuddyDoubleFree(t *testing.T) {
 	if err := b.Free(63); err == nil {
 		t.Error("freeing a never-allocated frame should fail")
 	}
+	// Frames past the end — inside the last chunk, past every chunk,
+	// and the largest frame number — are never allocated.
+	for _, f := range []mem.Frame{64, 511, 512, 1 << 40, ^mem.Frame(0)} {
+		if err := b.Free(f); err == nil {
+			t.Errorf("Free(%d) past TotalFrames should fail", f)
+		}
+		if b.Allocated(f) {
+			t.Errorf("Allocated(%d) past TotalFrames = true", f)
+		}
+	}
+	if b.FreeFrames() != 64 {
+		t.Errorf("free = %d after failed frees, want 64", b.FreeFrames())
+	}
 }
 
 func TestBuddyAllocSpecific(t *testing.T) {
@@ -104,8 +118,16 @@ func TestBuddyAllocSpecific(t *testing.T) {
 	if err := b.AllocSpecific(777); err == nil {
 		t.Error("frame 777 should no longer be free")
 	}
-	if err := b.AllocSpecific(5000); err == nil {
-		t.Error("out-of-range frame should fail")
+	for _, f := range []mem.Frame{1024, 5000, 1 << 40, ^mem.Frame(0)} {
+		if err := b.AllocSpecific(f); err == nil {
+			t.Errorf("out-of-range frame %d should fail", f)
+		}
+		if b.Allocated(f) {
+			t.Errorf("Allocated(%d) past TotalFrames = true", f)
+		}
+	}
+	if !b.Allocated(777) || b.Allocated(776) {
+		t.Error("Allocated should report exactly the allocated head 777")
 	}
 	// Frame 777 sits in the second 2MB region; that region can no
 	// longer satisfy an order-9 allocation, but the first can.
@@ -264,5 +286,22 @@ func TestBuddyDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("allocation order not deterministic at step %d: %d vs %d", i, a[i], b[i])
 		}
+	}
+}
+
+// Building a machine must not cost memory in proportion to its size:
+// NewBuddy plus a first 2MB allocation touch only the chunks holding
+// block heads (13 of 6KB here) and the 16KB chunk table, where flat
+// per-frame state for 4GB of frames would take 12MB.
+func TestBuddySetupAllocationIsLazy(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := NewBuddy(1 << 20)
+	if _, err := b.Alloc(9); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 128<<10 {
+		t.Errorf("NewBuddy(1<<20) + Alloc(9) allocated %d bytes, want < 128KB", got)
 	}
 }

@@ -103,8 +103,12 @@ type AddressSpace struct {
 	faults    uint64
 }
 
-// NewAddressSpace builds an address space with its own physical memory.
+// NewAddressSpace builds an address space with its own physical memory
+// of cfg.PhysFrames frames, at most MaxPhysFrames.
 func NewAddressSpace(cfg OSConfig) (*AddressSpace, error) {
+	if cfg.PhysFrames > MaxPhysFrames {
+		return nil, fmt.Errorf("vm: %d frames exceeds the %d-frame physical memory limit", cfg.PhysFrames, uint64(MaxPhysFrames))
+	}
 	return NewAddressSpaceShared(cfg, NewBuddy(cfg.PhysFrames))
 }
 
@@ -123,7 +127,7 @@ func NewAddressSpaceShared(cfg OSConfig, buddy *Buddy) (*AddressSpace, error) {
 	if err := as.reservePool(); err != nil {
 		return nil, err
 	}
-	as.fragment()
+	fragment(as.rng, cfg.PhysFrames, cfg.MemhogFraction, buddy.AllocSpecific)
 	pt, err := NewPageTable(buddy.AllocFrame)
 	if err != nil {
 		return nil, err
@@ -160,19 +164,20 @@ func (as *AddressSpace) reservePool() error {
 	return nil
 }
 
-// fragment models memhog: allocate MemhogFraction of physical frames as
-// scattered 4KB allocations that partially fill randomly chosen 2MB
-// regions, destroying their contiguity for THP.
-func (as *AddressSpace) fragment() {
-	want := uint64(float64(as.cfg.PhysFrames) * as.cfg.MemhogFraction)
+// fragment models memhog: allocate fraction of the physFrames frames
+// as scattered 4KB allocations (through allocSpecific) that partially
+// fill randomly chosen 2MB regions, destroying their contiguity for
+// THP.
+func fragment(rng *rand.Rand, physFrames uint64, fraction float64, allocSpecific func(mem.Frame) error) {
+	want := uint64(float64(physFrames) * fraction)
 	if want == 0 {
 		return
 	}
-	regions := as.cfg.PhysFrames / 512
+	regions := physFrames / 512
 	if regions == 0 {
 		return
 	}
-	perm := as.rng.Perm(int(regions))
+	perm := rng.Perm(int(regions))
 	var got uint64
 	for _, r := range perm {
 		if got >= want {
@@ -180,13 +185,13 @@ func (as *AddressSpace) fragment() {
 		}
 		base := mem.Frame(uint64(r) * 512)
 		// Fill a random 10–90% of the region's frames.
-		fill := 51 + as.rng.Intn(410)
+		fill := 51 + rng.Intn(410)
 		step := 512 / fill
 		if step == 0 {
 			step = 1
 		}
 		for i := 0; i < 512 && got < want; i += step {
-			if err := as.buddy.AllocSpecific(base + mem.Frame(i)); err == nil {
+			if err := allocSpecific(base + mem.Frame(i)); err == nil {
 				got++
 			}
 		}

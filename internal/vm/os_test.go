@@ -238,6 +238,9 @@ func TestOutOfMemory(t *testing.T) {
 	if lastErr == nil {
 		t.Error("expected out-of-memory after exhausting 16 frames")
 	}
+	if _, err := NewAddressSpace(DefaultOSConfig(MaxPhysFrames + 1)); err == nil {
+		t.Error("physical memory past MaxPhysFrames should be refused")
+	}
 }
 
 func TestUnmapReleasesMemory(t *testing.T) {

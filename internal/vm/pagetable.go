@@ -50,51 +50,15 @@ type node struct {
 	entries [mem.EntriesPerTable]PTE
 }
 
-// frameIndexChunkBits sizes the chunks of the dense frame index: each
-// chunk covers 2^12 consecutive frames (16MB of simulated memory).
-const frameIndexChunkBits = 12
-
-// frameIndex maps a physical frame number to the page-table page it
-// holds, if any. It is a two-level dense array rather than a hash map:
-// the lookup sits on the simulator's per-access hot path (every
-// hardware walk step and every TEMPO engine PTE read goes through it),
-// and two bounds-checked indexings beat hashing. Chunks materialise
-// lazily, so sparse table frames in a large physical space stay cheap.
-type frameIndex struct {
-	chunks [][]*node
-}
-
-func (ix *frameIndex) get(f mem.Frame) *node {
-	hi := uint64(f) >> frameIndexChunkBits
-	if hi >= uint64(len(ix.chunks)) {
-		return nil
-	}
-	chunk := ix.chunks[hi]
-	if chunk == nil {
-		return nil
-	}
-	return chunk[uint64(f)&(1<<frameIndexChunkBits-1)]
-}
-
-func (ix *frameIndex) put(f mem.Frame, n *node) {
-	hi := uint64(f) >> frameIndexChunkBits
-	for hi >= uint64(len(ix.chunks)) {
-		ix.chunks = append(ix.chunks, nil)
-	}
-	if ix.chunks[hi] == nil {
-		ix.chunks[hi] = make([]*node, 1<<frameIndexChunkBits)
-	}
-	ix.chunks[hi][uint64(f)&(1<<frameIndexChunkBits-1)] = n
-}
-
 // PageTable is an x86-64 style 4-level radix page table materialised
 // in simulated physical memory: every table page occupies a real frame
 // from the system's buddy allocator, so PTE physical addresses map to
 // concrete DRAM rows and cache lines — exactly what TEMPO's memory
 // controller observes.
 type PageTable struct {
-	root    *node
-	byFrame frameIndex
+	root *node
+	// byFrame maps each table frame to its page (nil elsewhere).
+	byFrame frameIndex[*node]
 	alloc   func() (mem.Frame, error)
 	// tablePages counts allocated page-table pages (incl. root).
 	tablePages uint64
@@ -130,7 +94,7 @@ func (pt *PageTable) newNode(level int) (*node, error) {
 		return nil, err
 	}
 	n := &node{frame: f, level: level}
-	pt.byFrame.put(f, n)
+	*pt.byFrame.at(f) = n
 	pt.tablePages++
 	return n, nil
 }
