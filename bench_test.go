@@ -224,14 +224,15 @@ func BenchmarkHotPathTempo(b *testing.B) {
 	b.ReportMetric(float64(cfg.Records)/b.Elapsed().Seconds(), "records/s")
 }
 
-// benchMultiTempo is the shared body of the multi-programmed hot-path
-// benchmarks: four xsbench cores (distinct seeds) over a shared LLC
-// and memory controller with TEMPO on, run at the given intra-run
-// worker count. Besides the aggregate records/s it reports
-// records/s/core — the per-core simulation throughput, which is what
-// the epoch-barrier parallel coordinator is meant to raise without
-// changing any simulated outcome.
-func benchMultiTempo(b *testing.B, workers int) {
+// BenchmarkHotPathMultiTempo is the multi-programmed counterpart of
+// BenchmarkHotPathTempo: four xsbench cores (distinct seeds) over a
+// shared LLC and memory controller with TEMPO on, so the coordinator's
+// min-clock core picking, run-ahead batching and the scheduler's
+// indexed queue scans are all exercised under contention. One op is
+// one trace record across all cores; records/s is the total simulation
+// throughput and records/s/core the per-core share. scripts/bench.sh
+// captures it in BENCH_hotpath.json, which the CI perf gate diffs.
+func BenchmarkHotPathMultiTempo(b *testing.B) {
 	const cores = 4
 	cfg := DefaultConfig("xsbench")
 	cfg.Workloads = nil
@@ -242,7 +243,6 @@ func benchMultiTempo(b *testing.B, workers int) {
 	}
 	cfg.SharedAddressSpace = true
 	cfg.Tempo = DefaultTempo()
-	cfg.Workers = workers
 	// Records is per core; round b.N up so every core gets equal work.
 	cfg.Records = (b.N + cores - 1) / cores
 	if cfg.Records < 100 {
@@ -256,31 +256,6 @@ func benchMultiTempo(b *testing.B, workers int) {
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "records/s")
 	b.ReportMetric(float64(total)/float64(cores)/b.Elapsed().Seconds(), "records/s/core")
-}
-
-// BenchmarkHotPathMultiTempo is the multi-programmed counterpart of
-// BenchmarkHotPathTempo: four contending cores exercise the
-// coordinator's min-clock core picking, run-ahead batching and the
-// scheduler's indexed queue scans. One op is one trace record across
-// all cores; records/s is the total simulation throughput and
-// records/s/core the per-core share. This variant runs the exact
-// serial coordinator (Workers=1); scripts/bench.sh captures it in
-// BENCH_hotpath.json, which the CI perf gate diffs.
-func BenchmarkHotPathMultiTempo(b *testing.B) {
-	benchMultiTempo(b, 1)
-}
-
-// BenchmarkHotPathMultiTempoParallel is BenchmarkHotPathMultiTempo at
-// Workers=4: the epoch-barrier coordinator may absorb provably-private
-// record runs concurrently and the end-of-run DRAM drain shards by
-// channel. Results are bit-identical to the serial variant
-// (TestWorkersBitIdentical); only wall-clock may differ, so comparing
-// this benchmark's records/s against BenchmarkHotPathMultiTempo's
-// measures the intra-run speedup on the host. On a single-CPU host the
-// two variants converge. scripts/bench.sh captures it as
-// multicore_tempo_parallel in BENCH_hotpath.json.
-func BenchmarkHotPathMultiTempoParallel(b *testing.B) {
-	benchMultiTempo(b, 4)
 }
 
 // BenchmarkAblationSchedulerAware isolates TEMPO's Section 4.3

@@ -20,9 +20,6 @@
 //	tempo-serve -http :9000              # another address (":0" picks a port)
 //	tempo-serve -cache-dir .tempo-serve  # result cache + journal directory
 //	tempo-serve -workers 8               # simulation worker count (default GOMAXPROCS)
-//	tempo-serve -sim-workers 4           # intra-run worker threads per simulation (default 1;
-//	                                     # results are bit-identical at any count, and worker
-//	                                     # count never enters a job's dedup/cache hash)
 //	tempo-serve -queue-depth 512         # queued-job bound (backpressure above it)
 //	tempo-serve -tenant-quota 16         # max live (queued+running) jobs per tenant (0 = unlimited)
 //	tempo-serve -retry-after 5s          # backoff hint on 429 rejections
@@ -60,7 +57,6 @@ func main() {
 		cacheDir    = flag.String("cache-dir", ".tempo-serve", "persistent result cache + journal directory")
 		journalPath = flag.String("journal", "", "job journal path (default <cache-dir>/queue.jsonl)")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker count")
-		simWorkers  = flag.Int("sim-workers", 1, "intra-run worker threads per simulation (results are identical at any count)")
 		queueDepth  = flag.Int("queue-depth", 256, "max queued jobs before submissions get 429")
 		tenantQuota = flag.Int("tenant-quota", 0, "max live (queued+running) jobs per tenant (0 = unlimited)")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint returned with 429 rejections")
@@ -99,7 +95,6 @@ func main() {
 		Timeout:     *timeout,
 		Cache:       cache,
 		Telemetry:   tel,
-		SimWorkers:  *simWorkers,
 	})
 	reg.Gauge("bench/executed", pool.Executed)
 	reg.Gauge("bench/cache_hits", pool.CacheHits)

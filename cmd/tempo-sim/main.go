@@ -24,11 +24,6 @@
 // stack on it, so they reject -tempo; their per-mechanism counters
 // are printed after the run.
 //
-// Execution: -workers sets the intra-run worker-thread count (default
-// the machine's CPU count). Parallel execution is bit-identical to the
-// serial coordinator — -workers 1 runs the exact serial path — so the
-// flag trades wall-clock only, never results.
-//
 // Observability (OBSERVABILITY.md):
 //
 //	tempo-sim -tempo -trace-events out.json -trace-from 1000 -trace-records 200
@@ -83,7 +78,6 @@ type options struct {
 	subRows   int
 	pfSubRows int
 	seed      int64
-	workers   int
 }
 
 // buildConfig validates the options and assembles a run configuration.
@@ -154,7 +148,6 @@ func buildConfig(o options) (tempo.Config, error) {
 	cfg.OS.MemhogFraction = o.memhog
 	cfg.SubRows = o.subRows
 	cfg.PrefetchSubRows = o.pfSubRows
-	cfg.Workers = o.workers
 	return cfg, nil
 }
 
@@ -180,8 +173,6 @@ func main() {
 	flag.IntVar(&o.subRows, "sub-rows", 0, "sub-row buffers per bank (0 = single row buffer)")
 	flag.IntVar(&o.pfSubRows, "prefetch-sub-rows", 0, "sub-rows dedicated to TEMPO prefetches")
 	flag.Int64Var(&o.seed, "seed", 1, "simulation seed")
-	flag.IntVar(&o.workers, "workers", runtime.NumCPU(),
-		"intra-run worker threads (1 = exact serial coordinator; results are identical at any count)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 	traceOut := flag.String("trace-events", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")

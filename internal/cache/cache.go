@@ -303,73 +303,26 @@ func (c *Cache) Fill(p mem.PAddr, prov Provenance, dirty bool) (Victim, bool) {
 // aging sweeps — the first way holding the set's maximum RRPV is the
 // first to reach 3, and every way ages by the same shortfall.
 func (c *Cache) srripVictim(base int) int {
-	victim, age := c.peekSrripVictim(base)
-	if age > 0 {
-		// Every RRPV in the set is at most 3-age, so adding the
-		// shortfall cannot carry out of the packed field.
-		for i := base; i < base+c.ways; i++ {
-			c.meta[i] += age << metaRrpvShift
-		}
-	}
-	return victim
-}
-
-// peekSrripVictim is srripVictim's pure half: it returns the way SRRIP
-// would evict from the full set at base and the aging shortfall
-// srripVictim would apply (0 when some way already sits at RRPV 3).
-func (c *Cache) peekSrripVictim(base int) (victim int, age uint8) {
 	maxI, maxV := base, c.meta[base]>>metaRrpvShift&3
 	if maxV >= 3 {
-		return base, 0
+		return base
 	}
 	for i := base + 1; i < base+c.ways; i++ {
 		r := c.meta[i] >> metaRrpvShift & 3
 		if r >= 3 {
-			return i, 0
+			return i
 		}
 		if r > maxV {
 			maxI, maxV = i, r
 		}
 	}
-	return maxI, 3 - maxV
-}
-
-// PeekFillVictim predicts what Fill(p, …) would do to this cache
-// without mutating anything: whether it would evict a line, and which.
-// ok is always true (every fill outcome is predictable — resident
-// refresh, free-way install, LRU or SRRIP eviction); it exists so
-// callers composing multi-level predictions read naturally. The
-// parallel coordinator uses it to prove a fill cascade stays inside a
-// core's private levels.
-func (c *Cache) PeekFillVictim(p mem.PAddr) (v Victim, evicted, ok bool) {
-	base, set, tag := c.index(p)
-	firstFree, lru := -1, base
+	// Every RRPV in the set is at most maxV, so adding the shortfall
+	// cannot carry out of the packed field.
+	age := 3 - maxV
 	for i := base; i < base+c.ways; i++ {
-		e := c.lines[i]
-		t := uint32(e >> 32)
-		if t == tag {
-			return Victim{}, false, true // resident: refresh in place
-		}
-		if t == invalidTag {
-			if firstFree < 0 {
-				firstFree = i
-			}
-		} else if uint32(e) < uint32(c.lines[lru]) {
-			lru = i
-		}
+		c.meta[i] += age << metaRrpvShift
 	}
-	if firstFree >= 0 {
-		return Victim{}, false, true // free way: no eviction
-	}
-	victim := lru
-	if c.replace == ReplaceSRRIP {
-		victim, _ = c.peekSrripVictim(base)
-	}
-	vt := uint32(c.lines[victim] >> 32)
-	return Victim{
-		Addr:  mem.PAddr(c.lineAddrOf(set, vt) << mem.LineShift),
-		Dirty: c.meta[victim]&metaDirtyBit != 0,
-	}, true, true
+	return maxI
 }
 
 // Invalidate drops the line holding p if present, returning whether it

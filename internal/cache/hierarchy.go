@@ -160,37 +160,6 @@ func (h *Hierarchy) FillPrefetch(p mem.PAddr, prov Provenance) []mem.PAddr {
 // disturbing any state (used to classify replay outcomes).
 func (h *Hierarchy) PeekLLC(p mem.PAddr) bool { return h.LLC.Contains(p) }
 
-// PrivateAccess reports whether a demand access to p would be served
-// entirely by this hierarchy's private levels (L1/L2) — including any
-// fill cascade it triggers — without reading or writing the shared
-// LLC. True means the access commutes with every other core's
-// private-level accesses, so the parallel coordinator may execute it
-// outside the serial interleaving. The check mirrors Access exactly:
-// an L1 hit touches nothing else; an L2 hit promotes into the L1,
-// whose evicted victim (if dirty) fills the L2, whose own evicted
-// victim (if dirty) would spill into the LLC — only that last step
-// escapes, so it is the one that fails the check.
-func (h *Hierarchy) PrivateAccess(p mem.PAddr) bool {
-	if h.L1.Contains(p) {
-		return true
-	}
-	if !h.L2.Contains(p) {
-		return false // LLC probe (hit or miss) touches shared state
-	}
-	v1, ev1, ok := h.L1.PeekFillVictim(p)
-	if !ok {
-		return false
-	}
-	if !ev1 || !v1.Dirty {
-		return true // promotion evicts nothing dirty: cascade stops at L1
-	}
-	v2, ev2, ok := h.L2.PeekFillVictim(v1.Addr)
-	if !ok {
-		return false
-	}
-	return !ev2 || !v2.Dirty // a dirty L2 victim would fill the LLC
-}
-
 // fillL1/fillL2/fillLLC install a line at one level, cascading any
 // dirty victim into the level below; dirty LLC victims are appended to
 // wb and the extended slice returned.

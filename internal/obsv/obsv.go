@@ -188,15 +188,6 @@ func NewRecorder(capacity int, from, count uint64) *Recorder {
 	return &Recorder{buf: make([]Event, 0, capacity), from: from, to: to}
 }
 
-// FullRange reports whether the recorder captures the whole run: no
-// record-range filter, so BeginRecord only ever widens the in-range
-// mask. Full-range recorders are what the parallel epoch engine can
-// pre-arm at a barrier (the mask transition is monotone and
-// order-insensitive); filtered recorders force serial execution.
-func (r *Recorder) FullRange() bool {
-	return r != nil && r.from == 0 && r.to == ^uint64(0)
-}
-
 // Active reports whether events are currently captured. It is the
 // guard instrumentation sites use to skip argument construction:
 //

@@ -37,14 +37,6 @@ type Run struct {
 	WallMS float64
 	// Err is the job's failure message, empty on success.
 	Err string
-	// Workers, Epochs, EpochRecords and BarrierStalls mirror the
-	// runs.jsonl record's intra-run parallel engine statistics; all
-	// zero for serial executions, cache hits, and sweeps predating the
-	// epoch engine.
-	Workers       int
-	Epochs        uint64
-	EpochRecords  uint64
-	BarrierStalls uint64
 	// Result is the cached simulation result; nil when the cache has
 	// no entry under Hash (or no cache directory was given).
 	Result *sim.Result
@@ -86,15 +78,11 @@ func (d *Data) Len() int { return len(d.runs) }
 
 // runRecord mirrors the runner's runs.jsonl line layout.
 type runRecord struct {
-	Key           string  `json:"key"`
-	Hash          string  `json:"hash"`
-	Cached        bool    `json:"cached"`
-	WallMS        float64 `json:"wall_ms"`
-	Err           string  `json:"err"`
-	Workers       int     `json:"workers"`
-	Epochs        uint64  `json:"epochs"`
-	EpochRecords  uint64  `json:"epoch_records"`
-	BarrierStalls uint64  `json:"barrier_stalls"`
+	Key    string  `json:"key"`
+	Hash   string  `json:"hash"`
+	Cached bool    `json:"cached"`
+	WallMS float64 `json:"wall_ms"`
+	Err    string  `json:"err"`
 }
 
 // Load joins a sweep: runsPath is the runs.jsonl log (required),
@@ -129,8 +117,6 @@ func Load(runsPath, cacheDir, obsDir string) (*Data, error) {
 		d.runs[rec.Key] = &Run{
 			Key: rec.Key, Hash: rec.Hash, Cached: rec.Cached,
 			WallMS: rec.WallMS, Err: rec.Err,
-			Workers: rec.Workers, Epochs: rec.Epochs,
-			EpochRecords: rec.EpochRecords, BarrierStalls: rec.BarrierStalls,
 		}
 	}
 	if err := sc.Err(); err != nil {

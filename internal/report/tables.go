@@ -101,47 +101,7 @@ func Tables(d *Data) []*Table {
 	if t := WalkLatencyTable(d); len(t.Rows) > 0 {
 		out = append(out, t)
 	}
-	if t := EpochTable(d); len(t.Rows) > 0 {
-		out = append(out, t)
-	}
 	return out
-}
-
-// EpochTable reports the intra-run parallel engine's engagement per
-// run: worker count, epoch-absorbed records as a percentage of all
-// executed records (the canonical engagement ratio, 0 when the run's
-// cached result is unavailable to supply the denominator), epoch and
-// barrier-stall counts. Runs that executed serially — or through a
-// sweep predating the epoch engine — carry Workers == 0 and are
-// skipped, so the table only appears for parallel sweeps.
-func EpochTable(d *Data) *Table {
-	t := &Table{
-		ID:      "epochs",
-		Title:   "Intra-run parallel engine engagement",
-		Columns: []string{"workers", "engagement_pct", "epochs", "epoch_records", "barrier_stalls"},
-	}
-	for _, key := range d.Keys() {
-		r := d.Get(key)
-		if r.Workers == 0 {
-			continue
-		}
-		engagement := 0.0
-		if r.Result != nil && r.Result.Total.MemRefs > 0 {
-			engagement = 100 * float64(r.EpochRecords) / float64(r.Result.Total.MemRefs)
-		}
-		t.Rows = append(t.Rows, TableRow{Label: key, Cells: []float64{
-			float64(r.Workers),
-			engagement,
-			float64(r.Epochs),
-			float64(r.EpochRecords),
-			float64(r.BarrierStalls),
-		}})
-	}
-	if len(t.Rows) > 0 {
-		t.Notes = append(t.Notes,
-			"engagement_pct = epoch-absorbed records / total executed records; rows cover only jobs executed with intra-run workers")
-	}
-	return t
 }
 
 // pairedResult returns the base and variant results for a workload

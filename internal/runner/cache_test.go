@@ -47,11 +47,11 @@ func TestConfigKeyStableAndSensitive(t *testing.T) {
 	}
 }
 
-// TestConfigKeyIgnoresWorkers pins the cache-identity contract behind
-// intra-run parallelism: Workers tunes how a result is computed, never
-// what it is (TestWorkersBitIdentical in internal/sim), so two configs
-// differing only in Workers must share a cache entry. The field is
-// excluded from the JSON the hash covers; this test keeps it that way.
+// TestConfigKeyIgnoresWorkers pins the cache identity of configs that
+// set the deprecated Workers field: nothing reads it, so two configs
+// differing only in Workers are the same simulation and must share a
+// cache entry. The field is excluded from the JSON the hash covers;
+// this test keeps it that way until the field is removed.
 func TestConfigKeyIgnoresWorkers(t *testing.T) {
 	cfg := sim.DefaultConfig("xsbench")
 	a, err := ConfigKey(cfg)
@@ -68,47 +68,6 @@ func TestConfigKeyIgnoresWorkers(t *testing.T) {
 			t.Errorf("Workers=%d changed the config hash: cached results "+
 				"would no longer be shared across worker counts", w)
 		}
-	}
-}
-
-// TestConfigKeyIgnoresEpochQueueMax extends the same contract to the
-// epoch engine's queue-depth knob: EpochQueueMax shifts when epochs
-// engage, never what the run computes (TestEpochQueueMaxInvariance in
-// internal/sim), so it must not split the cache. It also must not
-// split batch deduplication: two jobs under one key differing only in
-// EpochQueueMax are the same simulation, not a key collision.
-func TestConfigKeyIgnoresEpochQueueMax(t *testing.T) {
-	cfg := sim.DefaultConfig("xsbench")
-	a, err := ConfigKey(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []int{1, 8, 128, 1 << 20} {
-		cfg.EpochQueueMax = q
-		k, err := ConfigKey(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k != a {
-			t.Errorf("EpochQueueMax=%d changed the config hash: cached results "+
-				"would no longer be shared across epoch-queue settings", q)
-		}
-	}
-
-	cfgB := sim.DefaultConfig("xsbench")
-	cfgB.EpochQueueMax = 512
-	p := New(Options{Parallelism: 1, Exec: func(sim.Config) (*sim.Result, error) {
-		return &sim.Result{}, nil
-	}})
-	rs := p.Run(context.Background(), []Job{
-		{Key: "same", Config: sim.DefaultConfig("xsbench")},
-		{Key: "same", Config: cfgB},
-	})
-	if len(rs) != 1 {
-		t.Fatalf("dedup produced %d results, want 1", len(rs))
-	}
-	if rs[0].Err != nil {
-		t.Errorf("jobs differing only in EpochQueueMax reported a key collision: %v", rs[0].Err)
 	}
 }
 

@@ -47,11 +47,6 @@ type JobResult struct {
 	Wall time.Duration
 	// FromCache reports that the persistent cache supplied the result.
 	FromCache bool
-	// Parallel is the intra-run parallel engine's statistics for an
-	// executed job (zero value for cache hits, custom executors, and
-	// serial runs — ParallelStats.Workers == 0 distinguishes "no
-	// engine" from "engine ran but never engaged").
-	Parallel sim.ParallelStats
 }
 
 // Options configures a Pool.
@@ -70,22 +65,12 @@ type Options struct {
 	// Exec executes one configuration (default sim.Run). Tests
 	// substitute failing/slow/panicking executors.
 	Exec func(sim.Config) (*sim.Result, error)
-	// SimWorkers, when non-zero, sets every job's intra-run worker
-	// count (sim.Config.Workers) before execution. Workers is excluded
-	// from the config's cache hash — results are bit-identical at
-	// every worker count — so the override changes execution speed,
-	// never results or cache identity.
-	SimWorkers int
 }
 
 // Pool executes job batches. It is safe for concurrent use; counters
 // accumulate across batches.
 type Pool struct {
 	opts Options
-	// exec is the resolved executor: the default path runs
-	// sim.RunStats so executed jobs carry their ParallelStats; a
-	// custom Options.Exec is adapted with zero stats.
-	exec func(sim.Config) (*sim.Result, sim.ParallelStats, error)
 
 	executed  atomic.Uint64
 	hits      atomic.Uint64
@@ -108,22 +93,10 @@ func New(opts Options) *Pool {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	exec := sim.RunStats
-	if opts.Exec != nil {
-		custom := opts.Exec
-		exec = func(cfg sim.Config) (*sim.Result, sim.ParallelStats, error) {
-			res, err := custom(cfg)
-			return res, sim.ParallelStats{}, err
-		}
+	if opts.Exec == nil {
+		opts.Exec = sim.Run
 	}
-	if opts.SimWorkers != 0 {
-		inner := exec
-		exec = func(cfg sim.Config) (*sim.Result, sim.ParallelStats, error) {
-			cfg.Workers = opts.SimWorkers
-			return inner(cfg)
-		}
-	}
-	return &Pool{opts: opts, exec: exec}
+	return &Pool{opts: opts}
 }
 
 // Parallelism returns the configured worker count.
@@ -287,7 +260,7 @@ func (p *Pool) runOne(ctx context.Context, j Job, hash string) JobResult {
 	}
 	p.misses.Add(1)
 	start := time.Now()
-	res, ps, err := p.execute(ctx, j.Config)
+	res, err := p.execute(ctx, j.Config)
 	wall := time.Since(start)
 	p.wallTotal.Add(int64(wall))
 	if err != nil {
@@ -304,7 +277,7 @@ func (p *Pool) runOne(ctx context.Context, j Job, hash string) JobResult {
 			}
 		}
 	}
-	return JobResult{Key: j.Key, Hash: hash, Result: res, Wall: wall, Parallel: ps}
+	return JobResult{Key: j.Key, Hash: hash, Result: res, Wall: wall}
 }
 
 // noteSchemaMismatch runs after a cache miss: if the cache holds
@@ -330,14 +303,13 @@ func (p *Pool) noteSchemaMismatch(c *DiskCache) {
 // outcome carries one execution's result across the guard goroutine.
 type outcome struct {
 	res *sim.Result
-	ps  sim.ParallelStats
 	err error
 }
 
 // execute runs one simulation under panic recovery and the configured
 // timeout. The simulation itself has no preemption points, so timeout
 // and cancellation abandon it rather than interrupting it.
-func (p *Pool) execute(ctx context.Context, cfg sim.Config) (*sim.Result, sim.ParallelStats, error) {
+func (p *Pool) execute(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	ch := make(chan outcome, 1)
 	go func() {
 		defer func() {
@@ -346,8 +318,8 @@ func (p *Pool) execute(ctx context.Context, cfg sim.Config) (*sim.Result, sim.Pa
 				ch <- outcome{err: fmt.Errorf("simulation panicked: %v\n%s", r, debug.Stack())}
 			}
 		}()
-		res, ps, err := p.exec(cfg)
-		ch <- outcome{res: res, ps: ps, err: err}
+		res, err := p.opts.Exec(cfg)
+		ch <- outcome{res: res, err: err}
 	}()
 	var timeout <-chan time.Time
 	if p.opts.Timeout > 0 {
@@ -357,10 +329,10 @@ func (p *Pool) execute(ctx context.Context, cfg sim.Config) (*sim.Result, sim.Pa
 	}
 	select {
 	case o := <-ch:
-		return o.res, o.ps, o.err
+		return o.res, o.err
 	case <-timeout:
-		return nil, sim.ParallelStats{}, fmt.Errorf("timed out after %v (simulation abandoned)", p.opts.Timeout)
+		return nil, fmt.Errorf("timed out after %v (simulation abandoned)", p.opts.Timeout)
 	case <-ctx.Done():
-		return nil, sim.ParallelStats{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 }

@@ -44,13 +44,6 @@ type runRecord struct {
 	Total     int     `json:"total"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	EtaMS     float64 `json:"eta_ms"`
-	// Intra-run parallel engine statistics, present only when the job
-	// executed with Workers > 1 (serial runs and cache hits omit the
-	// whole group; engagement is derivable as epoch_records / records).
-	Workers       int    `json:"workers,omitempty"`
-	Epochs        uint64 `json:"epochs,omitempty"`
-	EpochRecords  uint64 `json:"epoch_records,omitempty"`
-	BarrierStalls uint64 `json:"barrier_stalls,omitempty"`
 }
 
 func (t *Telemetry) now() time.Time {
@@ -116,12 +109,6 @@ func (t *Telemetry) note(r JobResult) {
 		}
 		if r.Err != nil {
 			rec.Err = r.Err.Error()
-		}
-		if r.Parallel.Workers > 0 {
-			rec.Workers = r.Parallel.Workers
-			rec.Epochs = r.Parallel.Epochs
-			rec.EpochRecords = r.Parallel.EpochRecords
-			rec.BarrierStalls = r.Parallel.BarrierStalls
 		}
 		if blob, err := json.Marshal(rec); err == nil {
 			t.JSONL.Write(append(blob, '\n'))

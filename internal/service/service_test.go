@@ -497,9 +497,9 @@ func TestSubmitAfterClose(t *testing.T) {
 
 // TestSubmitDedupsAcrossWorkerCounts pins the service-level face of
 // the Workers cache-identity contract: submissions differing only in
-// the intra-run worker count are the same experiment (results are
-// bit-identical by construction) and must deduplicate onto one job
-// rather than simulate twice.
+// the deprecated Workers field, which nothing reads, are the same
+// experiment and must deduplicate onto one job rather than simulate
+// twice.
 func TestSubmitDedupsAcrossWorkerCounts(t *testing.T) {
 	var execs atomic.Int64
 	pool := runner.New(runner.Options{Parallelism: 1, Exec: func(cfg sim.Config) (*sim.Result, error) {

@@ -190,28 +190,12 @@ type Config struct {
 	// Seed namespaces all derived seeds (OS, workloads).
 	Seed int64
 
-	// Workers bounds the worker goroutines the run may use for
-	// intra-run parallelism: epoch-barrier core execution and the
-	// sharded end-of-run DRAM drain. 0 or 1 selects the exact serial
-	// coordinator. Results are bit-identical at every worker count —
-	// the parallel paths only run where the serial schedule provably
-	// cannot observe the difference — so the field is excluded from
-	// the JSON serialization the runner's content-addressed result
-	// cache hashes: the same configuration hits the same cache entry
-	// whatever the worker count.
+	// Workers is read by nothing: every simulation runs on one
+	// goroutine. It stays out of the JSON the runner's result cache
+	// hashes, so configs that set it keep their cache entries.
+	//
+	// Deprecated: setting it has no effect.
 	Workers int `json:"-"`
-
-	// EpochQueueMax bounds the controller queue depth (in queued
-	// requests) at which the epoch engine still runs its full mode —
-	// absorbing shared-capable records and submitting their DRAM
-	// traffic under the epoch budget. Deeper queues drop to the
-	// private-only mode bounded by the queue's minimum enqueue cycle.
-	// 0 selects the default (128, matching the serial engine's
-	// queue-pressure guard). Like Workers this is an execution knob,
-	// not a simulated parameter: results are bit-identical at every
-	// value, so it is excluded from the JSON the runner's
-	// content-addressed result cache hashes.
-	EpochQueueMax int `json:"-"`
 }
 
 // DefaultConfig builds a single-core run of the named workload with

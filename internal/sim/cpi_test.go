@@ -1,12 +1,11 @@
 package sim
 
 import (
-	"io"
-	"reflect"
 	"testing"
 
 	"repro/internal/obsv"
 	"repro/internal/stats"
+	"repro/internal/vm"
 )
 
 // checkCPI asserts the cpi-stack-sums-to-cycles conservation law and
@@ -35,11 +34,29 @@ func checkCPI(t *testing.T, name string, res *Result) *stats.Stats {
 	return &res.Total
 }
 
+// localCfg builds a multi-core run whose cores stay awake together:
+// blackscholes.small alternates L1/L2 streaks with DRAM misses, and
+// the misses keep the cores' clocks close, so the coordinator's
+// run-ahead batches are cut short against each other's clocks.
+func localCfg(cores int) Config {
+	cfg := DefaultConfig("blackscholes.small")
+	cfg.Records = 100_000
+	cfg.Seed = 7
+	cfg.OS.Mode = vm.ModeTHP
+	cfg.Workloads = nil
+	for i := 0; i < cores; i++ {
+		cfg.Workloads = append(cfg.Workloads, WorkloadSpec{
+			Name: "blackscholes.small", Footprint: 4 << 20, Seed: int64(i + 1),
+		})
+	}
+	return cfg
+}
+
 // TestCPIStackConservation is the keystone law checked end to end: on
 // every simulator configuration — baseline, TEMPO, IMP, each
-// translation mechanism, multi-core with and without worker
-// parallelism — each core's CPI-stack buckets must sum exactly to its
-// cycle count, and the merged total must pass the obsv audit.
+// translation mechanism, multi-core — each core's CPI-stack buckets
+// must sum exactly to its cycle count, and the merged total must pass
+// the obsv audit.
 func TestCPIStackConservation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -79,7 +96,6 @@ func TestCPIStackConservation(t *testing.T) {
 		{"multicore-workers", func() Config {
 			cfg := localCfg(4)
 			cfg.Records = 40_000
-			cfg.Workers = 4
 			return cfg
 		}},
 	}
@@ -164,57 +180,5 @@ func TestCPIMechElidedEngages(t *testing.T) {
 	}
 	if hits := res.MechCounters[obsv.MetricMechVictimaPTEHits]; res.Total.CPIMechElided != hits {
 		t.Errorf("elided credits %d != victima PTE hits %d", res.Total.CPIMechElided, hits)
-	}
-}
-
-// TestObserverForcesSerialEngine pins the contract the CPI interval
-// series depends on: attaching an *interval* observer to a Workers>1
-// run must force the serial engine — epochs never engage, so interval
-// snapshots see a quiescent serial interleaving instead of merging
-// per-worker state nondeterministically — and the result must be
-// bit-identical to the observed Workers=1 run. (A pure full-range
-// event recorder is epoch-capable — TestEpochsEngageObserved — but
-// interval stats and record-range filters are not.)
-func TestObserverForcesSerialEngine(t *testing.T) {
-	cfg := localCfg(4)
-	cfg.Records = 40_000
-
-	observedRun := func(workers int) (*Result, ParallelStats) {
-		cfg.Workers = workers
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Attach(obsv.New(obsv.Options{IntervalEvery: 5_000, IntervalSink: io.Discard}))
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, s.ParallelStats()
-	}
-
-	ref, _ := observedRun(1)
-	res, ps := observedRun(4)
-
-	if ps.Epochs != 0 || ps.EpochRecords != 0 {
-		t.Errorf("epochs engaged under an observer: %+v", ps)
-	}
-	if !reflect.DeepEqual(res, ref) {
-		t.Errorf("observed workers=4 diverged from observed serial (cycles %d vs %d)",
-			res.Total.Cycles, ref.Total.Cycles)
-	}
-
-	// Sanity: the same config without the observer does engage epochs,
-	// so the zero above is the observer's doing, not a degenerate run.
-	cfg.Workers = 4
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.ParallelStats().Epochs == 0 {
-		t.Skip("config does not epoch even unobserved; serial-forcing not exercised")
 	}
 }

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/obsv"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
 // randomConfig draws an arbitrary-but-valid configuration: any mix of
 // workloads, page modes, schedulers, row policies, TEMPO/IMP switches,
-// sub-row organisations and thread sharing.
+// sub-row organisations, thread sharing and translation mechanisms.
 func randomConfig(rng *rand.Rand) Config {
 	all := workload.All()
 	cfg := DefaultConfig(all[rng.Intn(len(all))])
@@ -66,11 +67,20 @@ func randomConfig(rng *rand.Rand) Config {
 		cfg.PrefetchSubRows = rng.Intn(3)
 		cfg.SubRowPolicy = SubRowPolicyKind(rng.Intn(3))
 	}
+	// The rival mechanisms replace TEMPO, so they are drawn only with
+	// it off.
+	mechs := []string{"", "tempo"}
+	if !cfg.Tempo.Enabled {
+		mechs = append(mechs, "victima", "revelator")
+	}
+	cfg.Mech = mechs[rng.Intn(len(mechs))]
 	return cfg
 }
 
 // checkInvariants asserts the properties every run must satisfy,
-// whatever the configuration.
+// whatever the configuration: the checks below, the per-core CPI
+// stack law, and the obsv conservation audit over the totals merged
+// with the mechanism's counters.
 func checkInvariants(t *testing.T, cfg Config, res *Result) {
 	t.Helper()
 	var refs uint64
@@ -82,13 +92,16 @@ func checkInvariants(t *testing.T, cfg Config, res *Result) {
 		if c.TLBHits+c.TLBMisses != c.MemRefs {
 			t.Errorf("core %d: TLB lookups %d != refs %d", i, c.TLBHits+c.TLBMisses, c.MemRefs)
 		}
-		// IMP issues background walks for its prefetch targets, so
-		// walks can exceed demand TLB misses only when IMP is on.
-		if !cfg.IMP && c.WalksStarted != c.TLBMisses {
-			t.Errorf("core %d: walks %d != TLB misses %d", i, c.WalksStarted, c.TLBMisses)
+		// A mechanism that resolves a miss itself (victima's cached
+		// PTE) elides its walk. IMP issues background walks for its
+		// prefetch targets, so walks can exceed demand TLB misses only
+		// when IMP is on.
+		walks := c.WalksStarted + c.CPIMechElided
+		if !cfg.IMP && walks != c.TLBMisses {
+			t.Errorf("core %d: walks %d + elided %d != TLB misses %d", i, c.WalksStarted, c.CPIMechElided, c.TLBMisses)
 		}
-		if c.WalksStarted < c.TLBMisses {
-			t.Errorf("core %d: walks %d < TLB misses %d", i, c.WalksStarted, c.TLBMisses)
+		if walks < c.TLBMisses {
+			t.Errorf("core %d: walks %d + elided %d < TLB misses %d", i, c.WalksStarted, c.CPIMechElided, c.TLBMisses)
 		}
 		if c.Cycles == 0 {
 			t.Errorf("core %d: zero cycles", i)
@@ -132,6 +145,13 @@ func checkInvariants(t *testing.T, cfg Config, res *Result) {
 	}
 	if res.Energy.Total() <= 0 {
 		t.Error("non-positive energy")
+	}
+	snap := obsv.StatsSnapshot(checkCPI(t, "mech="+cfg.Mech, res))
+	for name, v := range res.MechCounters {
+		snap.Counters[name] = v
+	}
+	if v := obsv.Audit(snap); len(v) > 0 {
+		t.Errorf("audit violations: %v", v)
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 
 // mechPort implements translation.CorePort over one core: the window a
 // mechanism's per-core hooks get onto the cache hierarchy and the
-// shared memory controller. Cores with mechanism hooks always execute
-// under the serial coordinator (System.Run disables the epoch pool),
-// so these methods may touch shared state freely.
+// shared memory controller. Exactly one core of a run executes at a
+// time, so these methods may touch shared state freely.
 type mechPort struct{ c *Core }
 
 // PeekOnChip reports residence anywhere in the core's on-chip

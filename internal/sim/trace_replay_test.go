@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,11 +65,24 @@ func TestTraceReplayMatchesLiveGenerator(t *testing.T) {
 
 func TestTraceReplayShorterThanRecords(t *testing.T) {
 	path := writeTrace(t, "mcf", 500, 128<<20)
-	cfg := quickCfg("mcf", 10_000) // asks for more than the file holds
-	cfg.Workloads = []WorkloadSpec{{TracePath: path, Footprint: 128 << 20}}
-	res := run(t, cfg)
-	if res.Total.MemRefs != 500 {
-		t.Errorf("MemRefs = %d, want the file's 500", res.Total.MemRefs)
+	// The same records under a header claiming 2^40 of them: the count
+	// is untrusted, so it must not size an allocation.
+	hostile := filepath.Join(t.TempDir(), "hostile.trc")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(blob[8:16], 1<<40)
+	if err := os.WriteFile(hostile, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{path, hostile} {
+		cfg := quickCfg("mcf", 10_000) // asks for more than the file holds
+		cfg.Workloads = []WorkloadSpec{{TracePath: p, Footprint: 128 << 20}}
+		res := run(t, cfg)
+		if res.Total.MemRefs != 500 {
+			t.Errorf("%s: MemRefs = %d, want the file's 500", filepath.Base(p), res.Total.MemRefs)
+		}
 	}
 }
 

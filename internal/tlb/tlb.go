@@ -120,25 +120,6 @@ func (t *TLB) Lookup(v mem.VAddr) (vm.Translation, HitLevel) {
 	return vm.Translation{}, Miss
 }
 
-// Peek probes both levels for a translation of v without touching LRU
-// state, counters, or the L2→L1 promotion path. It mirrors Lookup's
-// probe order exactly, so Peek and an immediately following Lookup
-// always agree on the level and translation. The parallel coordinator
-// uses it to classify a record as core-private before committing it.
-func (t *TLB) Peek(v mem.VAddr) (vm.Translation, HitLevel) {
-	for c := mem.Page4K; c <= mem.Page1G; c++ {
-		if tr, ok := t.l1[c].Peek(key(v, c)); ok {
-			return tr, HitL1
-		}
-	}
-	for c := mem.Page4K; c <= mem.Page1G; c++ {
-		if tr, ok := t.l2[c].Peek(key(v, c)); ok {
-			return tr, HitL2
-		}
-	}
-	return vm.Translation{}, Miss
-}
-
 // Instrument registers per-page-size-class hit counters and a miss
 // counter under prefix in reg ("<prefix>/l1_hits/2m", ...). The
 // per-class split is visibility the aggregate stats counters lack:

@@ -3,21 +3,15 @@
 # BENCH_hotpath.json.
 #
 # Runs the throughput microbenchmarks (one op = one trace record):
-#   BenchmarkHotPathTempo                xsbench + TEMPO, the paper's hot path
-#   BenchmarkHotPathMultiTempo           4 xsbench cores, shared LLC, TEMPO on
-#   BenchmarkHotPathMultiTempoParallel   same run at Workers=4 (epoch-barrier
-#                                        parallel coordinator; bit-identical
-#                                        results, different wall-clock)
-#   BenchmarkSimulatorThroughput         graph500 baseline, no prefetching
+#   BenchmarkHotPathTempo          xsbench + TEMPO, the paper's hot path
+#   BenchmarkHotPathMultiTempo     4 xsbench cores, shared LLC, TEMPO on
+#   BenchmarkSimulatorThroughput   graph500 baseline, no prefetching
 # with -benchmem, parses records/s, ns/record, B/record and
 # allocs/record, and writes them next to the pinned pre-rewrite
 # baseline (captured on the goroutine-coroutine scheduler at commit
-# de0e01d) so the speedup is tracked in-repo. The multi-core benchmarks
-# have no pre-rewrite baseline (they were added with the batching and
-# epoch-barrier coordinators); their "after" numbers still feed the CI
-# diff gate, and multicore_tempo_parallel.intra_run_speedup tracks the
-# Workers=4 / Workers=1 throughput ratio on the measuring host (~1.0 on
-# a single-CPU host — the parallel path is gated on real concurrency).
+# de0e01d) so the speedup is tracked in-repo. The multi-core benchmark
+# has no pre-rewrite baseline (it was added with the batching
+# coordinator); its "after" numbers still feed the CI diff gate.
 #
 # Besides regenerating BENCH_hotpath.json (the "latest" snapshot that
 # `tempo-report diff` gates against), each run appends one timestamped
@@ -70,16 +64,14 @@ if [ "${DRY_RUN}" = 1 ]; then
   echo "== dry run: emitting canned hot-path numbers" >&2
   T_RS=500000; T_NS=2000; T_BP=100; T_AP=1
   M_RS=400000; M_NS=2500; M_BP=120; M_AP=1
-  P_RS=420000; P_NS=2380; P_BP=120; P_AP=1
   G_RS=800000; G_NS=1250; G_BP=70; G_AP=0
 else
   echo "== measuring hot path (${RECORDS} records per benchmark)" >&2
   read -r T_RS T_NS T_BP T_AP < <(run_bench BenchmarkHotPathTempo)
   read -r M_RS M_NS M_BP M_AP < <(run_bench BenchmarkHotPathMultiTempo)
-  read -r P_RS P_NS P_BP P_AP < <(run_bench 'BenchmarkHotPathMultiTempoParallel')
   read -r G_RS G_NS G_BP G_AP < <(run_bench BenchmarkSimulatorThroughput)
 fi
-if [ -z "${T_RS}" ] || [ -z "${M_RS}" ] || [ -z "${P_RS}" ] || [ -z "${G_RS}" ]; then
+if [ -z "${T_RS}" ] || [ -z "${M_RS}" ] || [ -z "${G_RS}" ]; then
   echo "bench.sh: failed to parse benchmark output" >&2
   exit 1
 fi
@@ -89,12 +81,10 @@ fi
 B_T_RS=441601; B_T_NS=2264; B_T_BP=115
 B_G_RS=790535; B_G_NS=1265; B_G_BP=73
 
-# Host metadata. The parallel numbers — intra_run_speedup above all —
-# are only comparable between measurements taken on hosts with the same
-# core count (a single-CPU host can never show a Workers=4 speedup), so
-# every snapshot and history record carries the machine it was measured
-# on. GOMAXPROCS defaults to the CPU count when the variable is unset,
-# mirroring the Go runtime.
+# Host metadata. Timings are only comparable between measurements taken
+# on the same kind of host, so every snapshot and history record
+# carries the machine it was measured on. GOMAXPROCS defaults to the
+# CPU count when the variable is unset, mirroring the Go runtime.
 NUM_CPU="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 HOST_GOMAXPROCS="${GOMAXPROCS:-${NUM_CPU}}"
 GO_VERSION="$(go env GOVERSION 2>/dev/null || echo unknown)"
@@ -114,10 +104,6 @@ cat > "${OUT}" <<EOF
   },
   "multicore_tempo": {
     "after":  { "records_per_sec": ${M_RS}, "ns_per_record": ${M_NS}, "bytes_per_record": ${M_BP}, "allocs_per_record": ${M_AP} }
-  },
-  "multicore_tempo_parallel": {
-    "after":  { "records_per_sec": ${P_RS}, "ns_per_record": ${P_NS}, "bytes_per_record": ${P_BP}, "allocs_per_record": ${P_AP} },
-    "intra_run_speedup": $(speedup "${P_RS}" "${M_RS}")
   },
   "graph500_baseline": {
     "before": { "records_per_sec": ${B_G_RS}, "ns_per_record": ${B_G_NS}, "bytes_per_record": ${B_G_BP} },

@@ -66,10 +66,8 @@ func TestBenchHistoryDedupesUnchangedCommit(t *testing.T) {
 }
 
 // Every snapshot (and therefore every history record, which embeds the
-// snapshot verbatim) carries the host it was measured on: the parallel
-// numbers — intra_run_speedup above all — only compare across hosts
-// with the same core count, and the perf gate keys its strictness off
-// num_cpu.
+// snapshot verbatim) carries the host it was measured on: timings only
+// compare across hosts of the same kind.
 func TestBenchSnapshotCarriesHostMetadata(t *testing.T) {
 	if _, err := exec.LookPath("bash"); err != nil {
 		t.Skip("bash not available")
