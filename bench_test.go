@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/assoc"
 	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/mem"
@@ -140,6 +141,38 @@ func BenchmarkCacheAccess(b *testing.B) {
 		if hit, _ := c.Access(p, false); !hit {
 			c.Fill(p, cache.FillDemand, false)
 		}
+	}
+}
+
+// BenchmarkHierarchyLLCHit sweeps a 1 MB working set that overflows
+// L2 and fits the LLC, so every access takes small-fastpath's dominant
+// path: an L1 miss, an L2 miss, an LLC hit and promotion fills into L2
+// and L1.
+func BenchmarkHierarchyLLCHit(b *testing.B) {
+	var st stats.Stats
+	h := cache.NewHierarchy(cache.DefaultHierarchyConfig(), &st)
+	const lines = (1 << 20) / mem.LineSize
+	for i := uint64(0); i < lines; i++ {
+		h.FillFromDRAM(mem.PAddr(i<<mem.LineShift), false)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Access(mem.PAddr(uint64(i)%lines<<mem.LineShift), false)
+	}
+	b.StopTimer()
+	if st.LLCHits != uint64(b.N) {
+		b.Fatalf("%d of %d accesses hit the LLC", st.LLCHits, b.N)
+	}
+}
+
+// BenchmarkAssocInsertEvict inserts a stream of new keys into an array
+// of the 4KB STLB's 128-set, 12-way geometry: after the first 1536
+// inserts, every insert evicts.
+func BenchmarkAssocInsertEvict(b *testing.B) {
+	a := assoc.New[vm.Translation](128, 12)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.InsertEvict(uint64(i), vm.Translation{VBase: mem.VAddr(i << 12), Frame: mem.Frame(i)})
 	}
 }
 

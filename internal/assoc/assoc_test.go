@@ -21,12 +21,6 @@ func TestBasics(t *testing.T) {
 	if v, _ := a.Lookup(5); v != 51 {
 		t.Errorf("update failed: %d", v)
 	}
-	if !a.Invalidate(5) {
-		t.Error("Invalidate should find key 5")
-	}
-	if a.Invalidate(5) {
-		t.Error("second Invalidate should miss")
-	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -71,7 +65,7 @@ func TestSetIsolation(t *testing.T) {
 }
 
 func TestInvalidGeometryPanics(t *testing.T) {
-	for _, g := range [][2]int{{0, 4}, {3, 4}, {4, 0}, {-4, 2}} {
+	for _, g := range [][2]int{{0, 4}, {3, 4}, {4, 0}, {-4, 2}, {1, MaxWays + 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -80,19 +74,6 @@ func TestInvalidGeometryPanics(t *testing.T) {
 			}()
 			New[int](g[0], g[1])
 		}()
-	}
-}
-
-func TestFlush(t *testing.T) {
-	a := New[int](4, 4)
-	for i := uint64(0); i < 16; i++ {
-		a.Insert(i, int(i))
-	}
-	a.Flush()
-	for i := uint64(0); i < 16; i++ {
-		if _, ok := a.Peek(i); ok {
-			t.Fatalf("key %d survived flush", i)
-		}
 	}
 }
 

@@ -1,15 +1,16 @@
 // Package cache models the on-chip cache hierarchy: generic
-// set-associative write-back caches with LRU replacement, composed
-// into a per-core L1/L2 plus (possibly shared) LLC hierarchy. The LLC
-// is where TEMPO's prefetched replay data lands, so lines carry a
-// prefetch provenance tag that lets the simulator classify replay
+// set-associative write-back caches with LRU (or SRRIP) replacement,
+// composed into a per-core L1/L2 plus (possibly shared) LLC hierarchy.
+// The LLC is where TEMPO's prefetched replay data lands, so lines carry
+// a prefetch provenance tag that lets the simulator classify replay
 // service points (Figure 11) and prefetch usefulness.
 package cache
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
+	"repro/internal/assoc"
 	"repro/internal/mem"
 )
 
@@ -56,15 +57,14 @@ func (r Replacement) String() string {
 // invalidTag marks an empty way. Tags are the line address with the
 // set-index bits stripped, so the all-ones pattern would need a
 // physical address of at least 2^38 bytes (per 64-set cache) — far
-// beyond any modelled memory; New rejects geometries where a real tag
-// could reach it and index panics should an address overflow one.
+// beyond any modelled memory; index panics should an address reach it.
 const invalidTag = ^uint32(0)
 
-// Cache is one set-associative write-back cache level. Each way's tag
-// and LRU stamp are packed into one uint64 (tag high, stamp low), so
-// the victim scan — which needs both — walks a single contiguous
-// array: a whole 8-way set's state is one host cache line instead of
-// spanning separate tag and stamp arrays.
+// Cache is one set-associative write-back cache level, stored as a
+// structure of arrays: one tag and one meta byte per way, and one
+// recency stack (assoc.Stack) per set. Ways fill in index order and
+// never empty again, so a set's LRU way is its first empty way while
+// it has one.
 type Cache struct {
 	name     string
 	sets     int
@@ -73,9 +73,9 @@ type Cache struct {
 	setShift uint
 	latency  uint64
 	replace  Replacement
-	tick     uint32
-	lines    []uint64 // tag<<32 | stamp; invalidTag<<32 = empty way
-	meta     []uint8  // dirty bit + RRPV + provenance, packed
+	tags     []uint32      // invalidTag = empty way
+	meta     []uint8       // dirty bit + RRPV + provenance, packed
+	order    []assoc.Stack // per-set recency order
 
 	// Hits and Misses count demand lookups.
 	Hits, Misses uint64
@@ -102,35 +102,42 @@ type Config struct {
 	Replace Replacement
 }
 
-// New builds a cache. Size must be a power-of-two multiple of
-// Ways × 64B lines.
+// Validate reports why a cache of this shape cannot be built: SizeB
+// must split into Ways × 64B-line sets, and the sets and ways must make
+// a valid assoc.Geometry. A size that does not split counts as 0 sets.
+func (cfg Config) Validate() error {
+	g := assoc.Geometry{Ways: cfg.Ways}
+	if setBytes := uint64(cfg.Ways) * mem.LineSize; cfg.Ways > 0 && cfg.SizeB%setBytes == 0 {
+		g.Sets = int(cfg.SizeB / setBytes)
+	}
+	if err := g.Validate(); err != nil {
+		return fmt.Errorf("cache %q: %dB/%d-way: %w", cfg.Name, cfg.SizeB, cfg.Ways, err)
+	}
+	return nil
+}
+
+// New builds a cache. Panics with Config.Validate's error on invalid
+// geometry.
 func New(cfg Config) *Cache {
-	if cfg.Ways <= 0 || cfg.SizeB == 0 {
-		panic(fmt.Sprintf("cache %q: invalid geometry", cfg.Name))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	linesTotal := cfg.SizeB / mem.LineSize
-	sets := int(linesTotal) / cfg.Ways
-	if sets <= 0 || sets&(sets-1) != 0 || uint64(sets*cfg.Ways)*mem.LineSize != cfg.SizeB {
-		panic(fmt.Sprintf("cache %q: %dB/%d-way does not form a power-of-two set count", cfg.Name, cfg.SizeB, cfg.Ways))
-	}
-	setShift := uint(0)
-	for 1<<setShift < sets {
-		setShift++
-	}
+	sets := int(cfg.SizeB/mem.LineSize) / cfg.Ways
 	n := sets * cfg.Ways
 	c := &Cache{
 		name:     cfg.Name,
 		sets:     sets,
 		ways:     cfg.Ways,
 		setMask:  uint64(sets - 1),
-		setShift: setShift,
+		setShift: uint(bits.TrailingZeros(uint(sets))),
 		latency:  cfg.LatencyC,
 		replace:  cfg.Replace,
-		lines:    make([]uint64, n),
+		tags:     make([]uint32, n),
 		meta:     make([]uint8, n),
+		order:    assoc.NewStacks(sets, cfg.Ways),
 	}
-	for i := range c.lines {
-		c.lines[i] = uint64(invalidTag) << 32
+	for i := range c.tags {
+		c.tags[i] = invalidTag
 	}
 	return c
 }
@@ -154,43 +161,15 @@ func (c *Cache) index(p mem.PAddr) (base int, set uint64, tag uint32) {
 	return int(set) * c.ways, set, uint32(t)
 }
 
-// lineAddrOf reconstructs the full line address of the way at index i
-// (holding tag) in the given set.
-func (c *Cache) lineAddrOf(set uint64, tag uint32) uint64 {
-	return uint64(tag)<<c.setShift | set
-}
-
-// nextStamp advances the LRU clock. Stamps are 32-bit so they pack
-// beside the tag in one word; when the clock nears wraparound the
-// live stamps are renumbered to 1..k in place.
-func (c *Cache) nextStamp() uint32 {
-	if c.tick == ^uint32(0)-1 {
-		c.compressStamps()
-	}
-	c.tick++
-	return c.tick
-}
-
-// compressStamps renumbers the stamps of valid lines to 1..k,
-// preserving their relative order exactly. Victim selection compares
-// stamps only with <, so the renumbering cannot change any replacement
-// decision. Invalid ways reset to 0; their stamps are never consulted
-// because an empty way preempts the LRU scan. Runs once per ~4 billion
-// touches, so the sort amortizes to nothing.
-func (c *Cache) compressStamps() {
-	idx := make([]int, 0, len(c.lines))
-	for i, e := range c.lines {
-		if uint32(e>>32) != invalidTag {
-			idx = append(idx, i)
-		} else {
-			c.lines[i] = uint64(invalidTag) << 32
+// find returns the way of the set starting at base that holds tag, or
+// -1. Empty ways hold invalidTag, which no real tag equals.
+func (c *Cache) find(base int, tag uint32) int {
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == tag {
+			return w
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool { return uint32(c.lines[idx[a]]) < uint32(c.lines[idx[b]]) })
-	for r, i := range idx {
-		c.lines[i] = c.lines[i]&^uint64(^uint32(0)) | uint64(r+1)
-	}
-	c.tick = uint32(len(idx))
+	return -1
 }
 
 // Access looks up the line holding p, updating LRU and hit/miss
@@ -198,37 +177,30 @@ func (c *Cache) compressStamps() {
 // demotes the provenance to FillDemand (a prefetched line is counted
 // useful only once). Write hits mark the line dirty.
 func (c *Cache) Access(p mem.PAddr, write bool) (bool, Provenance) {
-	base, _, tag := c.index(p)
-	for i := base; i < base+c.ways; i++ {
-		e := c.lines[i]
-		if uint32(e>>32) == tag {
-			c.lines[i] = e&^uint64(^uint32(0)) | uint64(c.nextStamp())
-			m := c.meta[i]
-			prov := Provenance(m >> metaProvShift & 3)
-			// SRRIP: near re-reference on a hit (RRPV 0); provenance
-			// demotes to FillDemand; a write marks the line dirty.
-			m &= metaDirtyBit
-			if write {
-				m |= metaDirtyBit
-			}
-			c.meta[i] = m
-			c.Hits++
-			return true, prov
-		}
+	base, set, tag := c.index(p)
+	w := c.find(base, tag)
+	if w < 0 {
+		c.Misses++
+		return false, FillDemand
 	}
-	c.Misses++
-	return false, FillDemand
+	c.order[set] = c.order[set].Touch(w)
+	m := c.meta[base+w]
+	prov := Provenance(m >> metaProvShift & 3)
+	// SRRIP: near re-reference on a hit (RRPV 0); provenance demotes to
+	// FillDemand; a write marks the line dirty.
+	m &= metaDirtyBit
+	if write {
+		m |= metaDirtyBit
+	}
+	c.meta[base+w] = m
+	c.Hits++
+	return true, prov
 }
 
 // Contains peeks for p without disturbing LRU or counters.
 func (c *Cache) Contains(p mem.PAddr) bool {
 	base, _, tag := c.index(p)
-	for i := base; i < base+c.ways; i++ {
-		if uint32(c.lines[i]>>32) == tag {
-			return true
-		}
-	}
-	return false
+	return c.find(base, tag) >= 0
 }
 
 // Victim describes an eviction caused by a fill.
@@ -243,47 +215,37 @@ type Victim struct {
 // existing provenance: prefetching something already cached earns no
 // usefulness credit.
 func (c *Cache) Fill(p mem.PAddr, prov Provenance, dirty bool) (Victim, bool) {
+	return c.fill(p, prov, dirty, false)
+}
+
+// fill is Fill; absent says the caller knows p is not resident (its
+// Access just missed and nothing has touched the cache since), so the
+// set is not searched for it.
+func (c *Cache) fill(p mem.PAddr, prov Provenance, dirty, absent bool) (out Victim, evicted bool) {
 	base, set, tag := c.index(p)
-	// One fused scan finds a resident copy, the first empty way and the
-	// LRU way together; inserting never duplicates a tag within a set,
-	// so stopping at the first match loses nothing.
-	firstFree, lru := -1, base
-	for i := base; i < base+c.ways; i++ {
-		e := c.lines[i]
-		t := uint32(e >> 32)
-		if t == tag {
-			c.lines[i] = e&^uint64(^uint32(0)) | uint64(c.nextStamp())
+	if !absent {
+		if w := c.find(base, tag); w >= 0 {
+			c.order[set] = c.order[set].Touch(w)
 			if dirty {
-				c.meta[i] |= metaDirtyBit
+				c.meta[base+w] |= metaDirtyBit
 			}
 			return Victim{}, false
 		}
-		if t == invalidTag {
-			if firstFree < 0 {
-				firstFree = i
-			}
-		} else if uint32(e) < uint32(c.lines[lru]) {
-			lru = i
-		}
 	}
-	victim := firstFree
-	if victim < 0 {
-		victim = lru
+	// The LRU way is the first empty way while the set has one, so a
+	// valid LRU way means the set is full.
+	w := c.order[set].LRU(c.ways)
+	if c.tags[base+w] != invalidTag {
 		if c.replace == ReplaceSRRIP {
-			victim = c.srripVictim(base)
+			w = c.srripVictim(base) - base
 		}
-	}
-	var out Victim
-	evicted := false
-	if vt := uint32(c.lines[victim] >> 32); vt != invalidTag {
-		vd := c.meta[victim]&metaDirtyBit != 0
-		out = Victim{Addr: mem.PAddr(c.lineAddrOf(set, vt) << mem.LineShift), Dirty: vd}
+		line := uint64(c.tags[base+w])<<c.setShift | set
+		out = Victim{Addr: mem.PAddr(line << mem.LineShift), Dirty: c.meta[base+w]&metaDirtyBit != 0}
 		evicted = true
-		if vd {
+		if out.Dirty {
 			c.Writebacks++
 		}
 	}
-	s := c.nextStamp()
 	rrpv := uint8(2) // SRRIP: long re-reference interval on insertion
 	if prov != FillDemand {
 		rrpv = 3 // prefetches insert at a distant interval
@@ -292,8 +254,9 @@ func (c *Cache) Fill(p mem.PAddr, prov Provenance, dirty bool) (Victim, bool) {
 	if dirty {
 		m |= metaDirtyBit
 	}
-	c.lines[victim] = uint64(tag)<<32 | uint64(s)
-	c.meta[victim] = m
+	c.tags[base+w] = tag
+	c.meta[base+w] = m
+	c.order[set] = c.order[set].Touch(w)
 	return out, evicted
 }
 
@@ -323,29 +286,4 @@ func (c *Cache) srripVictim(base int) int {
 		c.meta[i] += age << metaRrpvShift
 	}
 	return maxI
-}
-
-// Invalidate drops the line holding p if present, returning whether it
-// was present and dirty.
-func (c *Cache) Invalidate(p mem.PAddr) (present, dirty bool) {
-	base, _, tag := c.index(p)
-	for i := base; i < base+c.ways; i++ {
-		if uint32(c.lines[i]>>32) == tag {
-			c.lines[i] = uint64(invalidTag) << 32
-			return true, c.meta[i]&metaDirtyBit != 0
-		}
-	}
-	return false, false
-}
-
-// Flush empties the cache, returning the number of dirty lines dropped.
-func (c *Cache) Flush() uint64 {
-	var dirty uint64
-	for i := range c.lines {
-		if uint32(c.lines[i]>>32) != invalidTag && c.meta[i]&metaDirtyBit != 0 {
-			dirty++
-		}
-		c.lines[i] = uint64(invalidTag) << 32
-	}
-	return dirty
 }

@@ -19,6 +19,7 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 		{Name: "b", SizeB: 512, Ways: 0},
 		{Name: "c", SizeB: 512 + 64, Ways: 2}, // non power-of-two sets
 		{Name: "d", SizeB: 64, Ways: 2},       // fewer lines than ways
+		{Name: "e", SizeB: 17 * 64, Ways: 17}, // wider than a recency stack
 	}
 	for _, cfg := range bad {
 		func() {
@@ -114,27 +115,6 @@ func TestProvenanceConsumedOnce(t *testing.T) {
 	hit, prov = c.Access(0x2000, false)
 	if !hit || prov != FillDemand {
 		t.Errorf("second access should see demand provenance, got %v", prov)
-	}
-}
-
-func TestInvalidateAndFlush(t *testing.T) {
-	c := small()
-	c.Fill(0x3000, FillDemand, false)
-	c.Access(0x3000, true)
-	present, dirty := c.Invalidate(0x3000)
-	if !present || !dirty {
-		t.Errorf("invalidate = %v, %v", present, dirty)
-	}
-	if present, _ := c.Invalidate(0x3000); present {
-		t.Error("second invalidate should miss")
-	}
-	c.Fill(0x4000, FillDemand, false)
-	c.Access(0x4000, true)
-	if n := c.Flush(); n != 1 {
-		t.Errorf("flush dropped %d dirty lines, want 1", n)
-	}
-	if c.Contains(0x4000) {
-		t.Error("line survived flush")
 	}
 }
 

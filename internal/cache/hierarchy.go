@@ -111,15 +111,15 @@ func (h *Hierarchy) Access(p mem.PAddr, write bool) AccessResult {
 	h.st.L1Misses++
 	if hit, _ := h.L2.Access(p, write); hit {
 		h.st.L2Hits++
-		h.wbAccess = h.fillL1(h.wbAccess[:0], p, write)
+		h.wbAccess = h.fillL1(h.wbAccess[:0], p, write, true)
 		return AccessResult{Served: ServedL2, Latency: h.L2.Latency(),
 			Writebacks: h.wbAccess}
 	}
 	h.st.L2Misses++
 	if hit, prov := h.LLC.Access(p, write); hit {
 		h.st.LLCHits++
-		wb := h.fillL2(h.wbAccess[:0], p, false)
-		wb = h.fillL1(wb, p, write)
+		wb := h.fillL2(h.wbAccess[:0], p, false, true)
+		wb = h.fillL1(wb, p, write, true)
 		h.wbAccess = wb
 		return AccessResult{
 			Served: ServedLLC, Latency: h.LLC.Latency(),
@@ -136,8 +136,8 @@ func (h *Hierarchy) Access(p mem.PAddr, write bool) AccessResult {
 // only until the next fill and must not be retained.
 func (h *Hierarchy) FillFromDRAM(p mem.PAddr, write bool) []mem.PAddr {
 	wb := h.fillLLC(h.wbFill[:0], p, FillDemand, false)
-	wb = h.fillL2(wb, p, false)
-	wb = h.fillL1(wb, p, write)
+	wb = h.fillL2(wb, p, false, false)
+	wb = h.fillL1(wb, p, write, false)
 	h.wbFill = wb
 	h.WBBurst.Observe(uint64(len(wb)))
 	return wb
@@ -162,16 +162,17 @@ func (h *Hierarchy) PeekLLC(p mem.PAddr) bool { return h.LLC.Contains(p) }
 
 // fillL1/fillL2/fillLLC install a line at one level, cascading any
 // dirty victim into the level below; dirty LLC victims are appended to
-// wb and the extended slice returned.
-func (h *Hierarchy) fillL1(wb []mem.PAddr, p mem.PAddr, dirty bool) []mem.PAddr {
-	if v, evicted := h.L1.Fill(p, FillDemand, dirty); evicted && v.Dirty {
-		return h.fillL2(wb, v.Addr, true)
+// wb and the extended slice returned. Access's promotion fills pass
+// absent, as the level has just missed p: see Cache.fill.
+func (h *Hierarchy) fillL1(wb []mem.PAddr, p mem.PAddr, dirty, absent bool) []mem.PAddr {
+	if v, evicted := h.L1.fill(p, FillDemand, dirty, absent); evicted && v.Dirty {
+		return h.fillL2(wb, v.Addr, true, false)
 	}
 	return wb
 }
 
-func (h *Hierarchy) fillL2(wb []mem.PAddr, p mem.PAddr, dirty bool) []mem.PAddr {
-	if v, evicted := h.L2.Fill(p, FillDemand, dirty); evicted && v.Dirty {
+func (h *Hierarchy) fillL2(wb []mem.PAddr, p mem.PAddr, dirty, absent bool) []mem.PAddr {
+	if v, evicted := h.L2.fill(p, FillDemand, dirty, absent); evicted && v.Dirty {
 		return h.fillLLC(wb, v.Addr, FillDemand, true)
 	}
 	return wb

@@ -106,15 +106,29 @@ type chanState struct {
 	actPos int
 }
 
+// Validate reports why a controller cannot be built on this geometry:
+// it needs at least one channel, one bank per channel and a non-empty
+// row, and each sub-row must hold at least one line.
+func (g Geometry) Validate() error {
+	if g.Channels <= 0 || g.BanksPerCh <= 0 || g.RowBytes == 0 {
+		return fmt.Errorf("dram: invalid geometry %+v: needs channels, banks per channel and row bytes above 0", g)
+	}
+	if g.SubRows > 1 && uint64(g.SubRows) > g.RowBytes/mem.LineSize {
+		return fmt.Errorf("dram: %d sub-rows of a %dB row are smaller than a %dB line", g.SubRows, g.RowBytes, mem.LineSize)
+	}
+	return nil
+}
+
 // NewController builds a controller. The scheduler is mandatory; stats
-// must be the memory-system-wide sink.
+// must be the memory-system-wide sink. Panics with Geometry.Validate's
+// error on invalid geometry.
 func NewController(cfg Config, sched Scheduler, st *stats.Stats) *Controller {
 	if sched == nil || st == nil {
 		panic("dram: controller needs a scheduler and stats")
 	}
 	g := cfg.Geometry
-	if g.Channels <= 0 || g.BanksPerCh <= 0 || g.RowBytes == 0 {
-		panic(fmt.Sprintf("dram: invalid geometry %+v", g))
+	if err := g.Validate(); err != nil {
+		panic(err)
 	}
 	c := &Controller{cfg: cfg, sched: sched, st: st,
 		chans: make([]chanState, g.Channels)}

@@ -94,9 +94,9 @@ func TestPromNameEscaping(t *testing.T) {
 		"cpi/row_conflict_extra": "tempo_cpi_row_conflict_extra",
 		"mech/victima/pte_hits":  "tempo_mech_victima_pte_hits",
 		"core0/walk/latency":     "tempo_core0_walk_latency",
-		"weird-name.with/every:char epsilon": // dashes, dots, colons, spaces
-			"tempo_weird_name_with_every_char_epsilon",
-		"Ünïcode/runes": "tempo__n_code_runes",
+		// Dashes, dots, colons and spaces.
+		"weird-name.with/every:char epsilon": "tempo_weird_name_with_every_char_epsilon",
+		"Ünïcode/runes":                      "tempo__n_code_runes",
 	}
 	for in, want := range cases {
 		if got := promName(in); got != want {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mem"
 	"repro/internal/obsv"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -533,7 +534,8 @@ func TestSubmitDedupsAcrossWorkerCounts(t *testing.T) {
 }
 
 // A configuration sizing physical memory past vm.MaxPhysFrames —
-// explicitly or through a workload footprint — fails as that job's
+// explicitly or through a workload footprint — or giving a cache, TLB
+// or DRAM geometry no structure can be built with fails as that job's
 // error, through the real simulator, and the coordinator keeps serving.
 func TestOversizedMachineFailsJob(t *testing.T) {
 	co, err := New(Options{Pool: runner.New(runner.Options{Parallelism: 1}), Workers: 1})
@@ -548,22 +550,33 @@ func TestOversizedMachineFailsJob(t *testing.T) {
 		cfg.Workloads[0].Footprint = 64 << 20
 		return cfg
 	}
-	huge := small(1)
-	huge.PhysFrames = 1 << 40
-	hugeFP := small(2)
-	hugeFP.Workloads[0].Footprint = 1 << 62
-	for _, cfg := range []sim.Config{huge, hugeFP} {
+	bad := []struct {
+		want string
+		edit func(*sim.Config)
+	}{
+		{"limit", func(c *sim.Config) { c.PhysFrames = 1 << 40 }},
+		{"limit", func(c *sim.Config) { c.Workloads[0].Footprint = 1 << 62 }},
+		{"17 ways is outside 1..16", func(c *sim.Config) {
+			c.Machine.Caches.LLC.Ways, c.Machine.Caches.LLC.SizeB = 17, 17*4096*mem.LineSize
+		}},
+		{"3072 sets is not a positive power of two", func(c *sim.Config) { c.Machine.Caches.LLC.SizeB = 3 << 20 }},
+		{"tlb: L2 4k: assoc: 0 ways", func(c *sim.Config) { c.Machine.TLB.L2[mem.Page4K].Ways = 0 }},
+		{"dram: invalid geometry", func(c *sim.Config) { c.Machine.DRAM.Geometry.Channels = 0 }},
+	}
+	for i, b := range bad {
+		cfg := small(int64(i + 1))
+		b.edit(&cfg)
 		s, err := co.Submit(cfg, "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitDone(t, co, s.Job.ID)
 		v, _ := co.Job(s.Job.ID)
-		if v.State != StateFailed || !strings.Contains(v.Err, "limit") {
-			t.Fatalf("oversized job: state %s, err %q; want failed on the memory limit", v.State, v.Err)
+		if v.State != StateFailed || !strings.Contains(v.Err, b.want) || strings.Contains(v.Err, "panic") {
+			t.Fatalf("bad machine job: state %s, err %q; want failed with %q", v.State, v.Err, b.want)
 		}
 	}
-	ok, err := co.Submit(small(3), "", 0)
+	ok, err := co.Submit(small(int64(len(bad)+1)), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +584,7 @@ func TestOversizedMachineFailsJob(t *testing.T) {
 	if v, _ := co.Job(ok.Job.ID); v.State != StateCompleted {
 		t.Fatalf("job after the failures: state %s, err %q", v.State, v.Err)
 	}
-	if qv := co.Queue(); qv.Failed != 2 || qv.Completed != 1 {
+	if qv := co.Queue(); qv.Failed != uint64(len(bad)) || qv.Completed != 1 {
 		t.Fatalf("accounting: %+v", qv)
 	}
 }

@@ -9,6 +9,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cache"
@@ -211,6 +212,33 @@ func DefaultConfig(workload string) Config {
 		BLISSGracePeriod:    15,
 		Seed:                1,
 	}
+}
+
+// validateMachine reports every machine structure that cannot be
+// built: cache, TLB and MMU-cache geometries, and the DRAM organisation
+// with the run's sub-rows. Machines arrive in tempo-serve job JSON, so
+// a bad one must fail the run with an error, not a constructor panic.
+func (c *Config) validateMachine() error {
+	m := &c.Machine
+	return errors.Join(m.Caches.L1.Validate(), m.Caches.L2.Validate(), m.Caches.LLC.Validate(),
+		m.TLB.Validate(), m.MMU.Validate(), c.dramConfig().Geometry.Validate())
+}
+
+// dramConfig returns the memory controller's configuration: the
+// machine's DRAM with the run's PT-row wait and sub-rows applied.
+func (c *Config) dramConfig() dram.Config {
+	dcfg := c.Machine.DRAM
+	dcfg.PTRowWait = c.Tempo.PTRowWait
+	if !c.Tempo.Enabled {
+		dcfg.PTRowWait = 0
+	}
+	if c.SubRows > 1 {
+		dcfg.Geometry.SubRows = c.SubRows
+		if c.Tempo.Enabled {
+			dcfg.Geometry.PrefetchSubRows = c.PrefetchSubRows
+		}
+	}
+	return dcfg
 }
 
 // physFrames returns the modelled physical memory size in frames. It

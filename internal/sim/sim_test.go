@@ -323,3 +323,33 @@ func TestPhysicalMemoryLimit(t *testing.T) {
 		}
 	}
 }
+
+// A machine no cache, TLB, MMU cache or DRAM controller can be built
+// from is a configuration error from New, not a panic inside a
+// constructor: machines arrive in tempo-serve job JSON.
+func TestBadMachineGeometryIsError(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*Config)
+	}{
+		{"17-way LLC", `cache "LLC": 4456448B/17-way: assoc: 17 ways is outside 1..16`, func(c *Config) {
+			c.Machine.Caches.LLC.Ways, c.Machine.Caches.LLC.SizeB = 17, 17*4096*mem.LineSize
+		}},
+		{"LLC set count", `cache "LLC": 3145728B/16-way: assoc: 3072 sets is not a positive power of two`, func(c *Config) {
+			c.Machine.Caches.LLC.SizeB = 3 << 20
+		}},
+		{"0-way L1", `cache "L1D": 32768B/0-way: assoc: 0 ways`, func(c *Config) { c.Machine.Caches.L1.Ways = 0 }},
+		{"0-way STLB", "tlb: L2 4k: assoc: 0 ways", func(c *Config) { c.Machine.TLB.L2[mem.Page4K].Ways = 0 }},
+		{"17-way 1GB STLB", "tlb: L2 1g: assoc: 17 ways", func(c *Config) { c.Machine.TLB.L2[mem.Page1G].Ways = 17 }},
+		{"3-set L1 TLB", "tlb: L1 2m: assoc: 3 sets", func(c *Config) { c.Machine.TLB.L1[mem.Page2M].Sets = 3 }},
+		{"0-set MMU cache", "tlb: L3 MMU cache: assoc: 0 sets", func(c *Config) { c.Machine.MMU.L3.Sets = 0 }},
+		{"0 DRAM channels", "dram: invalid geometry", func(c *Config) { c.Machine.DRAM.Geometry.Channels = 0 }},
+		{"sub-rows below a line", "dram: 256 sub-rows of a 8192B row", func(c *Config) { c.SubRows = 256 }},
+	} {
+		cfg := quickCfg("xsbench", 10)
+		tc.edit(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New error = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

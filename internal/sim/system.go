@@ -126,6 +126,9 @@ func New(cfg Config) (*System, error) {
 	if cfg.Records <= 0 {
 		return nil, errors.New("sim: Records must be positive")
 	}
+	if err := cfg.validateMachine(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	s := &System{cfg: cfg, machine: cfg.Machine, mst: &stats.Stats{}}
 
 	// Workload streams (generators or trace files), sizing physical
@@ -207,17 +210,7 @@ func New(cfg Config) (*System, error) {
 	}
 
 	// Memory controller with scheduler and TEMPO.
-	dcfg := s.machine.DRAM
-	dcfg.PTRowWait = cfg.Tempo.PTRowWait
-	if !cfg.Tempo.Enabled {
-		dcfg.PTRowWait = 0
-	}
-	if cfg.SubRows > 1 {
-		dcfg.Geometry.SubRows = cfg.SubRows
-		if cfg.Tempo.Enabled {
-			dcfg.Geometry.PrefetchSubRows = cfg.PrefetchSubRows
-		}
-	}
+	dcfg := cfg.dramConfig()
 	var scheduler dram.Scheduler
 	switch cfg.Scheduler {
 	case SchedBLISS:

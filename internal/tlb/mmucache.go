@@ -1,6 +1,8 @@
 package tlb
 
 import (
+	"fmt"
+
 	"repro/internal/assoc"
 	"repro/internal/mem"
 )
@@ -31,6 +33,17 @@ func DefaultMMUCacheConfig() MMUCacheConfig {
 		L3: Geometry{Sets: 1, Ways: 8},
 		L2: Geometry{Sets: 8, Ways: 4},
 	}
+}
+
+// Validate reports the first level whose geometry an array cannot have
+// (see assoc.Geometry.Validate).
+func (cfg MMUCacheConfig) Validate() error {
+	for i, g := range [3]Geometry{cfg.L4, cfg.L3, cfg.L2} {
+		if err := g.Validate(); err != nil {
+			return fmt.Errorf("tlb: L%d MMU cache: %w", 4-i, err)
+		}
+	}
+	return nil
 }
 
 // NewMMUCache builds the page-walk caches.
@@ -69,11 +82,4 @@ func (m *MMUCache) Insert(v mem.VAddr, level int, next mem.Frame) {
 		panic("tlb: MMU cache level must be 2..4")
 	}
 	m.byLevel[level-2].Insert(prefix(v, level), next)
-}
-
-// Flush empties all levels.
-func (m *MMUCache) Flush() {
-	for _, a := range m.byLevel {
-		a.Flush()
-	}
 }

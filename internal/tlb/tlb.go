@@ -42,9 +42,7 @@ func (h HitLevel) String() string {
 
 // Geometry describes one TLB level for one page-size class as
 // sets × ways.
-type Geometry struct {
-	Sets, Ways int
-}
+type Geometry = assoc.Geometry
 
 // Config sizes the two TLB levels per page-size class. The defaults
 // mirror a Skylake-class core.
@@ -69,6 +67,22 @@ func DefaultConfig() Config {
 			mem.Page1G: {Sets: 1, Ways: 16},
 		},
 	}
+}
+
+// classNames labels the page-size classes in errors and metric names.
+var classNames = [3]string{"4k", "2m", "1g"}
+
+// Validate reports the first level and page-size class whose geometry
+// an array cannot have (see assoc.Geometry.Validate).
+func (cfg Config) Validate() error {
+	for c, name := range classNames {
+		for l, g := range [2]Geometry{cfg.L1[c], cfg.L2[c]} {
+			if err := g.Validate(); err != nil {
+				return fmt.Errorf("tlb: L%d %s: %w", l+1, name, err)
+			}
+		}
+	}
+	return nil
 }
 
 // TLB is a two-level, page-size-aware translation lookaside buffer.
@@ -126,7 +140,6 @@ func (t *TLB) Lookup(v mem.VAddr) (vm.Translation, HitLevel) {
 // it shows which page sizes carry a workload's TLB locality, the
 // quantity Figure 13's page-size sweep varies.
 func (t *TLB) Instrument(reg *obsv.Registry, prefix string) {
-	classNames := [3]string{"4k", "2m", "1g"}
 	for c := 0; c < 3; c++ {
 		t.obsL1Hits[c] = reg.Counter(fmt.Sprintf("%s/l1_hits/%s", prefix, classNames[c]))
 		t.obsL2Hits[c] = reg.Counter(fmt.Sprintf("%s/l2_hits/%s", prefix, classNames[c]))
@@ -140,29 +153,6 @@ func (t *TLB) Insert(tr vm.Translation) {
 	k := key(tr.VBase, c)
 	t.l1[c].Insert(k, tr)
 	t.l2[c].Insert(k, tr)
-}
-
-// Invalidate removes any translation covering v from both levels (a
-// single-page TLB shootdown). It returns whether anything was dropped.
-func (t *TLB) Invalidate(v mem.VAddr) bool {
-	any := false
-	for c := mem.Page4K; c <= mem.Page1G; c++ {
-		if t.l1[c].Invalidate(key(v, c)) {
-			any = true
-		}
-		if t.l2[c].Invalidate(key(v, c)) {
-			any = true
-		}
-	}
-	return any
-}
-
-// Flush empties every array (a full TLB shootdown).
-func (t *TLB) Flush() {
-	for c := 0; c < 3; c++ {
-		t.l1[c].Flush()
-		t.l2[c].Flush()
-	}
 }
 
 // Reach4K returns how many bytes the 4KB L2 array can map — useful for

@@ -74,15 +74,6 @@ func TestTLBPageSizeClasses(t *testing.T) {
 	}
 }
 
-func TestTLBFlush(t *testing.T) {
-	tl := New(DefaultConfig())
-	tl.Insert(tr4k(7))
-	tl.Flush()
-	if _, lvl := tl.Lookup(tr4k(7).VBase); lvl != Miss {
-		t.Error("flush should drop all entries")
-	}
-}
-
 func TestMMUCacheLongestPrefixWins(t *testing.T) {
 	m := NewMMUCache(DefaultMMUCacheConfig())
 	v := mem.VAddr(0x7F12_3456_7000)
@@ -132,15 +123,6 @@ func TestMMUCacheInsertPanicsOnBadLevel(t *testing.T) {
 	}
 }
 
-func TestMMUCacheFlush(t *testing.T) {
-	m := NewMMUCache(DefaultMMUCacheConfig())
-	m.Insert(0x1000, 2, 1)
-	m.Flush()
-	if _, _, ok := m.Lookup(0x1000); ok {
-		t.Error("flush should drop entries")
-	}
-}
-
 // Property: inserting a translation always makes its whole page
 // hit at L1, and never makes unrelated pages hit.
 func TestTLBInsertLookupProperty(t *testing.T) {
@@ -166,29 +148,5 @@ func TestTLBInsertLookupProperty(t *testing.T) {
 func TestHitLevelString(t *testing.T) {
 	if HitL1.String() != "L1-TLB" || HitL2.String() != "L2-TLB" || Miss.String() != "TLB-miss" {
 		t.Error("HitLevel strings wrong")
-	}
-}
-
-func TestTLBInvalidateShootdown(t *testing.T) {
-	tl := New(DefaultConfig())
-	tr := tr4k(0x777)
-	tl.Insert(tr)
-	if !tl.Invalidate(tr.VBase + 0x123) {
-		t.Fatal("shootdown should find the entry")
-	}
-	if _, lvl := tl.Lookup(tr.VBase); lvl != Miss {
-		t.Error("entry survived shootdown")
-	}
-	if tl.Invalidate(tr.VBase) {
-		t.Error("second shootdown should miss")
-	}
-	// Superpages are dropped by any covered address.
-	tr2m := vm.Translation{VBase: 0x4000_0000, Frame: 512, Class: mem.Page2M}
-	tl.Insert(tr2m)
-	if !tl.Invalidate(0x4000_0000 + 0x1F_0000) {
-		t.Error("superpage shootdown failed")
-	}
-	if _, lvl := tl.Lookup(0x4000_0000); lvl != Miss {
-		t.Error("superpage survived shootdown")
 	}
 }
