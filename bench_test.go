@@ -266,21 +266,9 @@ func BenchmarkHotPathTempo(b *testing.B) {
 // throughput and records/s/core the per-core share. scripts/bench.sh
 // captures it in BENCH_hotpath.json, which the CI perf gate diffs.
 func BenchmarkHotPathMultiTempo(b *testing.B) {
-	const cores = 4
-	cfg := DefaultConfig("xsbench")
-	cfg.Workloads = nil
-	for i := 0; i < cores; i++ {
-		cfg.Workloads = append(cfg.Workloads, WorkloadSpec{
-			Name: "xsbench", Footprint: 256 << 20, Seed: int64(i + 1),
-		})
-	}
-	cfg.SharedAddressSpace = true
-	cfg.Tempo = DefaultTempo()
 	// Records is per core; round b.N up so every core gets equal work.
-	cfg.Records = (b.N + cores - 1) / cores
-	if cfg.Records < 100 {
-		cfg.Records = 100
-	}
+	cfg := multiTempoConfig(max((b.N+3)/4, 100))
+	cores := len(cfg.Workloads)
 	total := cfg.Records * cores
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -289,6 +277,23 @@ func BenchmarkHotPathMultiTempo(b *testing.B) {
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "records/s")
 	b.ReportMetric(float64(total)/float64(cores)/b.Elapsed().Seconds(), "records/s/core")
+}
+
+// multiTempoConfig is BenchmarkHotPathMultiTempo's machine with the
+// given records per core: four xsbench cores (distinct seeds) sharing
+// one address space, the LLC and the memory controller, TEMPO on.
+func multiTempoConfig(records int) Config {
+	cfg := DefaultConfig("xsbench")
+	cfg.Workloads = nil
+	for i := 0; i < 4; i++ {
+		cfg.Workloads = append(cfg.Workloads, WorkloadSpec{
+			Name: "xsbench", Footprint: 256 << 20, Seed: int64(i + 1),
+		})
+	}
+	cfg.SharedAddressSpace = true
+	cfg.Tempo = DefaultTempo()
+	cfg.Records = records
+	return cfg
 }
 
 // BenchmarkAblationSchedulerAware isolates TEMPO's Section 4.3

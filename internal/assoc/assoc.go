@@ -1,8 +1,8 @@
 // Package assoc provides a generic set-associative array with true LRU
 // replacement, and the per-set recency stack that orders it. The array
-// is the storage building block for the TLBs, the MMU page-walk caches
-// and the adaptive row-policy prediction cache; the stack also orders
-// the data caches of internal/cache, so LRU is written once.
+// is the storage building block for the TLBs and the MMU page-walk
+// caches; the stack also orders the data caches of internal/cache and
+// the DRAM row-policy prediction cache, so LRU is written once.
 package assoc
 
 import (

@@ -102,9 +102,11 @@ func (e *Engine) OnLeafPTServed(r *dram.Request, completion uint64) *dram.Reques
 	offset := (r.ReplayLine << mem.LineShift) & (size - 1)
 	target := pte.Frame.Addr() + mem.PAddr(offset)
 	e.st.TempoPrefetches++
-	pf := &dram.Request{}
+	var pf *dram.Request
 	if e.Pool != nil {
 		pf = e.Pool.Get()
+	} else {
+		pf = &dram.Request{}
 	}
 	pf.Addr = target.Line()
 	pf.CoreID = r.CoreID

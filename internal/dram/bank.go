@@ -7,56 +7,76 @@ import (
 	"repro/internal/stats"
 )
 
+// The adaptive policy's prediction cache: predSets sets of predWays
+// rows per bank. A row's window starts at predInit cycles, halves on a
+// conflict and doubles on an early close, within [predMin, predMax].
+const (
+	predSetBits = 11
+	predSets    = 1 << predSetBits
+	predWays    = 4
+
+	predInit = 200
+	predMin  = 25
+	predMax  = 3200
+)
+
+// predStart is a fresh set's recency order. Sets store their order
+// XOR predStart, so zeroed memory is a set of empty ways.
+var predStart = assoc.NewStacks(1, predWays)[0]
+
+// predSet is one prediction-cache set in 28 bytes: a row's set is its
+// low predSetBits bits and its tag the rest, which is exact for rows
+// below 2^43 — far above any row vm.MaxPhysFrames can address.
+type predSet struct {
+	tags  [predWays]uint32
+	wins  [predWays]uint16 // at most predMax
+	order uint16           // assoc.Stack image XOR predStart
+	n     uint8            // ways fill in index order and never empty
+}
+
 // openPredictor implements the prediction-cache-based adaptive row
-// policy of Awasthi et al. [17]: a 2048-set 4-way cache keyed by
-// (bank, row) predicting how long the row should stay open after its
-// last access. Rows that suffer conflicts have their windows shrunk;
-// rows that are re-opened shortly after an early close have them grown.
-type openPredictor struct {
-	cache *assoc.Assoc[uint64]
-	init  uint64
-	min   uint64
-	max   uint64
+// policy of Awasthi et al. [17]: a bank's 2048-set 4-way cache keyed
+// by row predicting how long the row should stay open after its last
+// access. Rows that suffer conflicts have their windows shrunk; rows
+// that are re-opened shortly after an early close have them grown.
+type openPredictor [predSets]predSet
+
+// find returns row's set and tag, and the way holding row or -1.
+func (p *openPredictor) find(row uint64) (s *predSet, tag uint32, way int) {
+	s, tag = &p[row&(predSets-1)], uint32(row>>predSetBits)
+	for w := 0; w < int(s.n); w++ {
+		if s.tags[w] == tag {
+			return s, tag, w
+		}
+	}
+	return s, tag, -1
 }
 
-func newOpenPredictor() *openPredictor {
-	return &openPredictor{
-		cache: assoc.New[uint64](2048, 4),
-		init:  200,
-		min:   25,
-		max:   3200,
+// window returns row's predicted window without touching recency.
+func (p *openPredictor) window(row uint64) uint64 {
+	if s, _, w := p.find(row); w >= 0 {
+		return uint64(s.wins[w])
 	}
+	return predInit
 }
 
-func (p *openPredictor) window(key uint64) uint64 {
-	if w, ok := p.cache.Peek(key); ok {
-		return w
+// set installs row's window into its way, else the set's next empty
+// way, else its LRU way, and reports the row it evicted, if any.
+func (p *openPredictor) set(row, win uint64) (evicted uint64, ok bool) {
+	s, tag, w := p.find(row)
+	if w < 0 {
+		if s.n < predWays {
+			w = int(s.n)
+			s.n++
+		} else {
+			w = (assoc.Stack(s.order) ^ predStart).LRU(predWays)
+			evicted, ok = uint64(s.tags[w])<<predSetBits|row&(predSets-1), true
+		}
+		s.tags[w] = tag
 	}
-	return p.init
-}
-
-// conflicted: the row was still open when another row was wanted —
-// we kept it open too long. Returns the key's new window plus the key
-// the insertion evicted from the prediction cache, so the bank can
-// push both changes into any sub-row memoizing them.
-func (p *openPredictor) conflicted(key uint64) (win, evicted uint64, evictedOK bool) {
-	w := p.window(key) / 2
-	if w < p.min {
-		w = p.min
-	}
-	ev, ok := p.cache.InsertEvict(key, w)
-	return w, ev, ok
-}
-
-// reopened: the same row was wanted again after the window expired —
-// we closed too early.
-func (p *openPredictor) reopened(key uint64) (win, evicted uint64, evictedOK bool) {
-	w := p.window(key) * 2
-	if w > p.max {
-		w = p.max
-	}
-	ev, ok := p.cache.InsertEvict(key, w)
-	return w, ev, ok
+	s.wins[w] = uint16(win)
+	s.order = uint16((assoc.Stack(s.order) ^ predStart).Touch(w) ^ predStart)
+	return evicted, ok
 }
 
 // subRow is one (sub-)row buffer: it holds a RowBytes/SubRows segment
@@ -72,23 +92,24 @@ type subRow struct {
 	// given cycle (TEMPO's PT-row wait and BLISS grace periods).
 	pinnedUntil uint64
 	lru         uint64
-	// win mirrors the adaptive predictor's window for row: 0 (the
-	// install default — real windows are clamped to at least 25) means
-	// not probed yet. The first policy check that needs it probes the
-	// prediction cache once, and the bank pushes every later predictor
-	// change (update or eviction) into it, so repeated row-policy
-	// checks never touch the prediction cache. Rows that never survive
-	// to a policy check never pay the probe at all.
+	// win is the adaptive predictor's window for row: probed when the
+	// row is latched, then kept current by retune, which pushes every
+	// predictor change (update or eviction) into the sub-rows it
+	// concerns.
 	win uint64
+	// until is the last cycle the buffer is open (setUntil), so an
+	// open check is one compare.
+	until uint64
 }
+
+// open reports whether s holds live contents at cycle now.
+func (s *subRow) open(now uint64) bool { return s.valid && now <= s.until }
 
 // Bank models one DRAM bank: timing state plus its (sub-)row buffers.
 type Bank struct {
-	geo    Geometry
 	timing Timing
 	policy RowPolicy
 	pred   *openPredictor // non-nil only for PolicyAdaptive
-	id     int            // global bank id, part of predictor keys
 
 	readyAt uint64
 	tick    uint64
@@ -104,62 +125,41 @@ type Bank struct {
 }
 
 // NewBank builds a bank with the geometry's sub-row organisation.
-func NewBank(id int, geo Geometry, timing Timing, policy RowPolicy) *Bank {
+func NewBank(geo Geometry, timing Timing, policy RowPolicy) *Bank {
 	n := geo.SubRows
 	if n < 1 {
 		n = 1
 	}
-	b := &Bank{geo: geo, timing: timing, policy: policy, id: id, subs: make([]subRow, n), version: 1}
+	b := &Bank{timing: timing, policy: policy, subs: make([]subRow, n), version: 1}
 	if policy == PolicyAdaptive {
-		b.pred = newOpenPredictor()
+		b.pred = new(openPredictor)
 	}
 	return b
 }
 
-func (b *Bank) predKey(row uint64) uint64 {
-	return uint64(b.id)<<40 ^ row
-}
-
-// isOpen reports whether sub-row s still holds live contents at cycle
-// now under the bank's policy.
-func (b *Bank) isOpen(s *subRow, now uint64) bool {
-	if !s.valid {
-		return false
-	}
-	if now <= s.pinnedUntil {
-		return true
-	}
-	if b.policy == PolicyClosed {
-		// Auto-precharge at completion: the row is never observably
-		// open past an unpinned access.
-		return false
-	}
-	if now < s.lastTouch {
-		// Queried before the latching access completes: the row will
-		// be open the moment it can next be observed.
-		return true
-	}
-	var window uint64
+// setUntil recomputes s.until after lastTouch, pinnedUntil or win
+// changed: the later of the pin and the policy's deadline. A closed
+// row precharges at completion, an open row stays open, and an
+// adaptive row stays open win cycles past its last access.
+func (b *Bank) setUntil(s *subRow) {
+	s.until = s.pinnedUntil
 	switch b.policy {
 	case PolicyOpen:
-		window = math.MaxUint64 - s.lastTouch // effectively forever
-	case PolicyClosed:
-		window = 0
+		s.until = math.MaxUint64
 	case PolicyAdaptive:
-		if s.win == 0 {
-			s.win = b.pred.window(b.predKey(s.row))
+		end := s.lastTouch + s.win
+		if end < s.lastTouch {
+			end = math.MaxUint64
 		}
-		window = s.win
+		s.until = max(s.until, end)
 	}
-	return now-s.lastTouch <= window
 }
 
 // WouldHit reports whether an access to (row, seg) at cycle now would
 // be a row-buffer hit, without changing state.
 func (b *Bank) WouldHit(row uint64, seg int, now uint64) bool {
 	for i := range b.subs {
-		s := &b.subs[i]
-		if s.row == row && s.seg == seg && b.isOpen(s, now) {
+		if s := &b.subs[i]; s.row == row && s.seg == seg && s.open(now) {
 			return true
 		}
 	}
@@ -169,22 +169,41 @@ func (b *Bank) WouldHit(row uint64, seg int, now uint64) bool {
 // ReadyAt returns the earliest cycle the bank can issue a new access.
 func (b *Bank) ReadyAt() uint64 { return b.readyAt }
 
-// Peek computes the outcome and service latency an access to
-// (row, seg) would see if issued at the given cycle, without mutating
-// any state. The controller uses it to place the data burst on the
-// channel bus before committing the access.
-func (b *Bank) Peek(row uint64, seg int, issue uint64) (stats.RowOutcome, uint64) {
+// rowPlan is the outcome an access to one (row, seg) would see, as a
+// function of its issue cycle, while the bank is untouched: a hit
+// through hitUntil if a buffer holds the segment, else a conflict
+// through victimUntil if the unrestricted LRU victim holds a row, else
+// a miss.
+type rowPlan struct {
+	hit, conflict         bool
+	hitUntil, victimUntil uint64
+}
+
+// plan computes (row, seg)'s rowPlan. The controller computes it once
+// per serve to place the data burst on the channel bus before
+// committing the access.
+func (b *Bank) plan(row uint64, seg int) rowPlan {
+	var p rowPlan
 	for i := range b.subs {
-		s := &b.subs[i]
-		if s.row == row && s.seg == seg && b.isOpen(s, issue) {
-			return stats.RowHit, b.timing.HitLatency()
+		if s := &b.subs[i]; s.valid && s.row == row && s.seg == seg && (!p.hit || s.until > p.hitUntil) {
+			p.hit, p.hitUntil = true, s.until
 		}
 	}
-	victim := b.chooseVictim(nil)
-	if b.isOpen(&b.subs[victim], issue) {
-		return stats.RowConflict, b.timing.ConflictLatency()
+	if v := &b.subs[b.chooseVictim(nil)]; v.valid {
+		p.conflict, p.victimUntil = true, v.until
 	}
-	return stats.RowMiss, b.timing.MissLatency()
+	return p
+}
+
+// outcome is the plan's outcome for an access issued at cycle issue.
+func (p rowPlan) outcome(issue uint64) stats.RowOutcome {
+	switch {
+	case p.hit && issue <= p.hitUntil:
+		return stats.RowHit
+	case p.conflict && issue <= p.victimUntil:
+		return stats.RowConflict
+	}
+	return stats.RowMiss
 }
 
 // Access performs one access to (row, seg) issued at cycle issue (the
@@ -198,10 +217,11 @@ func (b *Bank) Access(row uint64, seg int, issue uint64, allowed []int, st *stat
 	// Serving sub-row already holding the segment?
 	for i := range b.subs {
 		s := &b.subs[i]
-		if s.row == row && s.seg == seg && b.isOpen(s, issue) {
+		if s.row == row && s.seg == seg && s.open(issue) {
 			lat := b.timing.HitLatency()
 			s.lastTouch = issue + lat
 			s.lru = b.tick
+			b.setUntil(s)
 			b.readyAt = issue + lat
 			return stats.RowHit, issue + lat
 		}
@@ -210,12 +230,10 @@ func (b *Bank) Access(row uint64, seg int, issue uint64, allowed []int, st *stat
 	victim := b.chooseVictim(allowed)
 	s := &b.subs[victim]
 	outcome := stats.RowMiss
-	if b.isOpen(s, issue) {
+	if s.open(issue) {
 		outcome = stats.RowConflict
 		if b.pred != nil {
-			k := b.predKey(s.row)
-			w, ev, ok := b.pred.conflicted(k)
-			b.predPush(k, w, ev, ok)
+			b.retune(s.row, false)
 		}
 		st.PreCount++
 	} else if s.valid {
@@ -224,40 +242,41 @@ func (b *Bank) Access(row uint64, seg int, issue uint64, allowed []int, st *stat
 		st.PreCount++
 		if s.row == row && s.seg == seg && b.pred != nil {
 			// Same row wanted again after an early close: grow window.
-			k := b.predKey(row)
-			w, ev, ok := b.pred.reopened(k)
-			b.predPush(k, w, ev, ok)
+			b.retune(row, true)
 		}
 	}
-	var lat uint64
-	if outcome == stats.RowConflict {
-		lat = b.timing.ConflictLatency()
-	} else {
-		lat = b.timing.MissLatency()
-	}
 	st.ActCount++
-	done := issue + lat
+	done := issue + b.timing.latency(outcome)
 	*s = subRow{valid: true, row: row, seg: seg, lastTouch: done, lru: b.tick}
+	if b.pred != nil {
+		s.win = b.pred.window(row)
+	}
+	b.setUntil(s)
 	b.readyAt = done
 	return outcome, done
 }
 
-// predPush propagates one prediction-cache insertion into the sub-row
-// window mirrors: sub-rows latching the inserted key's row take its
-// new window, and sub-rows whose key was evicted by the insertion fall
-// back to the default window — exactly what a fresh probe would now
-// return for them.
-func (b *Bank) predPush(key, win, evicted uint64, evictedOK bool) {
+// retune halves row's predicted window after a conflict (it was kept
+// open too long) or doubles it after an early close, and pushes the
+// change into the sub-row windows: sub-rows latching row take its new
+// window, and sub-rows latching the row the update evicted fall back
+// to the default — exactly what a fresh probe would now return.
+func (b *Bank) retune(row uint64, grow bool) {
+	w := b.pred.window(row)
+	if grow {
+		w = min(2*w, predMax)
+	} else {
+		w = max(w/2, predMin)
+	}
+	evicted, evictedOK := b.pred.set(row, w)
 	for i := range b.subs {
 		s := &b.subs[i]
-		if !s.valid {
-			continue
-		}
-		k := b.predKey(s.row)
-		if k == key {
-			s.win = win
-		} else if evictedOK && k == evicted {
-			s.win = b.pred.init
+		if s.valid && s.row == row {
+			s.win = w
+			b.setUntil(s)
+		} else if s.valid && evictedOK && s.row == evicted {
+			s.win = predInit
+			b.setUntil(s)
 		}
 	}
 }
@@ -280,17 +299,18 @@ func (b *Bank) Refresh(start, trfc uint64, st *stats.Stats) {
 
 // Pin keeps the sub-row holding (row, seg) open until the given cycle.
 // It only acts while the contents are still live: either the latching
-// access completed at or after now, or an earlier pin is still in
-// force. TEMPO uses this to override the row policy for the PT-row
-// wait window and for the BLISS grace period after a prefetch — the
-// controller decides at completion time to defer the precharge.
+// access completed at or after now, or the row is still open (a pin
+// in force included). TEMPO uses this to override the row policy for
+// the PT-row wait window and for the BLISS grace period after a
+// prefetch — the controller decides at completion time to defer the
+// precharge.
 func (b *Bank) Pin(row uint64, seg int, now, until uint64) {
 	for i := range b.subs {
 		s := &b.subs[i]
-		if s.valid && s.row == row && s.seg == seg &&
-			(now <= s.lastTouch || now <= s.pinnedUntil || b.isOpen(s, now)) {
+		if s.valid && s.row == row && s.seg == seg && (now <= s.lastTouch || now <= s.until) {
 			if until > s.pinnedUntil {
 				s.pinnedUntil = until
+				b.setUntil(s)
 				b.version++
 			}
 			return

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 	"repro/internal/obsv"
@@ -13,7 +14,9 @@ import (
 type SubRowAlloc interface {
 	// Allowed returns the permitted sub-row indices for r, given the
 	// bank has nSub sub-rows of which the first prefetchSub are
-	// dedicated to TEMPO prefetches. An empty result means "any".
+	// dedicated to TEMPO prefetches. An empty result means "any". The
+	// result is read-only and valid until the next call to either
+	// method.
 	Allowed(r *Request, nSub, prefetchSub int) []int
 	// OnServed lets the policy observe traffic (POA re-partitions by
 	// bandwidth; FOA by interference).
@@ -82,14 +85,12 @@ type Controller struct {
 	// frontier is the latest issue time seen — the controller's
 	// notion of "now" for scheduler aging and grace periods.
 	frontier uint64
-	// pool recycles transactions; eligible is DrainUpTo's reusable
-	// filter scratch. Both keep the steady-state serve path free of
-	// allocations.
-	pool     Pool
-	eligible []*Request
-	// demandSub/prefetchSub cache the sub-row index sets handed to
-	// banks when no SubAlloc policy is installed.
-	demandSub, prefetchSub []int
+	// pool recycles transactions, keeping the steady-state serve path
+	// free of allocations.
+	pool Pool
+	// subIdx hands banks the sub-row index sets when no SubAlloc
+	// policy is installed.
+	subIdx indices
 }
 
 // chanState is one channel's complete timing domain: its banks, the
@@ -132,7 +133,6 @@ func NewController(cfg Config, sched Scheduler, st *stats.Stats) *Controller {
 	}
 	c := &Controller{cfg: cfg, sched: sched, st: st,
 		chans: make([]chanState, g.Channels)}
-	id := 0
 	for ch := 0; ch < g.Channels; ch++ {
 		cs := &c.chans[ch]
 		if cfg.Timing.TRFC > 0 {
@@ -140,8 +140,7 @@ func NewController(cfg Config, sched Scheduler, st *stats.Stats) *Controller {
 		}
 		cs.banks = make([]*Bank, g.BanksPerCh)
 		for b := range cs.banks {
-			cs.banks[b] = NewBank(id, g, cfg.Timing, cfg.Policy)
-			id++
+			cs.banks[b] = NewBank(g, cfg.Timing, cfg.Policy)
 		}
 	}
 	return c
@@ -204,13 +203,17 @@ func (c *Controller) ServeOne() *Request {
 	if len(c.queue) == 0 {
 		panic("dram: ServeOne on empty queue")
 	}
-	return c.executeOne()
+	return c.serve(c.pick(math.MaxUint64))
 }
 
-// executeOne serves the scheduler's chosen request and returns it.
-// The queue must be non-empty.
-func (c *Controller) executeOne() *Request {
-	idx := c.sched.Pick(c.queue, c.clock(), c)
+// pick asks the scheduler for the next request among those enqueued at
+// or before cutoff, of which there must be at least one.
+func (c *Controller) pick(cutoff uint64) int {
+	return c.sched.Pick(c.queue, c.clock(), cutoff, c)
+}
+
+// serve removes queue[idx], serves it and returns it.
+func (c *Controller) serve(idx int) *Request {
 	r := c.queue[idx]
 	c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
 
@@ -218,17 +221,16 @@ func (c *Controller) executeOne() *Request {
 	c.refreshChannel(loc.Channel, r.Enqueue)
 	cs := &c.chans[loc.Channel]
 	bank := cs.banks[loc.Bank]
-	issue := r.Enqueue
-	if ba := bank.ReadyAt(); ba > issue {
-		issue = ba
-	}
+	issue := max(r.Enqueue, bank.ReadyAt())
 	// Banks on a channel work in parallel; only the data burst
 	// serialises on the bus. Push the issue time just enough that the
 	// burst window [complete-TBurst, complete] starts after the bus
-	// frees.
+	// frees. The plan predicts with the bank's unrestricted LRU victim
+	// even when allowedSubRows narrows the access's own choice.
+	t := c.cfg.Timing
+	plan := bank.plan(loc.Row, r.seg)
 	for tries := 0; tries < 4; tries++ {
-		_, lat := bank.Peek(loc.Row, r.seg, issue)
-		burstStart := issue + lat - c.cfg.Timing.TBurst
+		burstStart := issue + t.latency(plan.outcome(issue)) - t.TBurst
 		if burstStart >= cs.busAt {
 			break
 		}
@@ -236,12 +238,9 @@ func (c *Controller) executeOne() *Request {
 	}
 	// tFAW: a fifth activate within the window of the last four waits
 	// it out.
-	if t := c.cfg.Timing; t.TFAW > 0 && cs.actPos >= 4 {
-		if out, _ := bank.Peek(loc.Row, r.seg, issue); out != stats.RowHit {
-			fourBack := cs.acts[cs.actPos%4]
-			if earliest := fourBack + t.TFAW; issue < earliest {
-				issue = earliest
-			}
+	if t.TFAW > 0 && cs.actPos >= 4 && plan.outcome(issue) != stats.RowHit {
+		if earliest := cs.acts[cs.actPos%4] + t.TFAW; issue < earliest {
+			issue = earliest
 		}
 	}
 	allowed := c.allowedSubRows(r)
@@ -344,15 +343,10 @@ func (c *Controller) allowedSubRows(r *Request) []int {
 	if g.PrefetchSubRows <= 0 || g.PrefetchSubRows >= g.SubRows {
 		return nil
 	}
-	// The two partitions are fixed by geometry; build them once.
-	if c.prefetchSub == nil {
-		c.prefetchSub = seq(0, g.PrefetchSubRows)
-		c.demandSub = seq(g.PrefetchSubRows, g.SubRows)
-	}
 	if r.Prefetch {
-		return c.prefetchSub
+		return c.subIdx.span(0, g.PrefetchSubRows)
 	}
-	return c.demandSub
+	return c.subIdx.span(g.PrefetchSubRows, g.SubRows)
 }
 
 // RunUntil executes queued transactions, in scheduler order, until r
@@ -362,65 +356,36 @@ func (c *Controller) RunUntil(r *Request) uint64 {
 		if len(c.queue) == 0 {
 			panic("dram: RunUntil target not in queue")
 		}
-		c.executeOne()
+		c.serve(c.pick(math.MaxUint64))
 	}
 	return r.Complete
 }
 
 // DrainUpTo executes every queued transaction that is schedulable at
 // or before cycle t (prefetches and writebacks progress while the core
-// computes). Later-enqueued transactions stay queued.
+// computes). Later-enqueued transactions stay queued. The scheduler is
+// asked only while one qualifies: BLISS's Pick clears its blacklist on
+// schedule and resets its bond, so an empty ask would not be free.
 func (c *Controller) DrainUpTo(t uint64) {
-	for {
-		// Let the scheduler pick among the eligible subset. The filter
-		// reuses one scratch slice — this runs after every walked
-		// record, so a fresh slice per round would dominate steady-state
-		// allocations.
-		eligible := c.eligible[:0]
-		for _, r := range c.queue {
-			if r.Enqueue <= t {
-				eligible = append(eligible, r)
-			}
-		}
-		c.eligible = eligible[:0]
-		if len(eligible) == 0 {
-			return
-		}
-		idx := c.sched.Pick(eligible, c.clock(), c)
-		c.executeSpecific(eligible[idx])
+	for c.due(t) {
+		c.serve(c.pick(t))
 	}
 }
 
-// executeSpecific serves exactly target (the scheduler has already
-// chosen it from a filtered view), applying the same timing and hooks
-// as executeOne.
-func (c *Controller) executeSpecific(target *Request) {
-	for i, r := range c.queue {
-		if r == target {
-			saved := c.sched
-			c.sched = pinned{idx: i, inner: saved}
-			c.executeOne()
-			c.sched = saved
-			return
+// due reports whether a queued transaction is schedulable by cycle t.
+func (c *Controller) due(t uint64) bool {
+	for _, r := range c.queue {
+		if r.Enqueue <= t {
+			return true
 		}
 	}
-	panic("dram: executeSpecific target not queued")
+	return false
 }
-
-// pinned is a one-shot scheduler that picks a fixed index but still
-// forwards completion events to the real scheduler.
-type pinned struct {
-	idx   int
-	inner Scheduler
-}
-
-func (p pinned) Pick(q []*Request, _ uint64, _ RowPeeker) int { return p.idx }
-func (p pinned) OnServed(r *Request, now uint64)              { p.inner.OnServed(r, now) }
 
 // Drain executes everything in the queue (end of simulation).
 func (c *Controller) Drain() {
 	for len(c.queue) > 0 {
-		c.executeOne()
+		c.serve(c.pick(math.MaxUint64))
 	}
 }
 
@@ -451,10 +416,18 @@ func (c *Controller) refreshChannel(ch int, now uint64) {
 	}
 }
 
-func seq(lo, hi int) []int {
-	s := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		s = append(s, i)
+// indices hands out runs of sub-row indices without allocating: each
+// run is a capacity-capped subslice of one 0, 1, 2, ... array, grown
+// on first use, so callers may read or append to it but not write it.
+type indices []int
+
+// span returns lo, lo+1, ..., hi-1.
+func (x *indices) span(lo, hi int) []int {
+	if len(*x) < hi {
+		*x = make([]int, hi)
+		for i := range *x {
+			(*x)[i] = i
+		}
 	}
-	return s
+	return (*x)[lo:hi:hi]
 }

@@ -8,30 +8,30 @@ import (
 	"repro/internal/stats"
 )
 
-// Property: Peek never mutates bank state and always agrees with the
-// outcome of an immediately following Access at the same cycle.
+// Property: a row plan never mutates bank state and always agrees with
+// the outcome of an immediately following Access at the same cycle.
 func TestBankPeekAgreesWithAccess(t *testing.T) {
 	var st stats.Stats
 	rng := rand.New(rand.NewSource(7))
 	for _, policy := range []RowPolicy{PolicyAdaptive, PolicyOpen, PolicyClosed} {
-		b := NewBank(0, DefaultGeometry(), DefaultTiming(), policy)
+		b := NewBank(DefaultGeometry(), DefaultTiming(), policy)
 		now := uint64(0)
 		for i := 0; i < 500; i++ {
 			row := uint64(rng.Intn(6))
 			gap := uint64(rng.Intn(400))
 			issue := now + gap
-			wantOut, wantLat := b.Peek(row, 0, issue)
-			// Peek twice: the first must not have changed anything.
-			out2, lat2 := b.Peek(row, 0, issue)
-			if wantOut != out2 || wantLat != lat2 {
-				t.Fatalf("%v: Peek not idempotent at step %d", policy, i)
+			want := b.plan(row, 0)
+			// Plan twice: the first must not have changed anything.
+			if again := b.plan(row, 0); again != want {
+				t.Fatalf("%v: plan not idempotent at step %d", policy, i)
 			}
+			wantOut := want.outcome(issue)
 			gotOut, done := b.Access(row, 0, issue, nil, &st)
 			if gotOut != wantOut {
-				t.Fatalf("%v: Peek=%v but Access=%v at step %d", policy, wantOut, gotOut, i)
+				t.Fatalf("%v: plan=%v but Access=%v at step %d", policy, wantOut, gotOut, i)
 			}
-			if done-issue != wantLat {
-				t.Fatalf("%v: Peek latency %d but Access took %d", policy, wantLat, done-issue)
+			if wantLat := b.timing.latency(wantOut); done-issue != wantLat {
+				t.Fatalf("%v: plan latency %d but Access took %d", policy, wantLat, done-issue)
 			}
 			now = done
 		}

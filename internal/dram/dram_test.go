@@ -78,7 +78,7 @@ func TestTimingLatencies(t *testing.T) {
 func TestBankHitMissConflict(t *testing.T) {
 	var st stats.Stats
 	g := DefaultGeometry()
-	b := NewBank(0, g, DefaultTiming(), PolicyOpen)
+	b := NewBank(g, DefaultTiming(), PolicyOpen)
 	// Cold bank: miss.
 	out, done := b.Access(5, 0, 100, nil, &st)
 	if out != stats.RowMiss {
@@ -107,7 +107,7 @@ func TestBankHitMissConflict(t *testing.T) {
 
 func TestClosedPolicyNeverConflicts(t *testing.T) {
 	var st stats.Stats
-	b := NewBank(0, DefaultGeometry(), DefaultTiming(), PolicyClosed)
+	b := NewBank(DefaultGeometry(), DefaultTiming(), PolicyClosed)
 	rows := []uint64{1, 1, 2, 2, 3, 1}
 	now := uint64(0)
 	for _, r := range rows {
@@ -124,7 +124,7 @@ func TestClosedPolicyNeverConflicts(t *testing.T) {
 
 func TestOpenPolicyBackToBackHits(t *testing.T) {
 	var st stats.Stats
-	b := NewBank(0, DefaultGeometry(), DefaultTiming(), PolicyOpen)
+	b := NewBank(DefaultGeometry(), DefaultTiming(), PolicyOpen)
 	_, done := b.Access(7, 0, 0, nil, &st)
 	// Very long idle gap: open policy still hits.
 	out, _ := b.Access(7, 0, done+1_000_000, nil, &st)
@@ -135,7 +135,7 @@ func TestOpenPolicyBackToBackHits(t *testing.T) {
 
 func TestAdaptivePolicyClosesAfterWindow(t *testing.T) {
 	var st stats.Stats
-	b := NewBank(0, DefaultGeometry(), DefaultTiming(), PolicyAdaptive)
+	b := NewBank(DefaultGeometry(), DefaultTiming(), PolicyAdaptive)
 	_, done := b.Access(7, 0, 0, nil, &st)
 	// Within the initial window: hit.
 	out, done2 := b.Access(7, 0, done+50, nil, &st)
@@ -156,35 +156,36 @@ func TestAdaptivePolicyClosesAfterWindow(t *testing.T) {
 }
 
 func TestAdaptivePredictorLearns(t *testing.T) {
-	p := newOpenPredictor()
+	b := NewBank(DefaultGeometry(), DefaultTiming(), PolicyAdaptive)
+	p := b.pred
 	w0 := p.window(42)
-	p.reopened(42)
+	b.retune(42, true)
 	if p.window(42) <= w0 {
 		t.Error("reopened should grow the window")
 	}
-	p.conflicted(42)
-	p.conflicted(42)
-	p.conflicted(42)
+	b.retune(42, false)
+	b.retune(42, false)
+	b.retune(42, false)
 	if p.window(42) >= w0 {
 		t.Error("conflicts should shrink the window")
 	}
 	for i := 0; i < 20; i++ {
-		p.conflicted(42)
+		b.retune(42, false)
 	}
-	if p.window(42) < p.min {
+	if p.window(42) < predMin {
 		t.Error("window under floor")
 	}
 	for i := 0; i < 20; i++ {
-		p.reopened(42)
+		b.retune(42, true)
 	}
-	if p.window(42) > p.max {
+	if p.window(42) > predMax {
 		t.Error("window over cap")
 	}
 }
 
 func TestBankPinKeepsRowOpen(t *testing.T) {
 	var st stats.Stats
-	b := NewBank(0, DefaultGeometry(), DefaultTiming(), PolicyClosed)
+	b := NewBank(DefaultGeometry(), DefaultTiming(), PolicyClosed)
 	_, done := b.Access(7, 0, 0, nil, &st)
 	_ = done
 	// Closed policy would have dropped it; re-access and pin.
@@ -200,7 +201,7 @@ func TestSubRowsIndependentSegments(t *testing.T) {
 	var st stats.Stats
 	g := DefaultGeometry()
 	g.SubRows = 8
-	b := NewBank(0, g, DefaultTiming(), PolicyOpen)
+	b := NewBank(g, DefaultTiming(), PolicyOpen)
 	// Fill segments 0..7 of row 3: all misses, no conflicts (8 buffers).
 	now := uint64(0)
 	for seg := 0; seg < 8; seg++ {
@@ -236,7 +237,7 @@ func TestSubRowAllowedSetRestrictsVictims(t *testing.T) {
 	var st stats.Stats
 	g := DefaultGeometry()
 	g.SubRows = 4
-	b := NewBank(0, g, DefaultTiming(), PolicyOpen)
+	b := NewBank(g, DefaultTiming(), PolicyOpen)
 	now := uint64(0)
 	// Latch rows 1..4 across the four sub-rows.
 	for i := uint64(1); i <= 4; i++ {
@@ -459,7 +460,7 @@ func TestControllerPanicsOnBadUse(t *testing.T) {
 
 func TestFCFSPicksOldest(t *testing.T) {
 	q := []*Request{{Enqueue: 30}, {Enqueue: 10}, {Enqueue: 20}}
-	if got := (FCFS{}).Pick(q, 0, nil); got != 1 {
+	if got := (FCFS{}).Pick(q, 0, ^uint64(0), nil); got != 1 {
 		t.Errorf("Pick = %d, want 1", got)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func TestBankRefreshClosesRowsAndStalls(t *testing.T) {
 	var st stats.Stats
-	b := NewBank(0, DefaultGeometry(), DefaultTiming(), PolicyOpen)
+	b := NewBank(DefaultGeometry(), DefaultTiming(), PolicyOpen)
 	_, done := b.Access(7, 0, 0, nil, &st)
 	b.Pin(7, 0, done, done+10_000) // even pinned rows must refresh
 	b.Refresh(done, 1_000, &st)

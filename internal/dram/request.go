@@ -102,9 +102,12 @@ type RowPeeker interface {
 // in internal/sched (FR-FCFS and BLISS, each with TEMPO-aware
 // extensions).
 type Scheduler interface {
-	// Pick returns the index into q of the request to issue next.
-	// q is never empty. now is the controller clock.
-	Pick(q []*Request, now uint64, rows RowPeeker) int
+	// Pick returns the index into q of the request to issue next,
+	// choosing among the requests enqueued at or before cutoff exactly
+	// as if q held only those. DrainUpTo passes its horizon as cutoff
+	// and every other serve ^uint64(0); the controller calls Pick only
+	// when at least one request qualifies. now is the controller clock.
+	Pick(q []*Request, now, cutoff uint64, rows RowPeeker) int
 	// OnServed is called after the chosen request completes, with
 	// its outcome, letting schedulers maintain history (BLISS
 	// blacklists, grace periods).
@@ -115,11 +118,11 @@ type Scheduler interface {
 // tests.
 type FCFS struct{}
 
-// Pick returns the oldest request.
-func (FCFS) Pick(q []*Request, _ uint64, _ RowPeeker) int {
-	best := 0
+// Pick returns the oldest qualifying request.
+func (FCFS) Pick(q []*Request, _, cutoff uint64, _ RowPeeker) int {
+	best := -1
 	for i, r := range q {
-		if r.Enqueue < q[best].Enqueue {
+		if r.Enqueue <= cutoff && (best < 0 || r.Enqueue < q[best].Enqueue) {
 			best = i
 		}
 	}

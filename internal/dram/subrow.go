@@ -1,7 +1,8 @@
 package dram
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -18,6 +19,14 @@ type FOA struct {
 	// -1. Recomputed every epoch.
 	dedicated []int
 	seen      uint64
+	// order is OnServed's ranking scratch.
+	order []int
+	// idx serves Allowed's runs of sub-rows; pool is the shared demand
+	// pool of [poolLo, poolN), rebuilt only when the partition or the
+	// geometry changes (poolN < 0 marks it stale).
+	idx           indices
+	pool          []int
+	poolLo, poolN int
 }
 
 // NewFOA builds the policy for a fixed core count.
@@ -27,6 +36,7 @@ func NewFOA(cores int) *FOA {
 		epoch:     4096,
 		conflicts: make([]uint64, cores),
 		dedicated: make([]int, cores),
+		order:     make([]int, cores),
 	}
 	for i := range f.dedicated {
 		f.dedicated[i] = -1
@@ -38,34 +48,30 @@ func NewFOA(cores int) *FOA {
 func (f *FOA) Allowed(r *Request, nSub, prefetchSub int) []int {
 	if r.Prefetch {
 		if prefetchSub > 0 {
-			return seq(0, prefetchSub)
+			return f.idx.span(0, prefetchSub)
 		}
 		return nil
 	}
 	lo := prefetchSub
 	if r.CoreID >= 0 && r.CoreID < f.cores {
 		if d := f.dedicated[r.CoreID]; d >= lo && d < nSub {
-			return []int{d}
+			return f.idx.span(d, d+1)
 		}
 	}
 	// Shared pool: demand sub-rows not dedicated to anyone.
-	var shared []int
-	for i := lo; i < nSub; i++ {
-		owned := false
-		for _, d := range f.dedicated {
-			if d == i {
-				owned = true
-				break
+	if f.poolLo != lo || f.poolN != nSub {
+		f.pool = f.pool[:0]
+		for i := lo; i < nSub; i++ {
+			if !slices.Contains(f.dedicated, i) {
+				f.pool = append(f.pool, i)
 			}
 		}
-		if !owned {
-			shared = append(shared, i)
-		}
+		f.poolLo, f.poolN = lo, nSub
 	}
-	if len(shared) == 0 {
-		return seq(lo, nSub)
+	if len(f.pool) == 0 {
+		return f.idx.span(lo, nSub)
 	}
-	return shared
+	return f.pool[:len(f.pool):len(f.pool)]
 }
 
 // OnServed implements SubRowAlloc: accumulate interference evidence
@@ -82,16 +88,17 @@ func (f *FOA) OnServed(r *Request, outcome stats.RowOutcome) {
 	// Allowed time) to the most-conflicted half of the cores. We
 	// don't know nSub here, so dedicate up to 4 and let Allowed
 	// bounds-check.
-	order := make([]int, f.cores)
+	order := f.order
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if f.conflicts[order[a]] != f.conflicts[order[b]] {
-			return f.conflicts[order[a]] > f.conflicts[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(f.conflicts[b], f.conflicts[a]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
+	f.poolN = -1
 	for i := range f.dedicated {
 		f.dedicated[i] = -1
 	}
@@ -116,6 +123,7 @@ type POA struct {
 	counts []uint64
 	shares []int // sub-rows per core, recomputed each epoch
 	seen   uint64
+	idx    indices // serves Allowed's runs of sub-rows
 }
 
 // NewPOA builds the policy for a fixed core count.
@@ -132,7 +140,7 @@ func NewPOA(cores int) *POA {
 func (p *POA) Allowed(r *Request, nSub, prefetchSub int) []int {
 	if r.Prefetch {
 		if prefetchSub > 0 {
-			return seq(0, prefetchSub)
+			return p.idx.span(0, prefetchSub)
 		}
 		return nil
 	}
@@ -161,9 +169,9 @@ func (p *POA) Allowed(r *Request, nSub, prefetchSub int) []int {
 	}
 	if end <= start {
 		// Cores with negligible demand share the whole demand pool.
-		return seq(lo, nSub)
+		return p.idx.span(lo, nSub)
 	}
-	return seq(lo+start, lo+end)
+	return p.idx.span(lo+start, lo+end)
 }
 
 // OnServed implements SubRowAlloc: track demand and re-partition.

@@ -1,6 +1,9 @@
 package dram
 
-import "repro/internal/mem"
+import (
+	"repro/internal/mem"
+	"repro/internal/stats"
+)
 
 // Timing holds DDR timing parameters expressed in CPU cycles (the
 // simulator keeps a single clock domain; see DESIGN.md for the ns
@@ -41,6 +44,17 @@ func (t Timing) MissLatency() uint64 { return t.TRCD + t.TCL + t.TBurst }
 // PRECHARGE + ACT + CAS.
 func (t Timing) ConflictLatency() uint64 {
 	return t.TRP + t.TRCD + t.TCL + t.TBurst
+}
+
+// latency is the service latency of an access with the given outcome.
+func (t Timing) latency(o stats.RowOutcome) uint64 {
+	switch o {
+	case stats.RowHit:
+		return t.HitLatency()
+	case stats.RowConflict:
+		return t.ConflictLatency()
+	}
+	return t.MissLatency()
 }
 
 // ConflictExtra is the critical-path penalty a row conflict pays over

@@ -69,11 +69,14 @@ func NewTempoBLISS() *BLISS {
 }
 
 // Pick implements dram.Scheduler.
-func (b *BLISS) Pick(q []*dram.Request, now uint64, rows dram.RowPeeker) int {
+func (b *BLISS) Pick(q []*dram.Request, now, cutoff uint64, rows dram.RowPeeker) int {
 	b.maybeClear(now)
 	grace := b.TempoAware && now < b.graceUntil
 	best, bestScore := 0, -1
 	for i, r := range q {
+		if r.Enqueue > cutoff {
+			continue
+		}
 		score := 0
 		if !b.blacklisted[r.CoreID] {
 			score += 4

@@ -41,10 +41,17 @@ func (s *FRFCFS) ageCap() uint64 {
 	return s.AgeCap
 }
 
-// Pick implements dram.Scheduler.
-func (s *FRFCFS) Pick(q []*dram.Request, now uint64, rows dram.RowPeeker) int {
+// Pick implements dram.Scheduler. A lone request is picked without
+// scoring it, since scoring only refreshes row-hit memos.
+func (s *FRFCFS) Pick(q []*dram.Request, now, cutoff uint64, rows dram.RowPeeker) int {
+	if len(q) == 1 {
+		return 0
+	}
 	best, bestScore := 0, -1
 	for i, r := range q {
+		if r.Enqueue > cutoff {
+			continue
+		}
 		score := s.score(r, now, rows)
 		if score > bestScore || (score == bestScore && r.Enqueue < q[best].Enqueue) {
 			best, bestScore = i, score

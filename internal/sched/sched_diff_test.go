@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/dram"
@@ -12,10 +13,13 @@ import (
 // The indexed row-hit query (Controller.WouldRowHitReq, memoised on
 // the request and invalidated by the bank version counter) must be
 // indistinguishable from recomputing WouldRowHit(r.Addr) from scratch
-// on every scan step. These tests drive a real controller — live bank
-// mutation, adaptive row policy, refreshes, TEMPO request classes —
-// with a differ scheduler that answers every Pick twice, once through
-// each query path, and fails on the first divergence.
+// on every scan step, and a Pick with a drain cutoff over the whole
+// queue must choose what the Pick before the cutoff contract chose
+// over the queue filtered to the due requests. These tests drive a
+// real controller — live bank mutation, adaptive row policy,
+// refreshes, TEMPO request classes, ServeOne and DrainUpTo — with a
+// differ scheduler that answers every Pick twice, once each way, and
+// fails on the first divergence in the pick or the scheduler state.
 
 // addrPeeker degrades the indexed query to full per-call address
 // recomputation: the reference behaviour the memoisation must match.
@@ -26,25 +30,99 @@ func (p addrPeeker) WouldRowHitReq(r *dram.Request) bool {
 	return p.rows.WouldRowHit(r.Addr)
 }
 
+// refPickFRFCFS and refPickBLISS are FRFCFS.Pick and BLISS.Pick as
+// they were before Pick took a cutoff, verbatim apart from the
+// receiver: the caller filtered the queue.
+func refPickFRFCFS(s *FRFCFS, q []*dram.Request, now uint64, rows dram.RowPeeker) int {
+	best, bestScore := 0, -1
+	for i, r := range q {
+		score := s.score(r, now, rows)
+		if score > bestScore || (score == bestScore && r.Enqueue < q[best].Enqueue) {
+			best, bestScore = i, score
+		}
+	}
+	return best
+}
+
+func refPickBLISS(b *BLISS, q []*dram.Request, now uint64, rows dram.RowPeeker) int {
+	b.maybeClear(now)
+	grace := b.TempoAware && now < b.graceUntil
+	best, bestScore := 0, -1
+	for i, r := range q {
+		score := 0
+		if !b.blacklisted[r.CoreID] {
+			score += 4
+		}
+		if rows != nil && rows.WouldRowHitReq(r) {
+			score += 2
+		}
+		// Bonding: the prefetch paired with the PT access just served
+		// goes ahead of stream switches among equally-ranked requests
+		// (but never ahead of row hits).
+		if b.TempoAware && b.lastPT != nil && r.Prefetch && r.PairedWith == b.lastPT {
+			score++
+		}
+		// Grace: mild stickiness to the stream that just prefetched.
+		if grace && r.CoreID == b.graceCore {
+			score++
+		}
+		if score > bestScore || (score == bestScore && r.Enqueue < q[best].Enqueue) {
+			best, bestScore = i, score
+		}
+	}
+	if b.TempoAware && q[best].Prefetch && q[best].PairedWith == b.lastPT {
+		b.lastPT = nil
+	}
+	return best
+}
+
 // differ runs two identically-configured schedulers side by side: the
-// inner one sees the controller's indexed RowPeeker, the reference one
-// sees the recomputing addrPeeker. Any state the schedulers carry
-// (BLISS blacklists, streaks, bonding) evolves under identical inputs
-// as long as every decision matches.
+// inner one picks with the cutoff over the whole queue through the
+// controller's indexed RowPeeker; the reference one picks with the
+// pre-cutoff code over the due requests through the recomputing
+// addrPeeker. Any state the schedulers carry (BLISS blacklists,
+// streaks, bonding, grace) evolves under identical inputs as long as
+// every decision matches, and is compared after every pick.
 type differ struct {
 	t     *testing.T
 	name  string
 	inner dram.Scheduler
 	ref   dram.Scheduler
 	picks int
+	// filtered counts picks whose cutoff excluded a queued request.
+	filtered int
+	due      []*dram.Request
 }
 
-func (d *differ) Pick(q []*dram.Request, now uint64, rows dram.RowPeeker) int {
-	got := d.inner.Pick(q, now, rows)
-	want := d.ref.Pick(q, now, addrPeeker{rows})
-	if got != want {
-		d.t.Fatalf("%s: pick #%d diverged: indexed chose %d, reference chose %d (queue %d, now %d)",
-			d.name, d.picks, got, want, len(q), now)
+func (d *differ) Pick(q []*dram.Request, now, cutoff uint64, rows dram.RowPeeker) int {
+	got := d.inner.Pick(q, now, cutoff, rows)
+	d.due = d.due[:0]
+	for _, r := range q {
+		if r.Enqueue <= cutoff {
+			d.due = append(d.due, r)
+		}
+	}
+	if len(d.due) == 0 {
+		d.t.Fatalf("%s: pick #%d asked with nothing due by %d", d.name, d.picks, cutoff)
+	}
+	if len(d.due) < len(q) {
+		d.filtered++
+	}
+	var want int
+	switch ref := d.ref.(type) {
+	case *FRFCFS:
+		want = refPickFRFCFS(ref, d.due, now, addrPeeker{rows})
+	case *BLISS:
+		want = refPickBLISS(ref, d.due, now, addrPeeker{rows})
+	default:
+		d.t.Fatalf("%s: no reference Pick for %T", d.name, d.ref)
+	}
+	if q[got] != d.due[want] {
+		d.t.Fatalf("%s: pick #%d diverged: chose queue[%d] (enqueue %d), reference chose due[%d] (enqueue %d) (queue %d, due %d, now %d)",
+			d.name, d.picks, got, q[got].Enqueue, want, d.due[want].Enqueue, len(q), len(d.due), now)
+	}
+	if !reflect.DeepEqual(d.inner, d.ref) {
+		d.t.Fatalf("%s: pick #%d: scheduler state diverged:\n got %+v\nwant %+v", d.name, d.picks, d.inner, d.ref)
 	}
 	d.picks++
 	return got
@@ -53,6 +131,9 @@ func (d *differ) Pick(q []*dram.Request, now uint64, rows dram.RowPeeker) int {
 func (d *differ) OnServed(r *dram.Request, now uint64) {
 	d.inner.OnServed(r, now)
 	d.ref.OnServed(r, now)
+	if !reflect.DeepEqual(d.inner, d.ref) {
+		d.t.Fatalf("%s: scheduler state diverged after serving %+v", d.name, r)
+	}
 }
 
 // driveDiff pushes randomized traffic through a controller owned by
@@ -107,11 +188,17 @@ func driveDiff(t *testing.T, name string, mk func() dram.Scheduler, seed int64) 
 			ctrl.Submit(r)
 		}
 		// Drain a random fraction so queue depth varies between 1 and
-		// ~20 and old requests can age past the starvation cap.
-		for n := rng.Intn(burst + 2); n > 0 && ctrl.QueueLen() > 0; n-- {
-			r := ctrl.ServeOne()
-			if r.Complete > now {
-				now = r.Complete
+		// ~20 and old requests can age past the starvation cap; or
+		// drain up to a horizon inside the burst's enqueue spread, so
+		// the cutoff leaves later requests queued.
+		if rng.Intn(3) == 0 {
+			ctrl.DrainUpTo(now + uint64(rng.Intn(40)))
+		} else {
+			for n := rng.Intn(burst + 2); n > 0 && ctrl.QueueLen() > 0; n-- {
+				r := ctrl.ServeOne()
+				if r.Complete > now {
+					now = r.Complete
+				}
 			}
 		}
 		// Occasionally jump the clock so TREFI refreshes fire and the
@@ -123,8 +210,8 @@ func driveDiff(t *testing.T, name string, mk func() dram.Scheduler, seed int64) 
 	for ctrl.QueueLen() > 0 {
 		ctrl.ServeOne()
 	}
-	if d.picks == 0 {
-		t.Fatalf("%s: differ never invoked", name)
+	if d.picks == 0 || d.filtered == 0 {
+		t.Fatalf("%s: differ saw %d picks, %d with a filtering cutoff", name, d.picks, d.filtered)
 	}
 }
 

@@ -8,6 +8,9 @@ import (
 	"repro/internal/stats"
 )
 
+// noCutoff lets every queued request qualify for a Pick.
+const noCutoff = ^uint64(0)
+
 // fakeRows marks a fixed set of addresses as row hits.
 type fakeRows map[mem.PAddr]bool
 
@@ -22,7 +25,7 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 		{Addr: 0x200, Enqueue: 10}, // newer but row hit
 	}
 	rows := fakeRows{0x200: true}
-	if got := s.Pick(q, 20, rows); got != 1 {
+	if got := s.Pick(q, 20, noCutoff, rows); got != 1 {
 		t.Errorf("Pick = %d, want row hit", got)
 	}
 }
@@ -33,7 +36,7 @@ func TestFRFCFSAgeBreaksTies(t *testing.T) {
 		{Addr: 0x100, Enqueue: 50},
 		{Addr: 0x200, Enqueue: 10},
 	}
-	if got := s.Pick(q, 60, fakeRows{}); got != 1 {
+	if got := s.Pick(q, 60, noCutoff, fakeRows{}); got != 1 {
 		t.Errorf("Pick = %d, want oldest", got)
 	}
 }
@@ -45,7 +48,7 @@ func TestFRFCFSStarvationGuard(t *testing.T) {
 		{Addr: 0x200, Enqueue: 9_000}, // fresh row hit
 	}
 	rows := fakeRows{0x200: true}
-	if got := s.Pick(q, 10_000, rows); got != 0 {
+	if got := s.Pick(q, 10_000, noCutoff, rows); got != 0 {
 		t.Errorf("Pick = %d, starving request must win", got)
 	}
 }
@@ -63,7 +66,7 @@ func TestTempoFRFCFSPriorities(t *testing.T) {
 	order := []int{}
 	remaining := append([]*dram.Request{}, q...)
 	for len(remaining) > 0 {
-		i := s.Pick(remaining, 50, rows)
+		i := s.Pick(remaining, 50, noCutoff, rows)
 		order = append(order, int(remaining[i].Addr))
 		remaining = append(remaining[:i], remaining[i+1:]...)
 	}
@@ -91,7 +94,7 @@ func TestBLISSBlacklisting(t *testing.T) {
 		{Addr: 0x100, CoreID: 0, Enqueue: 0},
 		{Addr: 0x200, CoreID: 1, Enqueue: 50},
 	}
-	if got := b.Pick(q, 200, fakeRows{}); got != 1 {
+	if got := b.Pick(q, 200, noCutoff, fakeRows{}); got != 1 {
 		t.Errorf("Pick = %d, want non-blacklisted core", got)
 	}
 }
@@ -117,7 +120,7 @@ func TestBLISSClearInterval(t *testing.T) {
 		t.Fatal("precondition: blacklisted")
 	}
 	// Crossing the clear interval forgives everyone.
-	b.Pick([]*dram.Request{{Addr: 1}}, 100+b.ClearInterval+1, fakeRows{})
+	b.Pick([]*dram.Request{{Addr: 1}}, 100+b.ClearInterval+1, noCutoff, fakeRows{})
 	if b.Blacklisted(0) {
 		t.Error("blacklist should clear periodically")
 	}
@@ -150,7 +153,7 @@ func TestBLISSPrefetchBonding(t *testing.T) {
 		{Addr: 0x900, CoreID: 1, Enqueue: 1}, // older demand from another core
 		pf,
 	}
-	if got := b.Pick(q, 105, fakeRows{}); got != 1 {
+	if got := b.Pick(q, 105, noCutoff, fakeRows{}); got != 1 {
 		t.Errorf("Pick = %d, want the bonded prefetch", got)
 	}
 }
@@ -165,11 +168,11 @@ func TestBLISSGracePeriod(t *testing.T) {
 		{Addr: 0x100, CoreID: 1, Enqueue: 0},
 		{Addr: 0x200, CoreID: 3, Enqueue: 900},
 	}
-	if got := b.Pick(q, 1010, fakeRows{}); got != 1 {
+	if got := b.Pick(q, 1010, noCutoff, fakeRows{}); got != 1 {
 		t.Errorf("within grace: Pick = %d, want core 3", got)
 	}
 	// After the grace period, age wins again.
-	if got := b.Pick(q, 1000+b.GracePeriod+1, fakeRows{}); got != 0 {
+	if got := b.Pick(q, 1000+b.GracePeriod+1, noCutoff, fakeRows{}); got != 0 {
 		t.Errorf("after grace: Pick = %d, want oldest", got)
 	}
 }
@@ -183,7 +186,7 @@ func TestBLISSBaselineIgnoresTempoState(t *testing.T) {
 		{Addr: 0x900, CoreID: 1, Enqueue: 1},
 		pf,
 	}
-	if got := b.Pick(q, 105, fakeRows{}); got != 0 {
+	if got := b.Pick(q, 105, noCutoff, fakeRows{}); got != 0 {
 		t.Errorf("baseline BLISS must not bond prefetches, picked %d", got)
 	}
 }
