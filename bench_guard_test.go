@@ -37,6 +37,9 @@ func hotPathRun(t *testing.T, cfg Config) (allocs uint64, elapsed time.Duration)
 // BenchmarkHotPathMultiTempo's, the latter also with 8 sub-rows (2 for
 // prefetches) under each sub-row allocation policy: its shared DRAM
 // queue is where drained serves and per-serve sub-row sets are made.
+// Two more cover the record paths with core-side work: victima's
+// CoreHooks (MECHANISMS.md §1.2 requires them allocation-free) and
+// IMP's lookahead, background walks and prefetches.
 // Run lengths keep the race-detector build within a few seconds a
 // configuration while leaving each fit 100k+ records apart.
 //
@@ -52,6 +55,20 @@ func TestHotPathStaysAllocationFree(t *testing.T) {
 		cfg := DefaultConfig("xsbench")
 		cfg.Workloads[0].Footprint = 256 << 20
 		cfg.Tempo = DefaultTempo()
+		cfg.Records = records
+		return cfg
+	}
+	victima := func(records int) Config {
+		cfg := DefaultConfig("xsbench")
+		cfg.Workloads[0].Footprint = 256 << 20
+		cfg.Mech = "victima"
+		cfg.Records = records
+		return cfg
+	}
+	imp := func(records int) Config {
+		cfg := DefaultConfig("spmv")
+		cfg.Workloads[0].Footprint = 256 << 20
+		cfg.IMP = true
 		cfg.Records = records
 		return cfg
 	}
@@ -71,6 +88,8 @@ func TestHotPathStaysAllocationFree(t *testing.T) {
 		{"4core-shared-tempo", multiTempoConfig, 10_000, 40_000},
 		{"4core-shared-tempo-foa", subRows(SubRowFOA), 10_000, 40_000},
 		{"4core-shared-tempo-poa", subRows(SubRowPOA), 10_000, 40_000},
+		{"xsbench-victima", victima, 50_000, 250_000},
+		{"spmv-imp", imp, 50_000, 250_000},
 	}
 	var el2 time.Duration // the single-core long run, for BENCH_ASSERT
 	for i, tc := range cases {

@@ -118,27 +118,14 @@ type WalkState struct {
 	res        Result
 }
 
-// Begin starts a walk of v at cycle now, performing the software table
-// walk and the MMU-cache lookup (and their stats updates) exactly as
-// Walk does. now anchors the walk's event timestamps; pass 0 when the
-// caller has no clock (it only affects tracing).
-func (w *Walker) Begin(ws *WalkState, v mem.VAddr, now uint64) {
-	steps, n, ok := w.table.Walk(v)
-	w.BeginPrepared(ws, v, now, steps, n, ok)
-}
-
-// TableWalk runs just the pure software page-table descent Begin
-// performs, with no stats or MMU-cache side effects. Callers that need
-// a residency check before committing to a walk (demand paging) can
-// run it once and hand the result to BeginPrepared, instead of paying
-// a separate table lookup followed by Begin's own descent.
-func (w *Walker) TableWalk(v mem.VAddr) ([mem.Levels]vm.WalkStep, int, bool) {
-	return w.table.Walk(v)
-}
-
-// BeginPrepared is Begin with the software descent already performed
-// (by TableWalk on the same address against an unchanged table).
-func (w *Walker) BeginPrepared(ws *WalkState, v mem.VAddr, now uint64, steps [mem.Levels]vm.WalkStep, n int, ok bool) {
+// Begin starts a walk of v at cycle now from its software descent
+// (steps[:n], ok), as vm.PageTable.Walk returns it for v on the
+// walker's table, and performs the MMU-cache lookup and its stats
+// updates exactly as Walk does. The caller runs the descent so that it
+// can double as the caller's residency check. now anchors the walk's
+// event timestamps; pass 0 when the caller has no clock (it only
+// affects tracing).
+func (w *Walker) Begin(ws *WalkState, v mem.VAddr, now uint64, steps [mem.Levels]vm.WalkStep, n int, ok bool) {
 	w.st.WalksStarted++
 
 	// MMU-cache skip: resume below the deepest cached level.
@@ -281,7 +268,8 @@ func (ws *WalkState) Finish() Result {
 // walks that never park the core (background prefetcher walks, tests).
 func (w *Walker) Walk(v mem.VAddr, at uint64, port MemPort) Result {
 	var ws WalkState
-	w.Begin(&ws, v, at)
+	steps, n, ok := w.table.Walk(v)
+	w.Begin(&ws, v, at, steps, n, ok)
 	for {
 		step, more := ws.Next()
 		if !more {

@@ -20,7 +20,8 @@ import (
 type coreStatus uint8
 
 const (
-	// coreStep: the core finished one trace record and can take more.
+	// coreStep: the core finished one or more trace records and can
+	// take more.
 	coreStep coreStatus = iota
 	// coreWait: the core submitted the returned DRAM request and is
 	// blocked until it completes.
@@ -29,12 +30,12 @@ const (
 	coreDone
 )
 
-// corePhase is the explicit resume point of the core state machine.
-// The core used to run as a goroutine-coroutine parked on channels;
-// the phases are exactly the old yield points, made explicit so the
-// coordinator can resume a core with a plain method call — zero
-// goroutines, zero channel operations, zero scheduler involvement on
-// the per-record path.
+// corePhase is where step resumes a core. Between records it is
+// phRecord; inside one, the core parks only on DRAM, at phWalkResume
+// (a walk's PTE read) or phAccessResume (the demand line). phWalk,
+// phAccess and phTail are the record's stages after a walk or a DRAM
+// wait; a record served on chip runs from phRecord through phAccess to
+// phTail without returning to the dispatch.
 type corePhase uint8
 
 const (
@@ -53,11 +54,13 @@ const (
 )
 
 // Core replays one trace stream through private TLBs, walker, L1/L2
-// and the shared LLC + DRAM. It is an inline cooperative state
-// machine: the coordinator calls step, which runs until the record
-// completes (coreStep) or the core must block on a DRAM request
-// (coreWait), recording its resume point in phase. Strictly one core
-// executes at a time, so runs are deterministic.
+// and the shared LLC + DRAM. Every record runs the same kernel, step:
+// start the record, let IMP prefetch, look the address up in the TLB,
+// on a miss offer it to the mechanism's hooks and walk the page table,
+// then access the data and do the tail bookkeeping. The coordinator
+// calls step, which runs records until the core must block on a DRAM
+// request (coreWait), recording its resume point in phase. Strictly
+// one core executes at a time, so runs are deterministic.
 type Core struct {
 	id     int
 	sys    *System
@@ -66,8 +69,9 @@ type Core struct {
 	walker *ptwalk.Walker
 	hier   *cache.Hierarchy
 	imp    *prefetch.IMP
-	// mech is this core's translation-mechanism hooks (nil for tempo
-	// and the baseline, which keeps the fast path below engaged).
+	// mech is this core's translation-mechanism hooks, nil when the
+	// mechanism has no core-side presence (tempo and the baseline);
+	// then the kernel makes no hook calls.
 	mech   translation.CoreHooks
 	stream trace.Stream
 	st     *stats.Stats
@@ -113,20 +117,19 @@ type Core struct {
 
 // step resumes the core and runs it until its next yield point: a
 // submitted DRAM request the core must wait on (coreWait, request
-// returned), end of trace (coreDone), or — new with run-ahead
-// batching — coreStep after executing one or more whole trace records
-// (executed reports how many). The coordinator passes a horizon:
-// limit is the largest clock at which this core would still win the
-// min-clock pick against every other ready core, and budget caps the
-// batch at the next interval-stats boundary so flushes stay
-// record-accurate. After each finished record the core keeps going
-// only while c.now <= limit, executed < budget and the controller has
-// not completed a request some other core is parked on (the
-// served-waiter count) — exactly the conditions under which re-running
-// the coordinator's pick loop would choose this core again, so the
-// batched schedule is bit-identical to picking after every record.
-// The coordinator must not call step again on a waiting core until
-// the returned request completes.
+// returned), end of trace (coreDone), or coreStep after one or more
+// whole trace records (executed reports how many). The coordinator
+// passes a horizon: limit is the largest clock at which this core
+// would still win the min-clock pick against every other ready core,
+// and budget caps the batch at the next interval-stats boundary so
+// flushes stay record-accurate. After each finished record the core
+// keeps going only while c.now <= limit, executed < budget and the
+// controller has not completed a request some other core is parked on
+// (the served-waiter count) — exactly the conditions under which
+// re-running the coordinator's pick loop would choose this core again,
+// so the batched schedule is bit-identical to picking after every
+// record. The coordinator must not call step again on a waiting core
+// until the returned request completes.
 func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Request, executed uint64) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -153,80 +156,14 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 			c.st.CPIStack[stats.CPICompute] += gap
 			c.st.Instructions += uint64(rec.Gap) + 1
 			c.st.MemRefs++
-
-			// Fast path: with no prefetcher and no event recorder
-			// attached, a TLB hit proves the page is resident (demand
-			// paging cannot have skipped it and nothing unmaps pages
-			// mid-run), so the Touch residency check is a pure no-op and
-			// the record reduces to translate + cache probe. An L1 hit
-			// then needs none of the tail bookkeeping (no writebacks, no
-			// replay classification) beyond the writeback-queue pressure
-			// guard. This skips the full state machine on the two
-			// branches that dominate hot-path records.
-			if c.imp == nil && c.obs == nil && c.mech == nil {
-				tr, lvl := c.tlb.Lookup(rec.VAddr)
-				if lvl != tlb.Miss {
-					c.st.TLBHits++
-					if lvl == tlb.HitL2 {
-						c.now += m.L2TLBPenalty
-						c.st.CPIStack[stats.CPITLBL2] += m.L2TLBPenalty
-					}
-					c.tr = tr
-					c.walked, c.leafDRAM = false, false
-					c.p = tr.Translate(rec.VAddr)
-					c.write = rec.Kind == trace.Store
-					c.sys.mem.ApplyFills(c.now + m.Caches.LLC.LatencyC)
-					c.ar = c.hier.Access(c.p, c.write)
-					if c.ar.Served == cache.ServedL1 {
-						c.now += c.ar.Latency
-						c.st.CPIStack[stats.CPIDataL1] += c.ar.Latency
-						if c.sys.ctrl.QueueLen() > serialGuardQueue {
-							c.sys.ctrl.DrainUpTo(c.now)
-						}
-						executed++
-						if executed >= budget || c.now > limit ||
-							c.sys.ctrl.ServedWaiters() != waiters {
-							return coreStep, nil, executed
-						}
-						continue
-					}
-					if req := c.dispatchAccess(m); req != nil {
-						return coreWait, req, executed
-					}
-					continue // phTail
-				}
-				c.st.TLBMisses++
-				// TLB miss: the walker's own software descent doubles as
-				// the residency check — only when it fails does the page
-				// need faulting in (first touch), after which the descent
-				// reruns against the updated table. This replaces the
-				// separate Touch lookup + Begin walk with a single
-				// descent on the common resident path.
-				steps, n, ok := c.walker.TableWalk(rec.VAddr)
-				if !ok {
-					if _, _, err := c.as.Touch(rec.VAddr); err != nil {
-						panic(fmt.Sprintf("touch %#x: %v", uint64(rec.VAddr), err))
-					}
-					steps, n, ok = c.walker.TableWalk(rec.VAddr)
-				}
-				c.tr = tr
-				c.walked, c.leafDRAM = false, false
-				c.walker.BeginPrepared(&c.ws, rec.VAddr, c.now, steps, n, ok)
-				c.phase = phWalk
-				continue
-			}
-
 			c.obs.BeginRecord(c.id, uint64(c.ran-1))
 			c.obsStart = c.now
 
-			// Demand paging: ensure the page is resident. Fault cost is
-			// excluded (traces model a warmed system; DESIGN.md).
-			if _, _, err := c.as.Touch(rec.VAddr); err != nil {
-				panic(fmt.Sprintf("touch %#x: %v", uint64(rec.VAddr), err))
-			}
-
-			// IMP: issue prefetches from the lookahead edge.
+			// IMP: issue prefetches from the lookahead edge. Its
+			// targets can share this record's page, so demand paging
+			// faults the page in first.
 			if c.imp != nil {
+				c.demandPage(rec.VAddr)
 				c.impIssue()
 			}
 
@@ -240,97 +177,44 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 			switch lvl {
 			case tlb.HitL1:
 				c.st.TLBHits++
-				c.phase = phAccess
 			case tlb.HitL2:
 				c.st.TLBHits++
 				c.now += m.L2TLBPenalty
 				c.st.CPIStack[stats.CPITLBL2] += m.L2TLBPenalty
-				c.phase = phAccess
 			case tlb.Miss:
 				c.st.TLBMisses++
+				var act translation.Action
 				if c.mech != nil {
-					if act := c.mech.OnTLBMiss(rec.VAddr, c.now); act.Hit {
-						// The mechanism resolved the translation itself
-						// (e.g. victima's cached PTE): no hardware walk.
-						// The mechanism's PTE read is an on-chip probe, so
-						// its latency lands in walk-pte-cache; the elided
-						// hardware walk is the mech-elided credit.
-						c.tr = act.Translation
-						c.tlb.Insert(act.Translation)
-						c.now += act.Latency
-						c.st.CPIStack[stats.CPIWalkPTECache] += act.Latency
-						c.st.CPIMechElided++
-						c.phase = phAccess
-						continue
+					act = c.mech.OnTLBMiss(rec.VAddr, c.now)
+				}
+				if !act.Hit {
+					// The walk's table descent doubles as demand paging's
+					// residency check: only a page it finds absent (first
+					// touch) is faulted in, and the descent reruns on the
+					// updated table. A TLB hit needs no check: only
+					// resident pages reach the TLB, and nothing unmaps a
+					// page mid-run.
+					steps, n, ok := c.as.Table().Walk(rec.VAddr)
+					if !ok {
+						c.demandPage(rec.VAddr)
+						steps, n, ok = c.as.Table().Walk(rec.VAddr)
 					}
+					c.walker.Begin(&c.ws, rec.VAddr, c.now, steps, n, ok)
+					c.phase = phWalk
+					continue
 				}
-				c.walker.Begin(&c.ws, rec.VAddr, c.now)
-				c.phase = phWalk
+				// The mechanism resolved the translation itself (e.g.
+				// victima's cached PTE): no hardware walk. The
+				// mechanism's PTE read is an on-chip probe, so its
+				// latency lands in walk-pte-cache; the elided hardware
+				// walk is the mech-elided credit.
+				c.tr = act.Translation
+				c.tlb.Insert(act.Translation)
+				c.now += act.Latency
+				c.st.CPIStack[stats.CPIWalkPTECache] += act.Latency
+				c.st.CPIMechElided++
 			}
-
-		case phWalk:
-			// Demand walk: PT reads go through the cache hierarchy and,
-			// on misses, park the core until DRAM answers. The walk's
-			// own timeline accumulates in ws; c.now advances only when
-			// the walk completes.
-			wstep, more := c.ws.Next()
-			if !more {
-				res := c.ws.Finish()
-				if !res.OK {
-					panic(fmt.Sprintf("walk failed for touched address %#x", uint64(c.rec.VAddr)))
-				}
-				c.now += res.Latency
-				// Split the walk's serialised latency by where the PTE
-				// reads were answered; the remainder is the walker's own
-				// step overhead.
-				c.st.CPIStack[stats.CPIWalkPTECache] += res.CacheLatency
-				c.st.CPIStack[stats.CPIWalkPTEDRAM] += res.DRAMLatency
-				c.st.CPIStack[stats.CPIWalkMMU] += res.Latency - res.CacheLatency - res.DRAMLatency
-				c.tr = res.Translation
-				c.tlb.Insert(c.tr)
-				c.walked, c.leafDRAM = true, res.LeafFromDRAM
-				if c.mech != nil {
-					c.mech.OnWalkComplete(c.rec.VAddr, res.Translation, res.LeafFromDRAM, c.now)
-				}
-				// TLB fill + pipeline replay before the memory reference
-				// is re-executed: TEMPO's slack window.
-				c.now += m.ReplayRestart
-				c.st.CPIStack[stats.CPIWalkMMU] += m.ReplayRestart
-				c.phase = phAccess
-				continue
-			}
-			at := c.now + c.ws.Latency()
-			c.sys.mem.ApplyFills(at)
-			ar := c.hier.Access(wstep.PTEAddr, false)
-			if ar.Served != cache.ServedDRAM {
-				c.ws.Feed(ar.Latency, false)
-				continue
-			}
-			req := c.pool.Get()
-			req.Addr = wstep.PTEAddr
-			req.Category = stats.DRAMPTW
-			req.CoreID = c.id
-			req.IsLeafPT = wstep.IsLeaf
-			req.ReplayLine = c.ws.ReplayLine()
-			req.Enqueue = at + ar.Latency + m.Interconnect
-			req.MarkWaiter()
-			c.sys.ctrl.Submit(req)
-			c.waitReq, c.waitAt, c.waitLat = req, at, ar.Latency
-			c.phase = phWalkResume
-			return coreWait, req, executed
-
-		case phWalkResume:
-			req := c.waitReq
-			if !req.Done {
-				panic("core resumed before its request completed")
-			}
-			doneAt := req.Complete + m.Interconnect
-			c.submitWritebacks(c.hier.FillFromDRAM(req.Addr, false))
-			c.st.PTWDRAMCycles += doneAt - (c.waitAt + c.waitLat)
-			c.waitReq = nil
-			c.pool.Release(req)
-			c.ws.FeedDRAM(doneAt-c.waitAt, c.waitLat)
-			c.phase = phWalk
+			fallthrough
 
 		case phAccess:
 			c.p = c.tr.Translate(c.rec.VAddr)
@@ -354,38 +238,35 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 					Dur: c.ar.Latency, Core: int16(c.id), Addr: uint64(c.p),
 					A: uint8(c.ar.Served), B: flags})
 			}
-			if req := c.dispatchAccess(m); req != nil {
+			if c.ar.Served == cache.ServedDRAM {
+				// A full miss parks the core on its DRAM transaction,
+				// marked as one a core waits on so batched peers notice
+				// its completion.
+				req := c.pool.Get()
+				req.Addr = c.p.Line()
+				req.Category = stats.DRAMOther
+				if c.walked {
+					req.Category = stats.DRAMReplay
+				}
+				req.CoreID = c.id
+				req.Enqueue = c.now + c.ar.Latency + m.Interconnect
+				req.MarkWaiter()
+				c.sys.ctrl.Submit(req)
+				c.waitReq = req
+				c.phase = phAccessResume
 				return coreWait, req, executed
 			}
-
-		case phAccessResume:
-			req := c.waitReq
-			if !req.Done {
-				panic("core resumed before its request completed")
+			c.now += c.ar.Latency
+			switch c.ar.Served {
+			case cache.ServedL1:
+				c.st.CPIStack[stats.CPIDataL1] += c.ar.Latency
+			case cache.ServedL2:
+				c.st.CPIStack[stats.CPIDataL2] += c.ar.Latency
+			default:
+				c.st.CPIStack[stats.CPIDataLLC] += c.ar.Latency
 			}
-			doneAt := req.Complete + m.Interconnect
-			dramPortion := doneAt - (c.now + c.ar.Latency)
-			c.st.CPIStack[stats.CPIDataLLC] += c.ar.Latency
-			if c.walked {
-				// Post-walk replays serialise: charge the full DRAM
-				// time.
-				c.st.ReplayDRAMCycles += dramPortion
-				c.now = doneAt
-				c.chargeDRAMStall(req, dramPortion, dramPortion)
-			} else {
-				// Independent misses partially overlap with the
-				// out-of-order window.
-				charged := uint64(float64(dramPortion) * m.OtherOverlap)
-				c.st.OtherDRAMCycles += charged
-				c.now += c.ar.Latency + charged
-				c.chargeDRAMStall(req, dramPortion, charged)
-			}
-			c.submitWritebacks(c.hier.FillFromDRAM(c.p, c.write))
-			c.outcome = req.Outcome
-			c.servedDRAM = true
-			c.waitReq = nil
-			c.pool.Release(req)
-			c.phase = phTail
+			c.servedDRAM = false
+			fallthrough
 
 		case phTail:
 			c.submitWritebacks(c.ar.Writebacks)
@@ -467,45 +348,102 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 				c.sys.ctrl.ServedWaiters() != waiters {
 				return coreStep, nil, executed
 			}
+
+		case phWalkResume:
+			req := c.waitReq
+			if !req.Done {
+				panic("core resumed before its request completed")
+			}
+			doneAt := req.Complete + m.Interconnect
+			c.submitWritebacks(c.hier.FillFromDRAM(req.Addr, false))
+			c.st.PTWDRAMCycles += doneAt - (c.waitAt + c.waitLat)
+			c.waitReq = nil
+			c.pool.Release(req)
+			c.ws.FeedDRAM(doneAt-c.waitAt, c.waitLat)
+			fallthrough
+
+		case phWalk:
+			// Demand walk: PT reads go through the cache hierarchy and,
+			// on misses, park the core until DRAM answers. The walk's
+			// own timeline accumulates in ws; c.now advances only when
+			// the walk completes.
+			for {
+				wstep, more := c.ws.Next()
+				if !more {
+					break
+				}
+				at := c.now + c.ws.Latency()
+				lat, req := c.readPTE(wstep.PTEAddr, wstep.IsLeaf, c.ws.ReplayLine(), at)
+				if req == nil {
+					c.ws.Feed(lat, false)
+					continue
+				}
+				req.MarkWaiter()
+				c.waitReq, c.waitAt, c.waitLat = req, at, lat
+				c.phase = phWalkResume
+				return coreWait, req, executed
+			}
+			res := c.ws.Finish()
+			if !res.OK {
+				panic(fmt.Sprintf("walk failed for touched address %#x", uint64(c.rec.VAddr)))
+			}
+			c.now += res.Latency
+			// Split the walk's serialised latency by where the PTE
+			// reads were answered; the remainder is the walker's own
+			// step overhead.
+			c.st.CPIStack[stats.CPIWalkPTECache] += res.CacheLatency
+			c.st.CPIStack[stats.CPIWalkPTEDRAM] += res.DRAMLatency
+			c.st.CPIStack[stats.CPIWalkMMU] += res.Latency - res.CacheLatency - res.DRAMLatency
+			c.tr = res.Translation
+			c.tlb.Insert(c.tr)
+			c.walked, c.leafDRAM = true, res.LeafFromDRAM
+			if c.mech != nil {
+				c.mech.OnWalkComplete(c.rec.VAddr, res.Translation, res.LeafFromDRAM, c.now)
+			}
+			// TLB fill + pipeline replay before the memory reference
+			// is re-executed: TEMPO's slack window.
+			c.now += m.ReplayRestart
+			c.st.CPIStack[stats.CPIWalkMMU] += m.ReplayRestart
+			c.phase = phAccess
+
+		case phAccessResume:
+			req := c.waitReq
+			if !req.Done {
+				panic("core resumed before its request completed")
+			}
+			doneAt := req.Complete + m.Interconnect
+			dramPortion := doneAt - (c.now + c.ar.Latency)
+			c.st.CPIStack[stats.CPIDataLLC] += c.ar.Latency
+			if c.walked {
+				// Post-walk replays serialise: charge the full DRAM
+				// time.
+				c.st.ReplayDRAMCycles += dramPortion
+				c.now = doneAt
+				c.chargeDRAMStall(req, dramPortion, dramPortion)
+			} else {
+				// Independent misses partially overlap with the
+				// out-of-order window.
+				charged := uint64(float64(dramPortion) * m.OtherOverlap)
+				c.st.OtherDRAMCycles += charged
+				c.now += c.ar.Latency + charged
+				c.chargeDRAMStall(req, dramPortion, charged)
+			}
+			c.submitWritebacks(c.hier.FillFromDRAM(c.p, c.write))
+			c.outcome = req.Outcome
+			c.servedDRAM = true
+			c.waitReq = nil
+			c.pool.Release(req)
+			c.phase = phTail
 		}
 	}
 }
 
-// dispatchAccess routes the demand-access result sitting in c.ar: an
-// on-chip hit advances the clock and moves to the tail phase (nil
-// return); a full miss submits the DRAM transaction — marked as one a
-// core is parked on, so batched peers notice its completion — and
-// returns it for the coordinator to wait on.
-func (c *Core) dispatchAccess(m *Machine) *dram.Request {
-	if c.ar.Served != cache.ServedDRAM {
-		c.now += c.ar.Latency
-		switch c.ar.Served {
-		case cache.ServedL1:
-			c.st.CPIStack[stats.CPIDataL1] += c.ar.Latency
-		case cache.ServedL2:
-			c.st.CPIStack[stats.CPIDataL2] += c.ar.Latency
-		default:
-			c.st.CPIStack[stats.CPIDataLLC] += c.ar.Latency
-		}
-		c.servedDRAM = false
-		c.outcome = stats.RowHit // unused when !servedDRAM
-		c.phase = phTail
-		return nil
+// demandPage faults v's page in unless it is resident. Fault cost is
+// excluded (traces model a warmed system; DESIGN.md).
+func (c *Core) demandPage(v mem.VAddr) {
+	if _, _, err := c.as.Touch(v); err != nil {
+		panic(fmt.Sprintf("touch %#x: %v", uint64(v), err))
 	}
-	cat := stats.DRAMOther
-	if c.walked {
-		cat = stats.DRAMReplay
-	}
-	req := c.pool.Get()
-	req.Addr = c.p.Line()
-	req.Category = cat
-	req.CoreID = c.id
-	req.Enqueue = c.now + c.ar.Latency + m.Interconnect
-	req.MarkWaiter()
-	c.sys.ctrl.Submit(req)
-	c.waitReq = req
-	c.phase = phAccessResume
-	return req
 }
 
 // chargeDRAMStall splits `charged` stall cycles of a completed demand
@@ -585,6 +523,28 @@ func (c *Core) submitWritebacks(addrs []mem.PAddr) {
 	}
 }
 
+// readPTE reads the page-walk PTE at addr through the core's
+// hierarchy at cycle at. An on-chip answer returns its latency and a
+// nil request. A miss submits the DRAM page-walk request, the leaf
+// carrying the replay line TEMPO reads, and returns it with the
+// latency of the on-chip probe that missed.
+func (c *Core) readPTE(addr mem.PAddr, isLeaf bool, replayLine, at uint64) (uint64, *dram.Request) {
+	c.sys.mem.ApplyFills(at)
+	ar := c.hier.Access(addr, false)
+	if ar.Served != cache.ServedDRAM {
+		return ar.Latency, nil
+	}
+	req := c.pool.Get()
+	req.Addr = addr
+	req.Category = stats.DRAMPTW
+	req.CoreID = c.id
+	req.IsLeafPT = isLeaf
+	req.ReplayLine = replayLine
+	req.Enqueue = at + ar.Latency + c.sys.machine.Interconnect
+	c.sys.ctrl.Submit(req)
+	return ar.Latency, req
+}
+
 // backgroundPort serves IMP-initiated walks: same datapath and DRAM
 // traffic as a demand walk, but the core does not stall (the walk runs
 // in the prefetcher's shadow) and no runtime is attributed, so it can
@@ -593,25 +553,38 @@ type backgroundPort struct{ c *Core }
 
 func (p backgroundPort) ReadPTE(paddr mem.PAddr, level int, isLeaf bool, replayLine uint64, at uint64) (uint64, bool) {
 	c := p.c
-	m := &c.sys.machine
-	c.sys.mem.ApplyFills(at)
-	ar := c.hier.Access(paddr, false)
-	if ar.Served != cache.ServedDRAM {
-		return ar.Latency, false
+	lat, req := c.readPTE(paddr, isLeaf, replayLine, at)
+	if req == nil {
+		return lat, false
 	}
-	req := c.pool.Get()
-	req.Addr = paddr
-	req.Category = stats.DRAMPTW
-	req.CoreID = c.id
-	req.IsLeafPT = isLeaf
-	req.ReplayLine = replayLine
-	req.Enqueue = at + ar.Latency + m.Interconnect
-	c.sys.ctrl.Submit(req)
 	c.sys.ctrl.RunUntil(req)
-	lat := req.Complete + m.Interconnect - at
+	lat = req.Complete + c.sys.machine.Interconnect - at
 	c.submitWritebacks(c.hier.FillFromDRAM(paddr, false))
 	c.pool.Release(req)
 	return lat, true
+}
+
+// prefetchLine fetches line from DRAM toward the LLC in the core's
+// shadow, starting at cycle now: the controller serves it at once and
+// the line becomes LLC-visible LLCFillExtra after its burst, with
+// provenance prov. It issues nothing and returns false when the line
+// is already in the LLC.
+func (c *Core) prefetchLine(line mem.PAddr, now uint64, prov cache.Provenance) bool {
+	m := &c.sys.machine
+	c.sys.mem.ApplyFills(now)
+	if c.hier.PeekLLC(line) {
+		return false
+	}
+	req := c.pool.Get()
+	req.Addr = line
+	req.Category = stats.DRAMPrefetch
+	req.CoreID = c.id
+	req.Enqueue = now + m.Interconnect
+	c.sys.ctrl.Submit(req)
+	c.sys.ctrl.RunUntil(req)
+	c.sys.mem.AddPending(line, req.Complete+m.LLCFillExtra, prov)
+	c.pool.Release(req)
+	return true
 }
 
 // impIssue lets IMP see the newest lookahead record and performs any
@@ -626,7 +599,6 @@ func (c *Core) impIssue() {
 	if !edge.HasValue {
 		return
 	}
-	m := &c.sys.machine
 	c.pfBuf = c.imp.AppendPrefetches(c.pfBuf[:0], edge.PC, edge.Value)
 	for _, target := range c.pfBuf {
 		if _, ok := c.as.Table().Lookup(target); !ok {
@@ -643,19 +615,9 @@ func (c *Core) impIssue() {
 			tr = res.Translation
 		}
 		p := tr.Translate(target).Line()
-		c.sys.mem.ApplyFills(c.now)
-		if c.hier.PeekLLC(p) {
+		if !c.prefetchLine(p, c.now, cache.FillIMP) {
 			continue
 		}
-		req := c.pool.Get()
-		req.Addr = p
-		req.Category = stats.DRAMPrefetch
-		req.CoreID = c.id
-		req.Enqueue = c.now + m.Interconnect
-		c.sys.ctrl.Submit(req)
-		c.sys.ctrl.RunUntil(req)
-		c.sys.mem.AddPending(p, req.Complete+m.LLCFillExtra, cache.FillIMP)
-		c.pool.Release(req)
 		c.st.IMPPrefetches++
 		if c.obs.Active() {
 			c.obs.Emit(obsv.Event{Kind: obsv.EvIMPPrefetch, Cycle: c.now,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/dram"
@@ -155,30 +156,33 @@ func checkInvariants(t *testing.T, cfg Config, res *Result) {
 	}
 }
 
-// TestFuzzConfigurations runs dozens of random configurations and
-// checks the cross-cutting invariants plus determinism on a sample.
-func TestFuzzConfigurations(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260704))
-	n := 40
+// FuzzSimulate runs the configuration randomConfig draws from seed and
+// checks the cross-cutting invariants; every tenth seed also runs twice
+// and must reproduce its result exactly. The seed corpus is seeds 0–39
+// (0–7 under -short), so plain go test covers 40 draws.
+func FuzzSimulate(f *testing.F) {
+	n := int64(40)
 	if testing.Short() {
 		n = 8
 	}
-	for i := 0; i < n; i++ {
-		cfg := randomConfig(rng)
+	for seed := int64(0); seed < n; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		cfg := randomConfig(rand.New(rand.NewSource(seed)))
 		res, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("config %d (%+v): %v", i, cfg.Workloads, err)
+			t.Fatalf("seed %d (%+v): %v", seed, cfg.Workloads, err)
 		}
 		checkInvariants(t, cfg, res)
-		if i%10 == 0 {
+		if seed%10 == 0 {
 			again, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if again.Total.Cycles != res.Total.Cycles ||
-				again.Total.DRAMRefs != res.Total.DRAMRefs {
-				t.Fatalf("config %d nondeterministic", i)
+			if !reflect.DeepEqual(again, res) {
+				t.Fatalf("seed %d nondeterministic", seed)
 			}
 		}
-	}
+	})
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/stats"
@@ -45,7 +46,8 @@ func TestGoldenRun(t *testing.T) {
 	}
 }
 
-// schedulerFixture pins one full counter set captured from the
+// schedulerFixture pins one run's full counter set. Those of
+// TestSchedulerEquivalenceGolden were captured from the
 // goroutine-coroutine coordinator that the inline state machine
 // replaced. The state machine must reproduce the old scheduler's
 // interleaving decision-for-decision, so every counter — including the
@@ -57,6 +59,10 @@ type schedulerFixture struct {
 	total []uint64
 	// Per-core (Cycles, Instructions, TLBMisses) triples.
 	cores [][3]uint64
+	// elided is Total.CPIMechElided and mech is Result.MechCounters
+	// (nil for runs that name no mechanism).
+	elided uint64
+	mech   map[string]uint64
 }
 
 func checkFixture(t *testing.T, fx schedulerFixture) {
@@ -91,7 +97,7 @@ func checkFixture(t *testing.T, fx schedulerFixture) {
 	}
 	for i, want := range fx.total {
 		if got[i] != want {
-			t.Errorf("%s: %s = %d, want %d (scheduler divergence)", fx.name, labels[i], got[i], want)
+			t.Errorf("%s: %s = %d, want %d (behavioural change — verify and update)", fx.name, labels[i], got[i], want)
 		}
 	}
 	if len(res.Cores) != len(fx.cores) {
@@ -104,6 +110,25 @@ func checkFixture(t *testing.T, fx schedulerFixture) {
 				fx.name, i, c.Cycles, c.Instructions, c.TLBMisses, want[0], want[1], want[2])
 		}
 	}
+	if st.CPIMechElided != fx.elided {
+		t.Errorf("%s: CPIMechElided = %d, want %d", fx.name, st.CPIMechElided, fx.elided)
+	}
+	if !maps.Equal(res.MechCounters, fx.mech) {
+		t.Errorf("%s: MechCounters = %v, want %v", fx.name, res.MechCounters, fx.mech)
+	}
+}
+
+// impMixConfig is a multiprogrammed IMP mix: two cores with private
+// address spaces, each issuing background walks and prefetch trains.
+func impMixConfig() Config {
+	cfg := DefaultConfig("spmv")
+	cfg.Records = 2_000
+	cfg.Workloads = []WorkloadSpec{
+		{Name: "spmv", Footprint: 96 << 20, Seed: 1},
+		{Name: "graph500", Footprint: 96 << 20, Seed: 2},
+	}
+	cfg.IMP = true
+	return cfg
 }
 
 // TestSchedulerEquivalenceGolden asserts that the inline state-machine
@@ -151,16 +176,7 @@ func TestSchedulerEquivalenceGolden(t *testing.T) {
 		},
 		{
 			name: "2core-spmv-graph500-imp",
-			cfg: func() Config {
-				cfg := DefaultConfig("spmv")
-				cfg.Records = 2_000
-				cfg.Workloads = []WorkloadSpec{
-					{Name: "spmv", Footprint: 96 << 20, Seed: 1},
-					{Name: "graph500", Footprint: 96 << 20, Seed: 2},
-				}
-				cfg.IMP = true
-				return cfg
-			},
+			cfg:  impMixConfig,
 			total: []uint64{
 				212798, 10544, 4000, 3406, 594,
 				594, 411, 592, 2,
@@ -208,6 +224,73 @@ func TestSchedulerEquivalenceGolden(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		fx := fx
+		t.Run(fx.name, func(t *testing.T) { checkFixture(t, fx) })
+	}
+}
+
+// TestRivalMechanismGolden pins one victima and one revelator run: the
+// record paths through CoreHooks, where OnTLBMiss may answer a miss
+// from an on-chip PTE line (victima) or issue a speculative prefetch
+// (revelator) before the walk starts. Like the fixtures above, the
+// expectations are a change detector for the core's record kernel.
+func TestRivalMechanismGolden(t *testing.T) {
+	rival := func(mech string) func() Config {
+		return func() Config {
+			cfg := quickCfg("xsbench", 60_000)
+			cfg.Mech = mech
+			return cfg
+		}
+	}
+	fixtures := []schedulerFixture{
+		{
+			name: "xsbench-victima",
+			cfg:  rival("victima"),
+			total: []uint64{
+				9045159, 202500, 60000, 46471, 13529,
+				12435, 3302, 12434, 1,
+				8302, 2794, 7948, 59189,
+				3309, 12400, 43480, 0,
+				0, 0, 0, 0,
+				0, 0, 36381, 722, 59189,
+				1890059, 2393518, 513074,
+				3302,
+				0, 19, 3283,
+			},
+			cores:  [][3]uint64{{9045159, 202500, 13529}},
+			elided: 1094,
+			mech: map[string]uint64{
+				"mech/victima/inserts":      12435,
+				"mech/victima/line_evicted": 0,
+				"mech/victima/lookups":      13529,
+				"mech/victima/pte_hits":     1094,
+				"mech/victima/pte_misses":   12435,
+			},
+		},
+		{
+			name: "xsbench-revelator",
+			cfg:  rival("revelator"),
+			total: []uint64{
+				8999261, 202500, 60000, 46471, 13529,
+				13529, 3302, 13528, 1,
+				8755, 2734, 9527, 57616,
+				3309, 11893, 42414, 1827,
+				0, 0, 0, 0,
+				0, 0, 36403, 718, 59443,
+				1826353, 2311326, 512592,
+				3301,
+				1, 20, 3281,
+			},
+			cores: [][3]uint64{{8999261, 202500, 13529}},
+			mech: map[string]uint64{
+				"mech/revelator/predictions":     1870,
+				"mech/revelator/spec_hits":       1870,
+				"mech/revelator/spec_misses":     0,
+				"mech/revelator/spec_prefetches": 1827,
+				"mech/revelator/spec_useful":     1573,
+			},
+		},
+	}
+	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) { checkFixture(t, fx) })
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"repro/internal/cache"
 	"repro/internal/mem"
-	"repro/internal/stats"
 	"repro/internal/translation"
 )
 
@@ -36,26 +35,10 @@ func (p mechPort) ReadLine(a mem.PAddr, now uint64) uint64 {
 }
 
 // PrefetchLine fetches a line from DRAM toward the LLC with
-// speculative provenance, mirroring the IMP background-prefetch
-// datapath (the core does not stall; the walk runs in its shadow).
+// speculative provenance, over the IMP background-prefetch datapath
+// (the core does not stall; the fetch runs in its shadow).
 func (p mechPort) PrefetchLine(a mem.PAddr, now uint64) bool {
-	c := p.c
-	m := &c.sys.machine
-	line := a.Line()
-	c.sys.mem.ApplyFills(now)
-	if c.hier.PeekLLC(line) {
-		return false
-	}
-	req := c.pool.Get()
-	req.Addr = line
-	req.Category = stats.DRAMPrefetch
-	req.CoreID = c.id
-	req.Enqueue = now + m.Interconnect
-	c.sys.ctrl.Submit(req)
-	c.sys.ctrl.RunUntil(req)
-	c.sys.mem.AddPending(line, req.Complete+m.LLCFillExtra, cache.FillSpec)
-	c.pool.Release(req)
-	return true
+	return p.c.prefetchLine(a.Line(), now, cache.FillSpec)
 }
 
 var _ translation.CorePort = mechPort{}

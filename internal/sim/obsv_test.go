@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"strings"
 	"testing"
 
@@ -161,20 +162,50 @@ func TestIntervalStatsSeries(t *testing.T) {
 
 // TestObserverZeroPerturbation is the "heisenbug guard": attaching the
 // full observer must not change simulated time or any architectural
-// counter — instrumentation reads the simulation, never steers it.
+// counter — instrumentation reads the simulation, never steers it. It
+// covers each predicate the record kernel branches on besides the
+// observer itself: a TEMPO run (no hooks), the two-core IMP mix and a
+// victima run (CoreHooks).
 func TestObserverZeroPerturbation(t *testing.T) {
-	cfg := quickCfg("xsbench", 10_000)
-	cfg.Tempo = DefaultTempo()
-	bare := run(t, cfg)
-	observed, _ := runObserved(t, cfg, obsv.Options{
-		Trace: true, IntervalEvery: 1000, IntervalSink: &bytes.Buffer{},
-	})
-	if bare.Total.Cycles != observed.Total.Cycles {
-		t.Errorf("cycles diverged: bare %d, observed %d",
-			bare.Total.Cycles, observed.Total.Cycles)
+	cases := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"tempo", func() Config {
+			cfg := quickCfg("xsbench", 10_000)
+			cfg.Tempo = DefaultTempo()
+			return cfg
+		}},
+		{"2core-imp", impMixConfig},
+		{"victima", func() Config {
+			cfg := quickCfg("xsbench", 20_000)
+			cfg.Mech = "victima"
+			return cfg
+		}},
 	}
-	if bare.Total != observed.Total {
-		t.Errorf("stats diverged under observation:\nbare:     %+v\nobserved: %+v",
-			bare.Total, observed.Total)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bare := run(t, tc.cfg())
+			observed, _ := runObserved(t, tc.cfg(), obsv.Options{
+				Trace: true, IntervalEvery: 1000, IntervalSink: &bytes.Buffer{},
+			})
+			if bare.Total != observed.Total {
+				t.Errorf("stats diverged under observation:\nbare:     %+v\nobserved: %+v",
+					bare.Total, observed.Total)
+			}
+			if len(bare.Cores) != len(observed.Cores) {
+				t.Fatalf("%d cores bare, %d observed", len(bare.Cores), len(observed.Cores))
+			}
+			for i := range bare.Cores {
+				if bare.Cores[i] != observed.Cores[i] {
+					t.Errorf("core %d diverged under observation:\nbare:     %+v\nobserved: %+v",
+						i, bare.Cores[i], observed.Cores[i])
+				}
+			}
+			if !maps.Equal(bare.MechCounters, observed.MechCounters) {
+				t.Errorf("mechanism counters diverged: bare %v, observed %v",
+					bare.MechCounters, observed.MechCounters)
+			}
+		})
 	}
 }

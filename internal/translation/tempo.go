@@ -11,11 +11,10 @@ import (
 // tempoMech is the paper's TEMPO path behind the Mechanism seam. It is
 // entirely memory-side: the factory wires the prefetch engine into the
 // controller exactly as the pre-refactor simulator did, NewCore returns
-// nil so every core stays on the zero-allocation serial fast path, and
-// the run is bit-identical to the hardwired pipeline. With
-// Params.TempoEnabled false it degenerates to the no-prefetch baseline
-// (no engine, no hooks) — "tempo" is therefore the mechanism every
-// non-mech run implicitly uses.
+// nil so no core makes hook calls, and the run is bit-identical to the
+// hardwired pipeline. With Params.TempoEnabled false it degenerates to
+// the no-prefetch baseline (no engine, no hooks) — "tempo" is
+// therefore the mechanism every non-mech run implicitly uses.
 type tempoMech struct {
 	engine *core.Engine
 	st     *stats.Stats

@@ -13,10 +13,9 @@
 // The contract, in brief: a Mechanism is built once per run from Deps
 // (shared memory-side services), hands each core a CoreHooks instance
 // (nil for mechanisms that live entirely on the memory side, like
-// TEMPO — a nil CoreHooks keeps the simulator's zero-allocation serial
-// fast path engaged and bit-identical), and reports its activity as
-// mech/<name>/* counters that feed the obsv conservation audit and the
-// tempo-report head-to-head tables.
+// TEMPO — a core with nil hooks makes no hook calls), and reports its
+// activity as mech/<name>/* counters that feed the obsv conservation
+// audit and the tempo-report head-to-head tables.
 package translation
 
 import (
@@ -111,8 +110,8 @@ type CorePort interface {
 // CoreHooks is one core's view of a mechanism: the four interception
 // points of the TLB-miss lifecycle. Implementations must be cheap and
 // allocation-free — the hooks run on the simulator's per-record path.
-// A mechanism whose NewCore returns nil has no core-side presence and
-// leaves the serial fast path untouched.
+// A mechanism whose NewCore returns nil has no core-side presence: the
+// core runs the same record kernel and skips every hook call.
 type CoreHooks interface {
 	// OnTLBMiss fires on every demand TLB miss, before the hardware
 	// walk begins. A Hit Action suppresses the walk entirely.
@@ -134,8 +133,7 @@ type Mechanism interface {
 	// Name returns the registry name ("tempo", "victima", ...).
 	Name() string
 	// NewCore hands core coreID its hooks, or nil when the mechanism
-	// has no core-side presence (the simulator then keeps that core on
-	// the zero-allocation fast path).
+	// has no core-side presence (that core then makes no hook calls).
 	NewCore(coreID int, port CorePort) CoreHooks
 	// Attach wires the obsv event recorder into the mechanism's
 	// memory-side components (nil-safe; no-op for most mechanisms).
