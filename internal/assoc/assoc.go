@@ -7,6 +7,7 @@ package assoc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -69,6 +70,18 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("assoc: %d sets is not a positive power of two", g.Sets)
 	}
 	return nil
+}
+
+// HostBytes returns the host memory an array of this shape takes with
+// values of valueBytes each: a uint64 tag and a value per entry, and a
+// recency stack and a fill count per set. It saturates at
+// math.MaxUint64. g must be valid.
+func (g Geometry) HostBytes(valueBytes uintptr) uint64 {
+	hi, n := bits.Mul64(uint64(g.Sets), uint64(g.Ways)*(8+uint64(valueBytes))+9)
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	return n
 }
 
 // Assoc is a set-associative array with LRU replacement mapping uint64

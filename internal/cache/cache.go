@@ -116,6 +116,14 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
+// HostBytes returns the host memory a cache of this shape takes: a
+// 4-byte tag and a metadata byte per line, and a recency stack per
+// set. cfg must be valid.
+func (cfg Config) HostBytes() uint64 {
+	lines := cfg.SizeB / mem.LineSize
+	return lines*5 + lines/uint64(cfg.Ways)*8
+}
+
 // New builds a cache. Panics with Config.Validate's error on invalid
 // geometry.
 func New(cfg Config) *Cache {

@@ -3,6 +3,8 @@ package dram
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/obsv"
@@ -118,6 +120,30 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("dram: %d sub-rows of a %dB row are smaller than a %dB line", g.SubRows, g.RowBytes, mem.LineSize)
 	}
 	return nil
+}
+
+// HostBytes returns the host memory the controller's banks take: each
+// bank's state and (sub-)row buffers and, under the adaptive policy,
+// its 57,344-byte row predictor. It saturates at math.MaxUint64. The
+// geometry must be valid.
+func (cfg Config) HostBytes() uint64 {
+	g := cfg.Geometry
+	subs := uint64(max(g.SubRows, 1))
+	if subs > 1<<32 {
+		return math.MaxUint64
+	}
+	bank := uint64(unsafe.Sizeof(Bank{})) + subs*uint64(unsafe.Sizeof(subRow{}))
+	if cfg.Policy == PolicyAdaptive {
+		bank += uint64(unsafe.Sizeof(openPredictor{}))
+	}
+	hi, banks := bits.Mul64(uint64(g.Channels), uint64(g.BanksPerCh))
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	if hi, n := bits.Mul64(banks, bank); hi == 0 {
+		return n
+	}
+	return math.MaxUint64
 }
 
 // NewController builds a controller. The scheduler is mandatory; stats

@@ -533,9 +533,40 @@ func TestSubmitDedupsAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// smallConfig is a quick job: 1,000 records over a 64 MB footprint.
+func smallConfig(seed int64) sim.Config {
+	cfg := cfgSeed(seed)
+	cfg.Records = 1000
+	cfg.Workloads[0].Footprint = 64 << 20
+	return cfg
+}
+
+// badMachines are edits to smallConfig that the simulator must reject,
+// each with a fragment of its error.
+var badMachines = []struct {
+	want string
+	edit func(*sim.Config)
+}{
+	{"limit", func(c *sim.Config) { c.PhysFrames = 1 << 40 }},
+	{"limit", func(c *sim.Config) { c.Workloads[0].Footprint = 1 << 62 }},
+	{"17 ways is outside 1..16", func(c *sim.Config) {
+		c.Machine.Caches.LLC.Ways, c.Machine.Caches.LLC.SizeB = 17, 17*4096*mem.LineSize
+	}},
+	{"3072 sets is not a positive power of two", func(c *sim.Config) { c.Machine.Caches.LLC.SizeB = 3 << 20 }},
+	{"tlb: L2 4k: assoc: 0 ways", func(c *sim.Config) { c.Machine.TLB.L2[mem.Page4K].Ways = 0 }},
+	{"dram: invalid geometry", func(c *sim.Config) { c.Machine.DRAM.Geometry.Channels = 0 }},
+	{"bytes of host memory", func(c *sim.Config) { c.Machine.Caches.LLC.SizeB = 16 << 30 }},
+	{"bytes of host memory", func(c *sim.Config) {
+		for len(c.Workloads) < 4096 {
+			c.Workloads = append(c.Workloads, c.Workloads[0])
+		}
+	}},
+}
+
 // A configuration sizing physical memory past vm.MaxPhysFrames —
-// explicitly or through a workload footprint — or giving a cache, TLB
-// or DRAM geometry no structure can be built with fails as that job's
+// explicitly or through a workload footprint — giving a cache, TLB or
+// DRAM geometry no structure can be built with, or a machine whose
+// structures would exceed sim.MaxMachineBytes fails as that job's
 // error, through the real simulator, and the coordinator keeps serving.
 func TestOversizedMachineFailsJob(t *testing.T) {
 	co, err := New(Options{Pool: runner.New(runner.Options{Parallelism: 1}), Workers: 1})
@@ -544,27 +575,8 @@ func TestOversizedMachineFailsJob(t *testing.T) {
 	}
 	defer co.Close()
 
-	small := func(seed int64) sim.Config {
-		cfg := cfgSeed(seed)
-		cfg.Records = 1000
-		cfg.Workloads[0].Footprint = 64 << 20
-		return cfg
-	}
-	bad := []struct {
-		want string
-		edit func(*sim.Config)
-	}{
-		{"limit", func(c *sim.Config) { c.PhysFrames = 1 << 40 }},
-		{"limit", func(c *sim.Config) { c.Workloads[0].Footprint = 1 << 62 }},
-		{"17 ways is outside 1..16", func(c *sim.Config) {
-			c.Machine.Caches.LLC.Ways, c.Machine.Caches.LLC.SizeB = 17, 17*4096*mem.LineSize
-		}},
-		{"3072 sets is not a positive power of two", func(c *sim.Config) { c.Machine.Caches.LLC.SizeB = 3 << 20 }},
-		{"tlb: L2 4k: assoc: 0 ways", func(c *sim.Config) { c.Machine.TLB.L2[mem.Page4K].Ways = 0 }},
-		{"dram: invalid geometry", func(c *sim.Config) { c.Machine.DRAM.Geometry.Channels = 0 }},
-	}
-	for i, b := range bad {
-		cfg := small(int64(i + 1))
+	for i, b := range badMachines {
+		cfg := smallConfig(int64(i + 1))
 		b.edit(&cfg)
 		s, err := co.Submit(cfg, "", 0)
 		if err != nil {
@@ -576,7 +588,7 @@ func TestOversizedMachineFailsJob(t *testing.T) {
 			t.Fatalf("bad machine job: state %s, err %q; want failed with %q", v.State, v.Err, b.want)
 		}
 	}
-	ok, err := co.Submit(small(int64(len(bad)+1)), "", 0)
+	ok, err := co.Submit(smallConfig(int64(len(badMachines)+1)), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +596,7 @@ func TestOversizedMachineFailsJob(t *testing.T) {
 	if v, _ := co.Job(ok.Job.ID); v.State != StateCompleted {
 		t.Fatalf("job after the failures: state %s, err %q", v.State, v.Err)
 	}
-	if qv := co.Queue(); qv.Failed != uint64(len(bad)) || qv.Completed != 1 {
+	if qv := co.Queue(); qv.Failed != uint64(len(badMachines)) || qv.Completed != 1 {
 		t.Fatalf("accounting: %+v", qv)
 	}
 }

@@ -11,6 +11,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/dram"
@@ -222,6 +224,39 @@ func (c *Config) validateMachine() error {
 	m := &c.Machine
 	return errors.Join(m.Caches.L1.Validate(), m.Caches.L2.Validate(), m.Caches.LLC.Validate(),
 		m.TLB.Validate(), m.MMU.Validate(), c.dramConfig().Geometry.Validate())
+}
+
+// MaxMachineBytes caps the host memory of a machine's caches, TLBs,
+// MMU caches and DRAM banks, the structures New allocates in full from
+// the machine's geometry: 256 MiB, about 190 times the default
+// single-core machine. Machines arrive in tempo-serve job JSON, so a
+// well-formed but huge one must fail the run with an error, not
+// exhaust the host.
+const MaxMachineBytes = 256 << 20
+
+// machineBytes returns the host memory the machine's caches, TLBs, MMU
+// caches and DRAM banks take, with every core's private L1, L2, TLB
+// and MMU caches counted, or math.MaxUint64 if that overflows. The
+// machine must be valid.
+func (c *Config) machineBytes() uint64 {
+	m := &c.Machine
+	var total uint64
+	add := func(n uint64) {
+		var carry uint64
+		if total, carry = bits.Add64(total, n, 0); carry != 0 {
+			total = math.MaxUint64
+		}
+	}
+	add(m.Caches.LLC.HostBytes())
+	add(c.dramConfig().HostBytes())
+	for _, n := range []uint64{m.Caches.L1.HostBytes(), m.Caches.L2.HostBytes(), m.TLB.HostBytes(), m.MMU.HostBytes()} {
+		hi, perCores := bits.Mul64(n, uint64(len(c.Workloads)))
+		if hi != 0 {
+			return math.MaxUint64
+		}
+		add(perCores)
+	}
+	return total
 }
 
 // dramConfig returns the memory controller's configuration: the

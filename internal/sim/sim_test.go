@@ -325,8 +325,9 @@ func TestPhysicalMemoryLimit(t *testing.T) {
 }
 
 // A machine no cache, TLB, MMU cache or DRAM controller can be built
-// from is a configuration error from New, not a panic inside a
-// constructor: machines arrive in tempo-serve job JSON.
+// from, or one whose structures would take more than MaxMachineBytes
+// of host memory, is a configuration error from New, not a panic or
+// an exhausted host: machines arrive in tempo-serve job JSON.
 func TestBadMachineGeometryIsError(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
@@ -345,6 +346,17 @@ func TestBadMachineGeometryIsError(t *testing.T) {
 		{"0-set MMU cache", "tlb: L3 MMU cache: assoc: 0 sets", func(c *Config) { c.Machine.MMU.L3.Sets = 0 }},
 		{"0 DRAM channels", "dram: invalid geometry", func(c *Config) { c.Machine.DRAM.Geometry.Channels = 0 }},
 		{"sub-rows below a line", "dram: 256 sub-rows of a 8192B row", func(c *Config) { c.SubRows = 256 }},
+		{"16 GiB LLC", "need 1477448452 bytes of host memory, over the 268435456-byte limit", func(c *Config) {
+			c.Machine.Caches.LLC.SizeB = 16 << 30
+		}},
+		{"4096 cores", "bytes of host memory, over the 268435456-byte limit", func(c *Config) {
+			for len(c.Workloads) < 4096 {
+				c.Workloads = append(c.Workloads, c.Workloads[0])
+			}
+		}},
+		{"2^80 DRAM banks", "need 18446744073709551615 bytes of host memory", func(c *Config) {
+			c.Machine.DRAM.Geometry.Channels, c.Machine.DRAM.Geometry.BanksPerCh = 1<<40, 1<<40
+		}},
 	} {
 		cfg := quickCfg("xsbench", 10)
 		tc.edit(&cfg)

@@ -129,6 +129,9 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.validateMachine(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
+	if n := cfg.machineBytes(); n > MaxMachineBytes {
+		return nil, fmt.Errorf("sim: the machine's caches, TLBs, MMU caches and DRAM banks need %d bytes of host memory, over the %d-byte limit", n, MaxMachineBytes)
+	}
 	s := &System{cfg: cfg, machine: cfg.Machine, mst: &stats.Stats{}}
 
 	// Workload streams (generators or trace files), sizing physical

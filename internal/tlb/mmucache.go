@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/assoc"
 	"repro/internal/mem"
@@ -44,6 +45,12 @@ func (cfg MMUCacheConfig) Validate() error {
 		}
 	}
 	return nil
+}
+
+// HostBytes returns the host memory page-walk caches of this shape
+// take, saturating at math.MaxUint64. cfg must be valid.
+func (cfg MMUCacheConfig) HostBytes() uint64 {
+	return hostBytes([]Geometry{cfg.L4, cfg.L3, cfg.L2}, unsafe.Sizeof(mem.Frame(0)))
 }
 
 // NewMMUCache builds the page-walk caches.

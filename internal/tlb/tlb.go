@@ -9,6 +9,9 @@ package tlb
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"unsafe"
 
 	"repro/internal/assoc"
 	"repro/internal/mem"
@@ -83,6 +86,25 @@ func (cfg Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// HostBytes returns the host memory a TLB of this shape takes,
+// saturating at math.MaxUint64. cfg must be valid.
+func (cfg Config) HostBytes() uint64 {
+	return hostBytes(append(cfg.L1[:], cfg.L2[:]...), unsafe.Sizeof(vm.Translation{}))
+}
+
+// hostBytes totals the host memory of arrays of the given shapes and
+// value size, saturating at math.MaxUint64.
+func hostBytes(gs []Geometry, valueBytes uintptr) uint64 {
+	var n uint64
+	for _, g := range gs {
+		var carry uint64
+		if n, carry = bits.Add64(n, g.HostBytes(valueBytes), 0); carry != 0 {
+			return math.MaxUint64
+		}
+	}
+	return n
 }
 
 // TLB is a two-level, page-size-aware translation lookaside buffer.

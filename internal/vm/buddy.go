@@ -153,6 +153,36 @@ func (b *Buddy) removeFree(f mem.Frame, order int) {
 	}
 }
 
+// freeBlockContaining returns the head and order of the free block,
+// of order minOrder or above, that contains f.
+func (b *Buddy) freeBlockContaining(f mem.Frame, minOrder int) (head mem.Frame, order int, ok bool) {
+	for o := minOrder; o <= MaxOrder; o++ {
+		h := f &^ (mem.Frame(1)<<uint(o) - 1)
+		if b.isFreeHead(h, o) {
+			return h, o, true
+		}
+	}
+	return 0, 0, false
+}
+
+// split takes the free block of the given order at head off its list
+// and halves it down to order to, returning to the free lists every
+// half that does not contain f. The order-to block holding f is left
+// to the caller.
+func (b *Buddy) split(head mem.Frame, order, to int, f mem.Frame) {
+	b.removeFree(head, order)
+	for order > to {
+		order--
+		half := head + mem.Frame(1)<<uint(order)
+		if f >= half {
+			b.insertFree(head, order)
+			head = half
+		} else {
+			b.insertFree(half, order)
+		}
+	}
+}
+
 // Alloc allocates a block of 2^order contiguous, naturally aligned
 // frames and returns its first frame.
 func (b *Buddy) Alloc(order int) (mem.Frame, error) {
@@ -167,11 +197,7 @@ func (b *Buddy) Alloc(order int) (mem.Frame, error) {
 		return 0, ErrNoMemory
 	}
 	f := mem.Frame(b.heads[o])
-	b.removeFree(f, o)
-	for o > order {
-		o--
-		b.insertFree(f+mem.Frame(1)<<uint(o), o)
-	}
+	b.split(f, o, order, f)
 	b.blocks.at(f).state = allocHead | uint8(order)
 	b.freeFrames -= 1 << uint(order)
 	return f, nil
@@ -188,30 +214,11 @@ func (b *Buddy) AllocSpecific(f mem.Frame) error {
 	if uint64(f) >= b.frames {
 		return fmt.Errorf("vm: frame %d out of range", f)
 	}
-	// Find the free block containing f.
-	found := -1
-	var head mem.Frame
-	for o := 0; o <= MaxOrder; o++ {
-		h := f &^ (mem.Frame(1)<<uint(o) - 1)
-		if b.isFreeHead(h, o) {
-			found, head = o, h
-			break
-		}
-	}
-	if found < 0 {
+	head, order, ok := b.freeBlockContaining(f, 0)
+	if !ok {
 		return fmt.Errorf("vm: frame %d not free", f)
 	}
-	b.removeFree(head, found)
-	for o := found; o > 0; {
-		o--
-		half := head + mem.Frame(1)<<uint(o)
-		if f >= half {
-			b.insertFree(head, o)
-			head = half
-		} else {
-			b.insertFree(half, o)
-		}
-	}
+	b.split(head, order, 0, f)
 	b.blocks.at(f).state = allocHead
 	b.freeFrames--
 	return nil

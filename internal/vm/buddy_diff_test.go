@@ -157,29 +157,128 @@ func TestBuddyMatchesReferenceRandomOps(t *testing.T) {
 	}
 }
 
-// After memhog fragmentation the two allocators must hold the same
-// free lists in the same LIFO order: the next 1,000 allocations, mixing
-// 2MB blocks and single frames, return the same frames.
-func TestBuddyMatchesReferenceAfterFragment(t *testing.T) {
-	const frames = 1 << 16
-	for _, frac := range []float64{0.25, 0.5, 0.75} {
-		b, r := NewBuddy(frames), newRefBuddy(frames)
-		fragment(rand.New(rand.NewSource(77)), frames, frac, b.AllocSpecific)
-		fragment(rand.New(rand.NewSource(77)), frames, frac, r.AllocSpecific)
-		d := &buddyDiff{t: t, b: b, r: r}
-		d.check(fmt.Sprintf("fragment(%v)", frac))
-		if b.FreeFrames() == frames || b.HasFree(16) { // one order-16 block = all of memory
-			t.Fatalf("fragment(%v) left memory unfragmented: %d of %d frames free", frac, b.FreeFrames(), frames)
+// fragment runs fragment on the Buddy and refFragment on the
+// reference, from the same seed, over the whole machine.
+func (d *buddyDiff) fragment(seed int64, frac float64) {
+	d.t.Helper()
+	frames := d.b.TotalFrames()
+	fragment(rand.New(rand.NewSource(seed)), d.b, frames, frac)
+	refFragment(rand.New(rand.NewSource(seed)), frames, frac, d.r.AllocSpecific)
+	d.check(fmt.Sprintf("fragment(%v)", frac))
+}
+
+// drain allocates single frames from both allocators until they run
+// out, failing on the first frame they disagree on. Each allocation
+// takes the head of the lowest non-empty order's list, and a block's
+// frames all leave before the next block's, so the drain compares
+// every free list, in order, in full.
+func (d *buddyDiff) drain() {
+	d.t.Helper()
+	for {
+		d.step++
+		f, err := d.b.AllocFrame()
+		rf, rerr := d.r.AllocFrame()
+		if f != rf || err != rerr {
+			d.t.Fatalf("step %d drain: got (%d, %v), reference (%d, %v)", d.step, f, err, rf, rerr)
 		}
-		for i := 0; i < 1000; i++ {
-			d.step++
-			if i%4 == 0 {
-				d.alloc(9)
-			} else {
-				d.allocFrame()
+		if err != nil {
+			break
+		}
+	}
+	d.check("drain")
+}
+
+// takeSome allocates, on both allocators, blocks that leave some 2MB
+// regions taken or already split: three 2MB blocks, a 1GB block where
+// one fits beside other memory, blocks of orders 12 and 3, and single
+// frames. fragment must take those regions frame by frame.
+func (d *buddyDiff) takeSome() {
+	frames := d.b.TotalFrames()
+	orders := []int{9, 0, 9, 12, 3, 9, 0}
+	if frames > 1<<MaxOrder {
+		orders = append(orders, MaxOrder)
+	}
+	for _, o := range orders {
+		d.alloc(o)
+	}
+	for _, f := range []uint64{frames / 2, frames/3 + 300, frames - 1} {
+		d.allocSpecific(mem.Frame(f))
+	}
+}
+
+// After memhog fragmentation the two allocators must hold the same
+// free lists in the same LIFO order: the next 1,000 allocations,
+// mixing 2MB blocks and single frames, return the same frames, and so
+// does a drain of every frame left. The machines include sizes that
+// are not a multiple of 1GB, the fractions one that stops mid-region,
+// and takeSome leaves regions that fragment must take frame by frame.
+func TestBuddyMatchesReferenceAfterFragment(t *testing.T) {
+	for _, frames := range []uint64{1 << 16, 100_000, 1 << 18, 300_000} {
+		for _, frac := range []float64{0.25, 0.5, 0.75, 0.999} {
+			for _, taken := range []bool{false, true} {
+				if frames == 300_000 && !taken {
+					continue // the 1GB block is its reason to be here
+				}
+				d := newBuddyDiff(t, frames)
+				if taken {
+					d.takeSome()
+				}
+				before := d.b.FreeFrames()
+				d.fragment(77, frac)
+				if d.b.FreeFrames() >= before || d.b.HasFree(16) { // an order-16 block is 128 untouched regions
+					t.Fatalf("%d frames, fragment(%v), taken %v: memory left unfragmented, %d of %d frames free",
+						frames, frac, taken, d.b.FreeFrames(), before)
+				}
+				for i := 0; i < 1000; i++ {
+					d.step++
+					if i%4 == 0 {
+						d.alloc(9)
+					} else {
+						d.allocFrame()
+					}
+				}
+				d.drain()
 			}
 		}
 	}
+}
+
+// decodeFragment splits fuzz input into a machine size of up to
+// 131,072 frames (two bytes), a memhog fraction in 255ths (one byte),
+// a seed (one byte), and allocations made before fragment, three bytes
+// each: a byte whose value below 0x80 selects Alloc of that order
+// modulo MaxOrder+1, and otherwise AllocSpecific at the frame the next
+// two bytes give as a fraction of the machine.
+func decodeFragment(data []byte) (frames uint64, frac float64, seed int64, pre []byte, ok bool) {
+	if len(data) < 4 {
+		return 0, 0, 0, nil, false
+	}
+	frames = 2 * (1 + uint64(binary.BigEndian.Uint16(data)))
+	frac = float64(data[2]) / 255
+	return frames, frac, int64(data[3]), data[4:], true
+}
+
+func FuzzFragment(f *testing.F) {
+	f.Add([]byte{0x7f, 0xff, 128, 1})
+	f.Add([]byte{0xff, 0xff, 191, 2, 9, 0, 0, 0x80, 0x40, 0x00, 18, 0, 0})
+	f.Add([]byte{0x00, 0xc3, 255, 3, 0x80, 0x7f, 0xff, 3, 0, 0, 12, 0, 0})
+	f.Add([]byte{0x12, 0x34, 64, 4, 0, 0, 0, 9, 0, 0, 0x81, 0x10, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames, frac, seed, pre, ok := decodeFragment(data)
+		if !ok {
+			return
+		}
+		d := newBuddyDiff(t, frames)
+		for n := 0; len(pre) >= 3 && n < 16; pre, n = pre[3:], n+1 {
+			if pre[0] < 0x80 {
+				d.alloc(int(pre[0]) % (MaxOrder + 1))
+			} else {
+				d.allocSpecific(mem.Frame(uint64(binary.BigEndian.Uint16(pre[1:])) * frames >> 16))
+			}
+		}
+		d.fragment(seed, frac)
+		d.drain()
+	})
 }
 
 func FuzzBuddyOps(f *testing.F) {

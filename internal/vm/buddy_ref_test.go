@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math/bits"
+	"math/rand"
 
 	"repro/internal/mem"
 )
@@ -189,4 +190,37 @@ func (b *refBuddy) Free(f mem.Frame) error {
 func (b *refBuddy) Allocated(f mem.Frame) bool {
 	_, ok := b.allocOrd[f]
 	return ok
+}
+
+// refFragment is the memhog model as it was before region templates,
+// kept verbatim (renamed) as the reference fragment is tested against:
+// one allocSpecific call per frame, counting only the frames it gets.
+func refFragment(rng *rand.Rand, physFrames uint64, fraction float64, allocSpecific func(mem.Frame) error) {
+	want := uint64(float64(physFrames) * fraction)
+	if want == 0 {
+		return
+	}
+	regions := physFrames / 512
+	if regions == 0 {
+		return
+	}
+	perm := rng.Perm(int(regions))
+	var got uint64
+	for _, r := range perm {
+		if got >= want {
+			break
+		}
+		base := mem.Frame(uint64(r) * 512)
+		// Fill every step-th frame of the region.
+		fill := 51 + rng.Intn(410)
+		step := 512 / fill
+		if step == 0 {
+			step = 1
+		}
+		for i := 0; i < 512 && got < want; i += step {
+			if err := allocSpecific(base + mem.Frame(i)); err == nil {
+				got++
+			}
+		}
+	}
 }

@@ -44,6 +44,11 @@ func (a *frameIndex[T]) get(f mem.Frame) T {
 
 // at returns a pointer to the entry for f, materialising its chunk.
 func (a *frameIndex[T]) at(f mem.Frame) *T {
+	return &a.chunk(f)[f%frameChunk]
+}
+
+// chunk returns the chunk holding f, materialising it.
+func (a *frameIndex[T]) chunk(f mem.Frame) *[frameChunk]T {
 	hi := uint64(f) >> frameChunkBits
 	if hi >= uint64(len(a.chunks)) {
 		a.chunks = append(a.chunks, make([]*[frameChunk]T, hi+1-uint64(len(a.chunks)))...)
@@ -53,5 +58,5 @@ func (a *frameIndex[T]) at(f mem.Frame) *T {
 		c = new([frameChunk]T)
 		a.chunks[hi] = c
 	}
-	return &c[f%frameChunk]
+	return c
 }

@@ -50,8 +50,9 @@ type OSConfig struct {
 	// Mode is the page-size policy.
 	Mode PageMode
 	// MemhogFraction is the fraction of physical frames a memhog-style
-	// fragmenter allocates (randomly, in partially-filled 2MB regions)
-	// before the application starts: 0, 0.25, 0.50, 0.75 in the paper.
+	// fragmenter allocates (as 4KB frames spread over randomly chosen
+	// 2MB regions; see fragment) before the application starts: 0,
+	// 0.25, 0.50, 0.75 in the paper.
 	MemhogFraction float64
 	// THPEligibility is the probability that a 2MB virtual region is
 	// eligible for transparent hugepage backing (models VMA alignment,
@@ -127,7 +128,7 @@ func NewAddressSpaceShared(cfg OSConfig, buddy *Buddy) (*AddressSpace, error) {
 	if err := as.reservePool(); err != nil {
 		return nil, err
 	}
-	fragment(as.rng, cfg.PhysFrames, cfg.MemhogFraction, buddy.AllocSpecific)
+	fragment(as.rng, buddy, cfg.PhysFrames, cfg.MemhogFraction)
 	pt, err := NewPageTable(buddy.AllocFrame)
 	if err != nil {
 		return nil, err
@@ -162,40 +163,6 @@ func (as *AddressSpace) reservePool() error {
 		}
 	}
 	return nil
-}
-
-// fragment models memhog: allocate fraction of the physFrames frames
-// as scattered 4KB allocations (through allocSpecific) that partially
-// fill randomly chosen 2MB regions, destroying their contiguity for
-// THP.
-func fragment(rng *rand.Rand, physFrames uint64, fraction float64, allocSpecific func(mem.Frame) error) {
-	want := uint64(float64(physFrames) * fraction)
-	if want == 0 {
-		return
-	}
-	regions := physFrames / 512
-	if regions == 0 {
-		return
-	}
-	perm := rng.Perm(int(regions))
-	var got uint64
-	for _, r := range perm {
-		if got >= want {
-			break
-		}
-		base := mem.Frame(uint64(r) * 512)
-		// Fill a random 10–90% of the region's frames.
-		fill := 51 + rng.Intn(410)
-		step := 512 / fill
-		if step == 0 {
-			step = 1
-		}
-		for i := 0; i < 512 && got < want; i += step {
-			if err := allocSpecific(base + mem.Frame(i)); err == nil {
-				got++
-			}
-		}
-	}
 }
 
 // Table exposes the page table (for the hardware walker and TEMPO's
