@@ -1,29 +1,24 @@
 package tempo
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 )
 
 // hotPathRun executes cfg and returns the process's exact
-// heap-allocation count delta and the wall time.
-func hotPathRun(t *testing.T, cfg Config) (allocs uint64, elapsed time.Duration) {
+// heap-allocation count delta.
+func hotPathRun(t *testing.T, cfg Config) uint64 {
 	t.Helper()
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	start := time.Now()
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	elapsed = time.Since(start)
 	runtime.ReadMemStats(&m1)
-	return m1.Mallocs - m0.Mallocs, elapsed
+	return m1.Mallocs - m0.Mallocs
 }
 
 // TestHotPathStaysAllocationFree is the observability layer's
@@ -42,11 +37,6 @@ func hotPathRun(t *testing.T, cfg Config) (allocs uint64, elapsed time.Duration)
 // IMP's lookahead, background walks and prefetches.
 // Run lengths keep the race-detector build within a few seconds a
 // configuration while leaving each fit 100k+ records apart.
-//
-// With BENCH_ASSERT=1 it additionally checks throughput against the
-// pinned BENCH_hotpath.json numbers (within 5%). That comparison only
-// makes sense on the machine that generated the JSON (scripts/bench.sh
-// regenerates it), so it is opt-in rather than a default CI gate.
 func TestHotPathStaysAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hot-path guard runs 900k records; skipped in -short")
@@ -91,14 +81,9 @@ func TestHotPathStaysAllocationFree(t *testing.T) {
 		{"xsbench-victima", victima, 50_000, 250_000},
 		{"spmv-imp", imp, 50_000, 250_000},
 	}
-	var el2 time.Duration // the single-core long run, for BENCH_ASSERT
-	for i, tc := range cases {
+	for _, tc := range cases {
 		c1, c2 := tc.cfg(tc.n1), tc.cfg(tc.n2)
-		a1, _ := hotPathRun(t, c1)
-		a2, el := hotPathRun(t, c2)
-		if i == 0 {
-			el2 = el
-		}
+		a1, a2 := hotPathRun(t, c1), hotPathRun(t, c2)
 		records := (tc.n2 - tc.n1) * len(c2.Workloads)
 		perRecord := (float64(a2) - float64(a1)) / float64(records)
 		// Allow a whisper of noise (GC bookkeeping, map growth in stats):
@@ -109,30 +94,5 @@ func TestHotPathStaysAllocationFree(t *testing.T) {
 		} else {
 			t.Logf("%s: %.4f allocs/record", tc.name, perRecord)
 		}
-	}
-
-	if os.Getenv("BENCH_ASSERT") != "1" {
-		t.Log("set BENCH_ASSERT=1 to also check throughput against BENCH_hotpath.json")
-		return
-	}
-	raw, err := os.ReadFile("BENCH_hotpath.json")
-	if err != nil {
-		t.Fatalf("BENCH_ASSERT=1 but no baseline: %v", err)
-	}
-	var doc struct {
-		Xsbench struct {
-			After struct {
-				RecordsPerSec float64 `json:"records_per_sec"`
-			} `json:"after"`
-		} `json:"xsbench_tempo"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_hotpath.json: %v", err)
-	}
-	pinned := doc.Xsbench.After.RecordsPerSec
-	measured := float64(cases[0].n2) / el2.Seconds()
-	if measured < 0.95*pinned {
-		t.Errorf("hot-path throughput %.0f records/s is more than 5%% below the pinned %.0f (regenerate with scripts/bench.sh if the machine changed)",
-			measured, pinned)
 	}
 }

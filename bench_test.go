@@ -239,8 +239,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // through the full TEMPO pipeline (TLB, walker, caches, DRAM, prefetch
 // engine), so ns/op is the per-record cost and allocs/op is
 // allocations per record (~0 in steady state; system construction
-// amortises across b.N). Run with -benchmem; scripts/bench.sh captures
-// the result in BENCH_hotpath.json.
+// amortises across b.N). Run with -benchmem for bytes and allocations
+// per record; the repository's benchmark (bench/README.md) times the
+// same run end to end as its xsbench-tempo workload.
 func BenchmarkHotPathTempo(b *testing.B) {
 	cfg := DefaultConfig("xsbench")
 	cfg.Workloads[0].Footprint = 256 << 20
@@ -263,8 +264,8 @@ func BenchmarkHotPathTempo(b *testing.B) {
 // min-clock core picking, run-ahead batching and the scheduler's
 // indexed queue scans are all exercised under contention. One op is
 // one trace record across all cores; records/s is the total simulation
-// throughput and records/s/core the per-core share. scripts/bench.sh
-// captures it in BENCH_hotpath.json, which the CI perf gate diffs.
+// throughput and records/s/core the per-core share. The benchmark's
+// mc4-tempo workload times the same machine end to end.
 func BenchmarkHotPathMultiTempo(b *testing.B) {
 	// Records is per core; round b.N up so every core gets equal work.
 	cfg := multiTempoConfig(max((b.N+3)/4, 100))

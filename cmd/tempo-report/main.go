@@ -2,8 +2,8 @@
 // the three artifacts a tempo-bench run leaves behind — the runs.jsonl
 // telemetry log, the persistent result cache, and the per-config
 // interval-stats series — on their shared config hash, and renders
-// paper-figure summary tables, counter-conservation audits, and A/B
-// performance comparisons. Output is deterministic: two invocations
+// paper-figure summary tables, CPI stacks and counter-conservation
+// audits. Output is deterministic: two invocations
 // over the same artifacts produce byte-identical bytes.
 //
 // Usage:
@@ -13,8 +13,6 @@
 //	tempo-report cpi -runs runs.jsonl -cache-dir .tempo
 //	tempo-report cpi -runs runs.jsonl -cache-dir .tempo -format csv -o cpi.csv
 //	tempo-report audit -runs runs.jsonl -cache-dir .tempo
-//	tempo-report diff old.json new.json
-//	tempo-report diff -max-regress 5% old.json new.json
 //
 // tables renders speedup / weighted-speedup, CPI-stack, DRAM
 // row-buffer hit rate, and walk-latency quantile tables as markdown
@@ -33,12 +31,6 @@
 // per-core cpi-stack-sums-to-cycles law — over every cached result and
 // exits 1 if any invariant is violated — the offline counterpart of
 // the end-to-end audit test.
-//
-// diff flattens two JSON documents (bench summaries, saved tables) to
-// numeric leaves and compares them; leaves whose names imply a quality
-// direction (records_per_sec up, ns_per_record down, ...) gate the
-// exit status: any worsening beyond -max-regress (default 5%) exits 1.
-// CI uses this as the performance-regression gate.
 package main
 
 import (
@@ -61,15 +53,13 @@ func main() {
 		cmdCPI(os.Args[2:])
 	case "audit":
 		cmdAudit(os.Args[2:])
-	case "diff":
-		cmdDiff(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: tempo-report tables|cpi|audit|diff [flags] [files]")
+	fmt.Fprintln(os.Stderr, "usage: tempo-report tables|cpi|audit [flags]")
 	os.Exit(2)
 }
 
@@ -192,40 +182,6 @@ func cmdAudit(args []string) {
 		}
 	}
 	os.Exit(1)
-}
-
-func cmdDiff(args []string) {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	maxRegress := fs.String("max-regress", "5%", "tolerated relative worsening (\"5%\" or \"0.05\")")
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		fatal("diff: want exactly two files, got %d", fs.NArg())
-	}
-	threshold, err := report.ParseThreshold(*maxRegress)
-	if err != nil {
-		fatal("diff: %v", err)
-	}
-	oldDoc, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		fatal("diff: %v", err)
-	}
-	newDoc, err := os.ReadFile(fs.Arg(1))
-	if err != nil {
-		fatal("diff: %v", err)
-	}
-	entries, err := report.Diff(oldDoc, newDoc, threshold)
-	if err != nil {
-		fatal("diff: %v", err)
-	}
-	fmt.Print(report.FormatDiff(entries))
-	if regs := report.Regressions(entries); len(regs) > 0 {
-		fmt.Printf("%d regression(s) beyond %s:\n", len(regs), *maxRegress)
-		for _, e := range regs {
-			fmt.Printf("  %s: %.4g -> %.4g (%+.2f%%)\n", e.Path, e.Old, e.New, e.Change*100)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("no regressions beyond %s\n", *maxRegress)
 }
 
 func fatal(format string, args ...any) {

@@ -4,8 +4,8 @@
 // interval-stats series — on the config hash they share (the
 // runner.ConfigKey that names cache entries, fills each runs.jsonl
 // record's "hash" field, and names <obs-dir>/<hash>.jsonl), and
-// renders cross-run summary tables, counter audits, and A/B
-// comparisons from the joined view. cmd/tempo-report is the CLI.
+// renders cross-run summary tables, CPI stacks and counter audits
+// from the joined view. cmd/tempo-report is the CLI.
 package report
 
 import (

@@ -555,6 +555,12 @@ var badMachines = []struct {
 	{"3072 sets is not a positive power of two", func(c *sim.Config) { c.Machine.Caches.LLC.SizeB = 3 << 20 }},
 	{"tlb: L2 4k: assoc: 0 ways", func(c *sim.Config) { c.Machine.TLB.L2[mem.Page4K].Ways = 0 }},
 	{"dram: invalid geometry", func(c *sim.Config) { c.Machine.DRAM.Geometry.Channels = 0 }},
+	{"dram: -1 prefetch sub-rows is outside 0..4", tempoSubRows(4, -1, sim.SubRowFOA)},
+	{"dram: 4 prefetch sub-rows is outside 0..2", tempoSubRows(2, 4, sim.SubRowFOA)},
+	{"dram: 9 prefetch sub-rows is outside 0..8", tempoSubRows(8, 9, sim.SubRowFOA)},
+	{"dram: -1 prefetch sub-rows is outside 0..4", tempoSubRows(4, -1, sim.SubRowPOA)},
+	{"OtherOverlap -5 is outside [0, 1]", func(c *sim.Config) { c.Machine.OtherOverlap = -5 }},
+	{"NonMemIPC 0 is below 1", func(c *sim.Config) { c.Machine.NonMemIPC = 0 }},
 	{"bytes of host memory", func(c *sim.Config) { c.Machine.Caches.LLC.SizeB = 16 << 30 }},
 	{"bytes of host memory", func(c *sim.Config) {
 		for len(c.Workloads) < 4096 {
@@ -563,9 +569,19 @@ var badMachines = []struct {
 	}},
 }
 
+// tempoSubRows turns TEMPO on with n sub-rows, prefetch of them
+// reserved for its prefetches, under policy.
+func tempoSubRows(n, prefetch int, policy sim.SubRowPolicyKind) func(*sim.Config) {
+	return func(c *sim.Config) {
+		c.Tempo = sim.DefaultTempo()
+		c.SubRows, c.PrefetchSubRows, c.SubRowPolicy = n, prefetch, policy
+	}
+}
+
 // A configuration sizing physical memory past vm.MaxPhysFrames —
 // explicitly or through a workload footprint — giving a cache, TLB or
-// DRAM geometry no structure can be built with, or a machine whose
+// DRAM geometry no structure can be built with, core timing that
+// would divide by zero or step the clock back, or a machine whose
 // structures would exceed sim.MaxMachineBytes fails as that job's
 // error, through the real simulator, and the coordinator keeps serving.
 func TestOversizedMachineFailsJob(t *testing.T) {

@@ -217,13 +217,21 @@ func DefaultConfig(workload string) Config {
 }
 
 // validateMachine reports every machine structure that cannot be
-// built: cache, TLB and MMU-cache geometries, and the DRAM organisation
-// with the run's sub-rows. Machines arrive in tempo-serve job JSON, so
-// a bad one must fail the run with an error, not a constructor panic.
+// built: cache, TLB and MMU-cache geometries, the DRAM organisation
+// with the run's sub-rows, and core timing that would divide by zero
+// or step the clock back. Machines arrive in tempo-serve job JSON, so
+// a bad one must fail the run with an error, not a panic or a hang.
 func (c *Config) validateMachine() error {
 	m := &c.Machine
+	var overlap, ipc error
+	if !(m.OtherOverlap >= 0 && m.OtherOverlap <= 1) { // NaN fails too
+		overlap = fmt.Errorf("OtherOverlap %v is outside [0, 1]", m.OtherOverlap)
+	}
+	if m.NonMemIPC < 1 {
+		ipc = fmt.Errorf("NonMemIPC %d is below 1", m.NonMemIPC)
+	}
 	return errors.Join(m.Caches.L1.Validate(), m.Caches.L2.Validate(), m.Caches.LLC.Validate(),
-		m.TLB.Validate(), m.MMU.Validate(), c.dramConfig().Geometry.Validate())
+		m.TLB.Validate(), m.MMU.Validate(), c.dramConfig().Geometry.Validate(), overlap, ipc)
 }
 
 // MaxMachineBytes caps the host memory of a machine's caches, TLBs,

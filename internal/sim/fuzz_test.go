@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -79,9 +83,7 @@ func randomConfig(rng *rand.Rand) Config {
 }
 
 // checkInvariants asserts the properties every run must satisfy,
-// whatever the configuration: the checks below, the per-core CPI
-// stack law, and the obsv conservation audit over the totals merged
-// with the mechanism's counters.
+// whatever the configuration: the checks below and checkAudit's.
 func checkInvariants(t *testing.T, cfg Config, res *Result) {
 	t.Helper()
 	var refs uint64
@@ -147,6 +149,14 @@ func checkInvariants(t *testing.T, cfg Config, res *Result) {
 	if res.Energy.Total() <= 0 {
 		t.Error("non-positive energy")
 	}
+	checkAudit(t, cfg, res)
+}
+
+// checkAudit asserts the per-core CPI stack law and the obsv
+// conservation audit over the totals merged with the mechanism's
+// counters.
+func checkAudit(t *testing.T, cfg Config, res *Result) {
+	t.Helper()
 	snap := obsv.StatsSnapshot(checkCPI(t, "mech="+cfg.Mech, res))
 	for name, v := range res.MechCounters {
 		snap.Counters[name] = v
@@ -184,5 +194,41 @@ func FuzzSimulate(f *testing.F) {
 				t.Fatalf("seed %d nondeterministic", seed)
 			}
 		}
+	})
+}
+
+// FuzzTraceReplay replays arbitrary bytes as a trace file on one core
+// with a 64 MB footprint and at most 4,096 records. Run may reject the
+// file with an error but must not panic, and a result it returns must
+// pass checkAudit. The records consumed are not checked: a trace
+// shorter than Records is legal (TestTraceReplayShorterThanRecords).
+// The seeds are a captured trace, the same file cut in half, the file
+// under a header claiming 2^40 records, and the file with a bad magic.
+func FuzzTraceReplay(f *testing.F) {
+	good, err := os.ReadFile(writeTrace(f, "mcf", 100, 64<<20))
+	if err != nil {
+		f.Fatal(err)
+	}
+	hostile := bytes.Clone(good)
+	binary.LittleEndian.PutUint64(hostile[8:16], 1<<40)
+	badMagic := bytes.Clone(good)
+	badMagic[0] = 'X'
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(hostile)
+	f.Add(badMagic)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.trc")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig("mcf")
+		cfg.Records = 4096
+		cfg.Workloads = []WorkloadSpec{{TracePath: path, Footprint: 64 << 20}}
+		res, err := Run(cfg)
+		if err != nil {
+			return
+		}
+		checkAudit(t, cfg, res)
 	})
 }

@@ -325,10 +325,17 @@ func TestPhysicalMemoryLimit(t *testing.T) {
 }
 
 // A machine no cache, TLB, MMU cache or DRAM controller can be built
-// from, or one whose structures would take more than MaxMachineBytes
-// of host memory, is a configuration error from New, not a panic or
-// an exhausted host: machines arrive in tempo-serve job JSON.
+// from, one whose core timing would divide by zero or step the clock
+// back, or one whose structures would take more than MaxMachineBytes
+// of host memory, is a configuration error from New, not a panic, a
+// hang or an exhausted host: machines arrive in tempo-serve job JSON.
 func TestBadMachineGeometryIsError(t *testing.T) {
+	subRows := func(n, prefetch int, policy SubRowPolicyKind) func(*Config) {
+		return func(c *Config) {
+			c.Tempo = DefaultTempo()
+			c.SubRows, c.PrefetchSubRows, c.SubRowPolicy = n, prefetch, policy
+		}
+	}
 	for _, tc := range []struct {
 		name, want string
 		edit       func(*Config)
@@ -346,6 +353,12 @@ func TestBadMachineGeometryIsError(t *testing.T) {
 		{"0-set MMU cache", "tlb: L3 MMU cache: assoc: 0 sets", func(c *Config) { c.Machine.MMU.L3.Sets = 0 }},
 		{"0 DRAM channels", "dram: invalid geometry", func(c *Config) { c.Machine.DRAM.Geometry.Channels = 0 }},
 		{"sub-rows below a line", "dram: 256 sub-rows of a 8192B row", func(c *Config) { c.SubRows = 256 }},
+		{"FOA reserving -1 of 4 sub-rows", "dram: -1 prefetch sub-rows is outside 0..4", subRows(4, -1, SubRowFOA)},
+		{"FOA reserving 4 of 2 sub-rows", "dram: 4 prefetch sub-rows is outside 0..2", subRows(2, 4, SubRowFOA)},
+		{"FOA reserving 9 of 8 sub-rows", "dram: 9 prefetch sub-rows is outside 0..8", subRows(8, 9, SubRowFOA)},
+		{"POA reserving -1 of 4 sub-rows", "dram: -1 prefetch sub-rows is outside 0..4", subRows(4, -1, SubRowPOA)},
+		{"negative OtherOverlap", "OtherOverlap -5 is outside [0, 1]", func(c *Config) { c.Machine.OtherOverlap = -5 }},
+		{"zero NonMemIPC", "NonMemIPC 0 is below 1", func(c *Config) { c.Machine.NonMemIPC = 0 }},
 		{"16 GiB LLC", "need 1477448452 bytes of host memory, over the 268435456-byte limit", func(c *Config) {
 			c.Machine.Caches.LLC.SizeB = 16 << 30
 		}},

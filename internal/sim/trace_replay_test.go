@@ -11,7 +11,7 @@ import (
 )
 
 // writeTrace captures a generator into a temp trace file.
-func writeTrace(t *testing.T, wl string, n int, footprint uint64) string {
+func writeTrace(t testing.TB, wl string, n int, footprint uint64) string {
 	t.Helper()
 	g, err := workload.New(wl, workload.Config{FootprintBytes: footprint, Seed: 1})
 	if err != nil {
