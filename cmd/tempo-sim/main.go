@@ -170,7 +170,7 @@ func main() {
 	flag.StringVar(&o.rowPolicy, "row-policy", "adaptive", "row policy: adaptive, open, closed")
 	flag.StringVar(&o.pageMode, "pagemode", "thp", "paging: 4k, thp, hugetlbfs2m, hugetlbfs1g")
 	flag.Float64Var(&o.memhog, "memhog", 0, "memhog fragmentation fraction (0..0.75)")
-	flag.IntVar(&o.subRows, "sub-rows", 0, "sub-row buffers per bank (0 = single row buffer)")
+	flag.IntVar(&o.subRows, "sub-rows", 0, "sub-row buffers per bank, at most 16 (0 = single row buffer)")
 	flag.IntVar(&o.pfSubRows, "prefetch-sub-rows", 0, "sub-rows dedicated to TEMPO prefetches")
 	flag.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")

@@ -1,8 +1,9 @@
 // Package assoc provides a generic set-associative array with true LRU
 // replacement, and the per-set recency stack that orders it. The array
 // is the storage building block for the TLBs and the MMU page-walk
-// caches; the stack also orders the data caches of internal/cache and
-// the DRAM row-policy prediction cache, so LRU is written once.
+// caches. The stack also orders the data caches of internal/cache, the
+// DRAM row-policy prediction cache and sub-row buffers, IMP's tables
+// and Victima's tag store, so LRU is written once.
 package assoc
 
 import (
@@ -54,6 +55,18 @@ func (s Stack) Touch(w int) Stack {
 
 // LRU returns the least recently used way of a set of the given width.
 func (s Stack) LRU(ways int) int { return int(s >> (4 * uint(ways-1)) & 0xF) }
+
+// LRUIn returns the least recently used of the ways whose bits are set
+// in mask, in a set of the given width, or -1 if mask holds none of
+// them.
+func (s Stack) LRUIn(ways int, mask uint16) int {
+	for i := ways - 1; i >= 0; i-- {
+		if w := int(s >> (4 * uint(i)) & 0xF); mask>>w&1 != 0 {
+			return w
+		}
+	}
+	return -1
+}
 
 // Geometry is an array's shape: Sets sets of Ways ways each.
 type Geometry struct {

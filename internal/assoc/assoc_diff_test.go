@@ -90,6 +90,8 @@ func FuzzAssocOps(f *testing.F) {
 // Stack must behave as a move-to-front list of 1–16 ways, starting
 // from way 0 least recent, with zero padding above the top way: with
 // fewer than 16 ways, way 0 shares its nibble value with the padding.
+// LRUIn must find the model's least recent way among a random mask,
+// whose bits above the top way never match.
 func TestStackMatchesMoveToFront(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for ways := 1; ways <= MaxWays; ways++ {
@@ -110,6 +112,16 @@ func TestStackMatchesMoveToFront(t *testing.T) {
 			}
 			if got := s.LRU(ways); got != model[ways-1] {
 				t.Fatalf("%d ways, step %d: LRU = %d, model %v", ways, step, got, model)
+			}
+			mask := uint16(rng.Intn(1 << MaxWays))
+			want := -1
+			for i := ways - 1; i >= 0 && want < 0; i-- {
+				if mask>>model[i]&1 != 0 {
+					want = model[i]
+				}
+			}
+			if got := s.LRUIn(ways, mask); got != want {
+				t.Fatalf("%d ways, step %d: LRUIn(%#x) = %d, model %v", ways, step, mask, got, model)
 			}
 			w := rng.Intn(ways)
 			if step%7 == 0 {

@@ -151,16 +151,10 @@ func TestHierarchyLLCHitReportsProvenance(t *testing.T) {
 	var st stats.Stats
 	h := NewHierarchy(DefaultHierarchyConfig(), &st)
 	p := mem.PAddr(0x555000)
-	if wb := h.FillPrefetch(p, FillTempo); len(wb) != 0 {
-		t.Errorf("prefetch into empty LLC generated writebacks %v", wb)
-	}
+	h.LLC.Fill(p, FillTempo, false)
 	r := h.Access(p, false)
 	if r.Served != ServedLLC || r.Provenance != FillTempo {
 		t.Errorf("served=%v prov=%v", r.Served, r.Provenance)
-	}
-	// Prefetching a resident line is a no-op.
-	if len(h.FillPrefetch(p, FillTempo)) != 0 {
-		t.Error("refetch of resident line should be free")
 	}
 }
 

@@ -143,19 +143,6 @@ func (h *Hierarchy) FillFromDRAM(p mem.PAddr, write bool) []mem.PAddr {
 	return wb
 }
 
-// FillPrefetch installs a prefetched line into the LLC only — exactly
-// what TEMPO's memory controller does (the replay then finds it there).
-// IMP prefetches also land here with their own provenance. It returns
-// any dirty victim bound for DRAM; the slice aliases the same scratch
-// buffer as FillFromDRAM.
-func (h *Hierarchy) FillPrefetch(p mem.PAddr, prov Provenance) []mem.PAddr {
-	if h.LLC.Contains(p) {
-		return nil
-	}
-	h.wbFill = h.fillLLC(h.wbFill[:0], p, prov, false)
-	return h.wbFill
-}
-
 // PeekLLC reports whether the line is resident in the LLC without
 // disturbing any state (used to classify replay outcomes).
 func (h *Hierarchy) PeekLLC(p mem.PAddr) bool { return h.LLC.Contains(p) }

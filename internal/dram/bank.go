@@ -91,7 +91,6 @@ type subRow struct {
 	// pinnedUntil keeps the row open regardless of policy until the
 	// given cycle (TEMPO's PT-row wait and BLISS grace periods).
 	pinnedUntil uint64
-	lru         uint64
 	// win is the adaptive predictor's window for row: probed when the
 	// row is latched, then kept current by retune, which pushes every
 	// predictor change (update or eviction) into the sub-rows it
@@ -112,8 +111,10 @@ type Bank struct {
 	pred   *openPredictor // non-nil only for PolicyAdaptive
 
 	readyAt uint64
-	tick    uint64
 	subs    []subRow
+	// order is the sub-rows' recency stack: hits and fills touch it.
+	// Refresh leaves it alone, as a victim is an invalid sub-row first.
+	order assoc.Stack
 
 	// version counts mutations of the bank's observable row state
 	// (Access, Refresh, effective Pin). Cached WouldHit answers —
@@ -130,7 +131,8 @@ func NewBank(geo Geometry, timing Timing, policy RowPolicy) *Bank {
 	if n < 1 {
 		n = 1
 	}
-	b := &Bank{timing: timing, policy: policy, subs: make([]subRow, n), version: 1}
+	b := &Bank{timing: timing, policy: policy, subs: make([]subRow, n),
+		order: assoc.NewStacks(1, n)[0], version: 1}
 	if policy == PolicyAdaptive {
 		b.pred = new(openPredictor)
 	}
@@ -212,7 +214,6 @@ func (p rowPlan) outcome(issue uint64) stats.RowOutcome {
 // returns the row-buffer outcome and the completion cycle, and updates
 // bank state, the adaptive predictor and the ACT/PRE counters in st.
 func (b *Bank) Access(row uint64, seg int, issue uint64, allowed []int, st *stats.Stats) (stats.RowOutcome, uint64) {
-	b.tick++
 	b.version++
 	// Serving sub-row already holding the segment?
 	for i := range b.subs {
@@ -220,7 +221,7 @@ func (b *Bank) Access(row uint64, seg int, issue uint64, allowed []int, st *stat
 		if s.row == row && s.seg == seg && s.open(issue) {
 			lat := b.timing.HitLatency()
 			s.lastTouch = issue + lat
-			s.lru = b.tick
+			b.order = b.order.Touch(i)
 			b.setUntil(s)
 			b.readyAt = issue + lat
 			return stats.RowHit, issue + lat
@@ -247,7 +248,8 @@ func (b *Bank) Access(row uint64, seg int, issue uint64, allowed []int, st *stat
 	}
 	st.ActCount++
 	done := issue + b.timing.latency(outcome)
-	*s = subRow{valid: true, row: row, seg: seg, lastTouch: done, lru: b.tick}
+	*s = subRow{valid: true, row: row, seg: seg, lastTouch: done}
+	b.order = b.order.Touch(victim)
 	if b.pred != nil {
 		s.win = b.pred.window(row)
 	}
@@ -318,30 +320,29 @@ func (b *Bank) Pin(row uint64, seg int, now, until uint64) {
 	}
 }
 
+// chooseVictim returns the sub-row a fill replaces: the first invalid
+// sub-row, else the LRU one. A non-empty allowed restricts the choice
+// to its sub-rows, taken in its order and skipping any index past the
+// last sub-row.
 func (b *Bank) chooseVictim(allowed []int) int {
+	n := len(b.subs)
 	if len(allowed) == 0 {
-		best := 0
 		for i := range b.subs {
 			if !b.subs[i].valid {
 				return i
 			}
-			if b.subs[i].lru < b.subs[best].lru {
-				best = i
-			}
 		}
-		return best
+		return b.order.LRU(n)
 	}
-	best := allowed[0]
+	var mask uint16
 	for _, i := range allowed {
-		if i < 0 || i >= len(b.subs) {
+		if i < 0 || i >= n {
 			continue
 		}
 		if !b.subs[i].valid {
 			return i
 		}
-		if b.subs[i].lru < b.subs[best].lru {
-			best = i
-		}
+		mask |= 1 << i
 	}
-	return best
+	return b.order.LRUIn(n, mask)
 }

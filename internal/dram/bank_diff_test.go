@@ -1,11 +1,14 @@
 package dram
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/assoc"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/vm"
@@ -14,7 +17,8 @@ import (
 // bankDiff drives Bank and the reference (refBank, bank_ref_test.go)
 // through the same operations and fails on the first observable
 // difference: a return value, a stats counter, the bank version, the
-// ready time, a sub-row's latched state or a predicted window.
+// ready time, a sub-row's latched state, the sub-rows' recency order
+// or a predicted window.
 type bankDiff struct {
 	t       testing.TB
 	b       *Bank
@@ -134,16 +138,34 @@ func (d *bankDiff) compareState(op string) {
 	if d.st != d.rst {
 		d.t.Fatalf("step %d %s: stats diverged:\n got %+v\nwant %+v", d.step, op, d.st, d.rst)
 	}
-	if d.b.version != d.r.version || d.b.readyAt != d.r.readyAt || d.b.tick != d.r.tick {
-		d.t.Fatalf("step %d %s: version/readyAt/tick %d/%d/%d, reference %d/%d/%d", d.step, op,
-			d.b.version, d.b.readyAt, d.b.tick, d.r.version, d.r.readyAt, d.r.tick)
+	if d.b.version != d.r.version || d.b.readyAt != d.r.readyAt {
+		d.t.Fatalf("step %d %s: version/readyAt %d/%d, reference %d/%d", d.step, op,
+			d.b.version, d.b.readyAt, d.r.version, d.r.readyAt)
 	}
 	for i := range d.b.subs {
 		s, rs := d.b.subs[i], d.r.subs[i]
 		if s.valid != rs.valid || s.row != rs.row || s.seg != rs.seg || s.lastTouch != rs.lastTouch ||
-			s.pinnedUntil != rs.pinnedUntil || s.lru != rs.lru {
+			s.pinnedUntil != rs.pinnedUntil {
 			d.t.Fatalf("step %d %s: sub-row %d = %+v, reference %+v", d.step, op, i, s, rs)
 		}
+	}
+	// The recency stack, read from its LRU end, must list the valid
+	// sub-rows in the order of the reference's stamps, which are
+	// distinct: every access stamps one sub-row with a fresh tick.
+	var order, want []int
+	for i := d.nSub - 1; i >= 0; i-- {
+		if w := int(d.b.order >> (4 * i) & 0xF); d.b.subs[w].valid {
+			order = append(order, w)
+		}
+	}
+	for i := range d.r.subs {
+		if d.r.subs[i].valid {
+			want = append(want, i)
+		}
+	}
+	slices.SortFunc(want, func(a, b int) int { return cmp.Compare(d.r.subs[a].lru, d.r.subs[b].lru) })
+	if !slices.Equal(order, want) {
+		d.t.Fatalf("step %d %s: valid sub-rows from LRU = %v, reference %v", d.step, op, order, want)
 	}
 	if d.b.pred == nil {
 		return
@@ -162,14 +184,14 @@ var diffPolicies = []RowPolicy{PolicyAdaptive, PolicyOpen, PolicyClosed}
 // sub-rows latch the same segment.
 var diffPools = [][]uint64{diffRows(1 << 20), {0, predSets, 2 * predSets, 3 * predSets, 4 * predSets}}
 
-// Every row policy with 1-8 sub-rows must match the reference on
+// Every row policy with 1-16 sub-rows must match the reference on
 // every answer, counter and version over seeded op streams that mix
 // unrestricted and restricted fills.
 func TestBankMatchesReferenceRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ops := make([]byte, 5*5000)
 	for _, policy := range diffPolicies {
-		for subRows := 1; subRows <= 8; subRows++ {
+		for subRows := 1; subRows <= assoc.MaxWays; subRows++ {
 			for _, rows := range diffPools {
 				rng.Read(ops)
 				newBankDiff(t, policy, subRows, rows).run(ops)
@@ -203,8 +225,8 @@ func TestBankMatchesReferenceAtLargestRow(t *testing.T) {
 	}
 }
 
-// FuzzBankOps decodes the row policy, 1-8 sub-rows and a row pool from
-// the first byte and an op stream (bankDiff.run) from the rest.
+// FuzzBankOps decodes the row policy, 1-16 sub-rows and a row pool
+// from the first byte and an op stream (bankDiff.run) from the rest.
 func FuzzBankOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 0x00, 0x06, 0x01, 0x10, 0x00, 0x00, 0x04, 0xc8, 0x00})
 	f.Add([]byte{0x3c, 0x20, 0x03, 0x00, 0x31, 0x03, 0x21, 0x05, 0x11, 0x07, 0x40, 0x90, 0x03})
@@ -212,7 +234,7 @@ func FuzzBankOps(f *testing.F) {
 		if len(data) < 1 {
 			return
 		}
-		policy, subRows := diffPolicies[int(data[0])%3], 1+int(data[0]>>2)%8
-		newBankDiff(t, policy, subRows, diffPools[data[0]>>5&1]).run(data[1:])
+		policy, subRows := diffPolicies[int(data[0])%3], 1+int(data[0]>>2)%16
+		newBankDiff(t, policy, subRows, diffPools[data[0]>>6&1]).run(data[1:])
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"unsafe"
 
+	"repro/internal/assoc"
 	"repro/internal/mem"
 	"repro/internal/obsv"
 	"repro/internal/stats"
@@ -111,14 +112,19 @@ type chanState struct {
 
 // Validate reports why a controller cannot be built on this geometry:
 // it needs at least one channel, one bank per channel and a non-empty
-// row, each sub-row must hold at least one line, and the prefetch
-// reservation must lie within the sub-rows the policies index.
+// row, each sub-row must hold at least one line, a bank may have at
+// most assoc.MaxWays (16) sub-rows, the most its recency stack orders,
+// and the prefetch reservation must lie within the sub-rows the
+// policies index.
 func (g Geometry) Validate() error {
 	if g.Channels <= 0 || g.BanksPerCh <= 0 || g.RowBytes == 0 {
 		return fmt.Errorf("dram: invalid geometry %+v: needs channels, banks per channel and row bytes above 0", g)
 	}
 	if g.SubRows > 1 && uint64(g.SubRows) > g.RowBytes/mem.LineSize {
 		return fmt.Errorf("dram: %d sub-rows of a %dB row are smaller than a %dB line", g.SubRows, g.RowBytes, mem.LineSize)
+	}
+	if g.SubRows > assoc.MaxWays {
+		return fmt.Errorf("dram: %d sub-rows is over the limit of %d per bank", g.SubRows, assoc.MaxWays)
 	}
 	if g.SubRows > 1 && (g.PrefetchSubRows < 0 || g.PrefetchSubRows > g.SubRows) {
 		return fmt.Errorf("dram: %d prefetch sub-rows is outside 0..%d", g.PrefetchSubRows, g.SubRows)

@@ -7,12 +7,13 @@
 //
 // The trace-driven embedding: workload generators attach the loaded
 // value to index loads (hardware IMP snoops the same value off the
-// fill path), and the core feeds records to IMP a configurable
-// distance ahead of execution, which models the lead the real
-// prefetcher gets from prefetching the index stream itself.
+// fill path), and the core feeds records to IMP Distance records ahead
+// of execution, which models the lead the real prefetcher gets from
+// prefetching the index stream itself.
 package prefetch
 
 import (
+	"repro/internal/assoc"
 	"repro/internal/mem"
 	"repro/internal/obsv"
 )
@@ -21,20 +22,15 @@ import (
 // indexed array).
 var coefs = []uint64{1, 2, 4, 8, 16}
 
-// Config mirrors the paper's IMP configuration: 16-entry prefetch
-// table, 4-entry indirect pattern detector, up to 2 indirect ways,
-// prefetch distance 16.
-type Config struct {
-	TableEntries int
-	IPDEntries   int
-	MaxWays      int
-	Distance     int
-}
-
-// DefaultConfig returns the configuration used in the paper.
-func DefaultConfig() Config {
-	return Config{TableEntries: 16, IPDEntries: 4, MaxWays: 2, Distance: 16}
-}
+// The paper's IMP configuration: a 16-entry prefetch table, a 4-entry
+// indirect pattern detector, up to 2 indirect ways per index stream,
+// and a prefetch distance of 16 records.
+const (
+	TableEntries = 16
+	IPDEntries   = 4
+	MaxWays      = 2
+	Distance     = 16
+)
 
 // pattern is one confirmed indirect relation for an index PC.
 type pattern struct {
@@ -47,7 +43,6 @@ type pattern struct {
 type ptEntry struct {
 	pc   uint64
 	ways []pattern
-	lru  uint64
 }
 
 // Observation is one trace event IMP sees.
@@ -62,12 +57,19 @@ type Observation struct {
 	Missed bool
 }
 
-// IMP is the prefetcher state.
+// IMP is the prefetcher state. The prefetch table and the detector are
+// fully associative with LRU replacement. Their ways fill in index
+// order and never empty, so each keeps a fill count and one recency
+// stack, as assoc.Assoc does: probes scan the filled ways, and an
+// insertion takes the next empty way until the table is full, then the
+// LRU way.
 type IMP struct {
-	cfg   Config
-	table []ptEntry
-	ipd   []ipdTrain
-	tick  uint64
+	table      [TableEntries]ptEntry
+	tableN     int
+	tableOrder assoc.Stack
+	ipd        [IPDEntries]ipdTrain
+	ipdN       int
+	ipdOrder   assoc.Stack
 
 	// Prefetches counts emitted prefetch addresses.
 	Prefetches uint64
@@ -89,48 +91,26 @@ type ipdTrain struct {
 	hypotheses [5]uint64
 	seeded     bool
 	verified   [5]uint8
-	lru        uint64
 }
 
 // New builds an IMP prefetcher.
-func New(cfg Config) *IMP {
-	return &IMP{cfg: cfg}
-}
-
-// Observe feeds one event to the prefetcher and returns the virtual
-// addresses it wants prefetched (empty most of the time). The caller
-// performs the prefetches (translating them — which is where IMP's
-// extra page-table walks come from). Observe is Train plus
-// PrefetchFor; the simulator calls the two halves separately so that
-// training follows the executed stream while prefetches are issued
-// from lookahead values (the lead the real IMP gets by prefetching
-// the index stream itself).
-func (p *IMP) Observe(o Observation) []mem.VAddr {
-	var out []mem.VAddr
-	if o.HasValue {
-		out = p.PrefetchFor(o.PC, o.Value)
+func New() *IMP {
+	return &IMP{
+		tableOrder: assoc.NewStacks(1, TableEntries)[0],
+		ipdOrder:   assoc.NewStacks(1, IPDEntries)[0],
 	}
-	p.Train(o)
-	return out
 }
 
-// PrefetchFor returns the prefetch targets confirmed patterns imply
-// for an index load at pc observing value.
-func (p *IMP) PrefetchFor(pc, value uint64) []mem.VAddr {
-	return p.AppendPrefetches(nil, pc, value)
-}
-
-// AppendPrefetches is PrefetchFor into a caller-owned buffer: targets
-// are appended to buf and the extended slice returned. The simulator
-// core uses it with a per-core scratch so the per-record path stays
-// allocation-free.
+// AppendPrefetches appends to buf the prefetch targets confirmed
+// patterns imply for an index load at pc observing value, and returns
+// the extended slice. The simulator core passes lookahead values and a
+// per-core scratch, so the per-record path stays allocation-free.
 func (p *IMP) AppendPrefetches(buf []mem.VAddr, pc, value uint64) []mem.VAddr {
-	p.tick++
 	n := len(buf)
-	if e := p.lookupTable(pc); e != nil {
-		e.lru = p.tick
-		for _, w := range e.ways {
-			target := mem.VAddr(w.base + w.coef*value)
+	if w := p.lookupTable(pc); w >= 0 {
+		p.tableOrder = p.tableOrder.Touch(w)
+		for _, pat := range p.table[w].ways {
+			target := mem.VAddr(pat.base + pat.coef*value)
 			buf = append(buf, target.Line())
 			p.Prefetches++
 		}
@@ -142,15 +122,14 @@ func (p *IMP) AppendPrefetches(buf []mem.VAddr, pc, value uint64) []mem.VAddr {
 // Train updates detector state from one executed event without
 // emitting prefetches.
 func (p *IMP) Train(o Observation) {
-	p.tick++
 	if o.HasValue {
-		t := p.lookupIPD(o.PC)
-		if t == nil {
-			t = p.allocIPD(o.PC)
+		w := p.lookupIPD(o.PC)
+		if w < 0 {
+			w = p.allocIPD(o.PC)
 		}
-		t.lastValue = o.Value
-		t.haveValue = true
-		t.lru = p.tick
+		p.ipd[w].lastValue = o.Value
+		p.ipd[w].haveValue = true
+		p.ipdOrder = p.ipdOrder.Touch(w)
 		return
 	}
 	if o.Missed {
@@ -161,7 +140,7 @@ func (p *IMP) Train(o Observation) {
 // observeMiss pairs a miss address with pending index values to learn
 // (coef, base) hypotheses.
 func (p *IMP) observeMiss(o Observation) {
-	for i := range p.ipd {
+	for i := range p.ipd[:p.ipdN] {
 		t := &p.ipd[i]
 		if !t.haveValue {
 			continue
@@ -193,17 +172,18 @@ func (p *IMP) observeMiss(o Observation) {
 
 // confirm installs a learned pattern into the prefetch table.
 func (p *IMP) confirm(pc uint64, pat pattern) {
-	e := p.lookupTable(pc)
-	if e == nil {
-		e = p.allocTable(pc)
+	w := p.lookupTable(pc)
+	if w < 0 {
+		w = p.allocTable(pc)
 	}
-	e.lru = p.tick
-	for _, w := range e.ways {
-		if w == pat {
+	p.tableOrder = p.tableOrder.Touch(w)
+	e := &p.table[w]
+	for _, have := range e.ways {
+		if have == pat {
 			return
 		}
 	}
-	if len(e.ways) < p.cfg.MaxWays {
+	if len(e.ways) < MaxWays {
 		e.ways = append(e.ways, pat)
 	} else {
 		// Replace the oldest way.
@@ -212,57 +192,49 @@ func (p *IMP) confirm(pc uint64, pat pattern) {
 	}
 }
 
-func (p *IMP) lookupTable(pc uint64) *ptEntry {
-	for i := range p.table {
-		if p.table[i].pc == pc {
-			return &p.table[i]
+func (p *IMP) lookupTable(pc uint64) int {
+	for w := range p.table[:p.tableN] {
+		if p.table[w].pc == pc {
+			return w
 		}
 	}
-	return nil
+	return -1
 }
 
-func (p *IMP) allocTable(pc uint64) *ptEntry {
-	if len(p.table) < p.cfg.TableEntries {
-		p.table = append(p.table, ptEntry{pc: pc})
-		return &p.table[len(p.table)-1]
+func (p *IMP) allocTable(pc uint64) int {
+	w := p.tableN
+	if w < TableEntries {
+		p.tableN++
+	} else {
+		w = p.tableOrder.LRU(TableEntries)
 	}
-	victim := 0
-	for i := range p.table {
-		if p.table[i].lru < p.table[victim].lru {
-			victim = i
-		}
-	}
-	p.table[victim] = ptEntry{pc: pc}
-	return &p.table[victim]
+	p.table[w] = ptEntry{pc: pc}
+	return w
 }
 
-func (p *IMP) lookupIPD(pc uint64) *ipdTrain {
-	for i := range p.ipd {
-		if p.ipd[i].pc == pc {
-			return &p.ipd[i]
+func (p *IMP) lookupIPD(pc uint64) int {
+	for w := range p.ipd[:p.ipdN] {
+		if p.ipd[w].pc == pc {
+			return w
 		}
 	}
-	return nil
+	return -1
 }
 
-func (p *IMP) allocIPD(pc uint64) *ipdTrain {
-	if len(p.ipd) < p.cfg.IPDEntries {
-		p.ipd = append(p.ipd, ipdTrain{pc: pc})
-		return &p.ipd[len(p.ipd)-1]
+func (p *IMP) allocIPD(pc uint64) int {
+	w := p.ipdN
+	if w < IPDEntries {
+		p.ipdN++
+	} else {
+		w = p.ipdOrder.LRU(IPDEntries)
 	}
-	victim := 0
-	for i := range p.ipd {
-		if p.ipd[i].lru < p.ipd[victim].lru {
-			victim = i
-		}
-	}
-	p.ipd[victim] = ipdTrain{pc: pc}
-	return &p.ipd[victim]
+	p.ipd[w] = ipdTrain{pc: pc}
+	return w
 }
 
 // Confirmed reports whether a pattern is installed for the PC (tests
 // and stats).
 func (p *IMP) Confirmed(pc uint64) bool {
-	e := p.lookupTable(pc)
-	return e != nil && len(e.ways) > 0
+	w := p.lookupTable(pc)
+	return w >= 0 && len(p.table[w].ways) > 0
 }

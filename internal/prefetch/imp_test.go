@@ -6,45 +6,52 @@ import (
 	"repro/internal/mem"
 )
 
+// index trains p on an index load at pc that read value.
+func index(p *IMP, pc, value uint64) {
+	p.Train(Observation{PC: pc, VAddr: 0x1000, Value: value, HasValue: true})
+}
+
+// miss trains p on an access at pc to addr that missed the L1.
+func miss(p *IMP, pc, addr uint64) {
+	p.Train(Observation{PC: pc, VAddr: mem.VAddr(addr), Missed: true})
+}
+
 // feedPattern drives IMP with an A[B[i]] stream: index loads at pc
 // with the given values, each followed by a missing indirect access at
 // base + coef*value.
-func feedPattern(p *IMP, pc uint64, base, coef uint64, values []uint64) []mem.VAddr {
-	var emitted []mem.VAddr
+func feedPattern(p *IMP, pc uint64, base, coef uint64, values []uint64) {
 	for _, v := range values {
-		out := p.Observe(Observation{PC: pc, VAddr: 0x1000, Value: v, HasValue: true})
-		emitted = append(emitted, out...)
-		p.Observe(Observation{PC: pc + 4, VAddr: mem.VAddr(base + coef*v), Missed: true})
+		index(p, pc, v)
+		miss(p, pc+4, base+coef*v)
 	}
-	return emitted
 }
 
 func TestIMPLearnsIndirectPattern(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	const pc, base, coef = 0x400, 0x7000_0000, 8
 	feedPattern(p, pc, base, coef, []uint64{10, 20, 30})
 	if !p.Confirmed(pc) {
 		t.Fatal("pattern should be confirmed after 3 pairs")
 	}
 	// The next index value produces an exact prefetch.
-	out := p.Observe(Observation{PC: pc, VAddr: 0x1000, Value: 999, HasValue: true})
+	out := p.AppendPrefetches(nil, pc, 999)
 	want := mem.VAddr(base + coef*999).Line()
-	if len(out) == 0 || out[0] != want {
+	if len(out) != 1 || out[0] != want {
 		t.Errorf("prefetch = %v, want %#x", out, uint64(want))
 	}
-	if p.Prefetches == 0 {
-		t.Error("prefetch counter not incremented")
+	if p.Prefetches != 1 {
+		t.Errorf("prefetch counter = %d, want 1", p.Prefetches)
 	}
 }
 
 func TestIMPRejectsNoise(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	const pc = 0x400
 	// Random, unrelated miss addresses never confirm a pattern.
 	addrs := []uint64{0x1234000, 0x9ABC000, 0x5555000, 0x2222000}
 	for i, a := range addrs {
-		p.Observe(Observation{PC: pc, VAddr: 0x1000, Value: uint64(i * 7), HasValue: true})
-		p.Observe(Observation{PC: pc + 4, VAddr: mem.VAddr(a), Missed: true})
+		index(p, pc, uint64(i*7))
+		miss(p, pc+4, a)
 	}
 	if p.Confirmed(pc) {
 		t.Error("noise must not confirm a pattern")
@@ -52,19 +59,18 @@ func TestIMPRejectsNoise(t *testing.T) {
 }
 
 func TestIMPMultipleWays(t *testing.T) {
-	cfg := DefaultConfig()
-	p := New(cfg)
+	p := New()
 	const pc = 0x400
 	// Two indirect arrays off the same index stream: A (coef 8) and C
 	// (coef 4). Alternate the misses so both get learned.
 	values := []uint64{5, 6, 7, 8, 9, 10, 11, 12}
 	for _, v := range values {
-		p.Observe(Observation{PC: pc, VAddr: 0x1000, Value: v, HasValue: true})
-		p.Observe(Observation{PC: pc + 4, VAddr: mem.VAddr(0x10000000 + 8*v), Missed: true})
-		p.Observe(Observation{PC: pc, VAddr: 0x1008, Value: v, HasValue: true})
-		p.Observe(Observation{PC: pc + 8, VAddr: mem.VAddr(0x40000000 + 4*v), Missed: true})
+		index(p, pc, v)
+		miss(p, pc+4, 0x10000000+8*v)
+		index(p, pc, v)
+		miss(p, pc+8, 0x40000000+4*v)
 	}
-	out := p.Observe(Observation{PC: pc, VAddr: 0x1000, Value: 100, HasValue: true})
+	out := p.AppendPrefetches(nil, pc, 100)
 	if len(out) != 2 {
 		t.Fatalf("ways emitted = %d, want 2 (got %v)", len(out), out)
 	}
@@ -77,43 +83,43 @@ func TestIMPMultipleWays(t *testing.T) {
 	}
 }
 
+// A 17th confirmed index PC evicts the least recently used of the 16
+// table entries: a prefetch lookup makes the oldest entry recent again,
+// so the second oldest goes.
 func TestIMPTableEviction(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TableEntries = 2
-	p := New(cfg)
-	for i := 0; i < 3; i++ {
-		pc := uint64(0x400 + i*0x100)
-		feedPattern(p, pc, 0x1000_0000+uint64(i)<<28, 8, []uint64{1, 2, 3})
+	p := New()
+	pc := func(i int) uint64 { return uint64(0x400 + i*0x100) }
+	confirm := func(i int) { feedPattern(p, pc(i), uint64(i+1)<<28, 8, []uint64{1, 2, 3}) }
+	for i := 0; i < TableEntries; i++ {
+		confirm(i)
 	}
-	confirmed := 0
-	for i := 0; i < 3; i++ {
-		if p.Confirmed(uint64(0x400 + i*0x100)) {
-			confirmed++
+	p.AppendPrefetches(nil, pc(0), 7)
+	confirm(TableEntries)
+	for i := 0; i <= TableEntries; i++ {
+		if got, want := p.Confirmed(pc(i)), i != 1; got != want {
+			t.Errorf("PC %d confirmed = %v, want %v", i, got, want)
 		}
-	}
-	if confirmed > 2 {
-		t.Errorf("table holds %d confirmed PCs, capacity 2", confirmed)
 	}
 }
 
 func TestIMPNonIndexMissesAreHarmless(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	// Misses with no preceding index value must not panic or learn.
 	for i := 0; i < 10; i++ {
-		p.Observe(Observation{PC: 0x800, VAddr: mem.VAddr(i * 4096), Missed: true})
+		miss(p, 0x800, uint64(i*4096))
 	}
-	if p.Prefetches != 0 {
-		t.Error("no prefetches expected")
+	if out := p.AppendPrefetches(nil, 0x800, 1); len(out) != 0 || p.Prefetches != 0 {
+		t.Errorf("no prefetches expected, got %v", out)
 	}
 }
 
 func TestIMPHitsDoNotTrain(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	const pc, base = 0x400, 0x7000_0000
 	for _, v := range []uint64{1, 2, 3, 4} {
-		p.Observe(Observation{PC: pc, VAddr: 0x1000, Value: v, HasValue: true})
+		index(p, pc, v)
 		// Indirect access hits the cache: Missed false.
-		p.Observe(Observation{PC: pc + 4, VAddr: mem.VAddr(base + 8*v), Missed: false})
+		p.Train(Observation{PC: pc + 4, VAddr: mem.VAddr(base + 8*v)})
 	}
 	if p.Confirmed(pc) {
 		t.Error("cache hits should not train the IPD")

@@ -27,13 +27,6 @@ type MemPort interface {
 	ReadPTE(paddr mem.PAddr, level int, isLeaf bool, replayLine uint64, at uint64) (latency uint64, fromDRAM bool)
 }
 
-// StepObserver sees every answered PTE reference of walks issued
-// through a walker. translation.CoreHooks satisfies it structurally;
-// the field is nil-safe and costs one pointer test per answered step.
-type StepObserver interface {
-	OnWalkStep(step vm.WalkStep, fromDRAM bool)
-}
-
 // ReplayLineBits is how many line-index bits the walker appends. 6
 // bits suffice for 4KB pages (the paper's figure); we carry enough for
 // a 1GB page so superpage leaves work identically.
@@ -63,6 +56,9 @@ type Result struct {
 	// LeafFromDRAM reports whether the leaf PTE was read from DRAM —
 	// TEMPO's trigger condition.
 	LeafFromDRAM bool
+	// LeafPTE is the physical address of the leaf PTE the walk read
+	// (Victima caches the line holding it).
+	LeafPTE mem.PAddr
 	// DRAMRefs counts walk references served by DRAM.
 	DRAMRefs int
 	// Refs counts memory references issued (post MMU-cache skip).
@@ -87,10 +83,6 @@ type Walker struct {
 	Rec         *obsv.Recorder
 	CoreID      int
 	WalkLatency *obsv.Histogram
-
-	// Mech, when non-nil, observes every answered walk step (the
-	// translation-mechanism hook; see internal/translation).
-	Mech StepObserver
 }
 
 // New builds a walker over a page table with its own MMU caches.
@@ -201,9 +193,6 @@ func (ws *WalkState) feed(latency uint64, fromDRAM bool) {
 	w := ws.w
 	step := ws.steps[ws.i]
 	ws.i++
-	if w.Mech != nil {
-		w.Mech.OnWalkStep(step, fromDRAM)
-	}
 	if w.Rec.Active() {
 		flags := uint8(0)
 		if fromDRAM {
@@ -218,6 +207,9 @@ func (ws *WalkState) feed(latency uint64, fromDRAM bool) {
 			A: uint8(step.Level), B: flags})
 	}
 	ws.res.Latency += latency + w.StepOverhead
+	if step.IsLeaf {
+		ws.res.LeafPTE = step.PTEAddr
+	}
 	if fromDRAM {
 		ws.res.DRAMRefs++
 		if step.IsLeaf {

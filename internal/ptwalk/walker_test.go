@@ -74,6 +74,9 @@ func TestWalkColdIssuesFourReads(t *testing.T) {
 			t.Error("walk reads must be serialised")
 		}
 	}
+	if res.LeafPTE != port.reads[3].addr {
+		t.Errorf("LeafPTE = %#x, want the leaf read's %#x", uint64(res.LeafPTE), uint64(port.reads[3].addr))
+	}
 	// The appended replay line matches the virtual address.
 	if got := port.reads[3].replayLine & 0x3F; got != v.LineInPage() {
 		t.Errorf("replay line low bits = %#x, want %#x", got, v.LineInPage())
@@ -112,6 +115,9 @@ func TestWalkUsesMMUCacheToSkipLevels(t *testing.T) {
 	}
 	if len(port.reads) != 1 || port.reads[0].level != 1 || !port.reads[0].isLeaf {
 		t.Fatalf("reads = %+v, want single leaf read", port.reads)
+	}
+	if res.LeafPTE != port.reads[0].addr {
+		t.Errorf("LeafPTE = %#x, want the leaf read's %#x", uint64(res.LeafPTE), uint64(port.reads[0].addr))
 	}
 	if st.MMUCacheHits != 1 {
 		t.Errorf("MMU cache hits = %d", st.MMUCacheHits)
@@ -171,8 +177,8 @@ func TestWalkSuperpageLeafIsTagged(t *testing.T) {
 		t.Fatalf("2MB walk reads = %d, want 3", len(port.reads))
 	}
 	last := port.reads[2]
-	if last.level != 2 || !last.isLeaf {
-		t.Errorf("2MB leaf read = %+v", last)
+	if last.level != 2 || !last.isLeaf || res.LeafPTE != last.addr {
+		t.Errorf("2MB leaf read = %+v, LeafPTE %#x", last, uint64(res.LeafPTE))
 	}
 }
 

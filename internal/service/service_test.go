@@ -558,6 +558,7 @@ var badMachines = []struct {
 	{"dram: -1 prefetch sub-rows is outside 0..4", tempoSubRows(4, -1, sim.SubRowFOA)},
 	{"dram: 4 prefetch sub-rows is outside 0..2", tempoSubRows(2, 4, sim.SubRowFOA)},
 	{"dram: 9 prefetch sub-rows is outside 0..8", tempoSubRows(8, 9, sim.SubRowFOA)},
+	{"dram: 32 sub-rows is over the limit of 16 per bank", tempoSubRows(32, 1, sim.SubRowPOA)},
 	{"dram: -1 prefetch sub-rows is outside 0..4", tempoSubRows(4, -1, sim.SubRowPOA)},
 	{"OtherOverlap -5 is outside [0, 1]", func(c *sim.Config) { c.Machine.OtherOverlap = -5 }},
 	{"NonMemIPC 0 is below 1", func(c *sim.Config) { c.Machine.NonMemIPC = 0 }},

@@ -177,8 +177,8 @@ type Config struct {
 	// BLISSGracePeriod is the post-prefetch stream-stickiness.
 	BLISSGracePeriod uint64
 
-	// SubRows > 1 splits each row buffer; PrefetchSubRows reserves
-	// the first ones for TEMPO.
+	// SubRows > 1 splits each row buffer into that many sub-rows, at
+	// most 16; PrefetchSubRows reserves the first ones for TEMPO.
 	SubRows         int
 	PrefetchSubRows int
 	SubRowPolicy    SubRowPolicyKind

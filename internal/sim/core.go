@@ -398,7 +398,7 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 			c.tlb.Insert(c.tr)
 			c.walked, c.leafDRAM = true, res.LeafFromDRAM
 			if c.mech != nil {
-				c.mech.OnWalkComplete(c.rec.VAddr, res.Translation, res.LeafFromDRAM, c.now)
+				c.mech.OnWalkComplete(c.rec.VAddr, res.Translation, res.LeafPTE)
 			}
 			// TLB fill + pipeline replay before the memory reference
 			// is re-executed: TEMPO's slack window.

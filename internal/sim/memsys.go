@@ -22,9 +22,6 @@ type memSys struct {
 	ctrl *dram.Controller
 	st   *stats.Stats
 	pool *dram.Pool
-	// tempoLLC gates the LLC half of TEMPO (false = row-buffer-only
-	// ablation).
-	tempoLLC bool
 
 	pending []pendingFill
 }

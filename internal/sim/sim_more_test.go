@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/vm"
 )
@@ -187,5 +189,38 @@ func TestRefreshHappensDuringRuns(t *testing.T) {
 	res := run(t, quickCfg("mcf", 10_000))
 	if res.Mem.RefCount == 0 {
 		t.Error("no auto-refreshes in a multi-million-cycle run")
+	}
+}
+
+// A prefetch fill of a line the LLC already holds installs nothing: the
+// line keeps its recency, no writeback is submitted and no TEMPO fill
+// is counted. A fill of an absent line into the same full, dirty set
+// then evicts that line, the least recent, as a writeback.
+func TestApplyFillsSkipsResidentLines(t *testing.T) {
+	s, err := New(quickCfg("xsbench", 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	llc := s.mem.llc
+	line := func(k int) mem.PAddr { return mem.PAddr(0x40000 + k*llc.Sets()*mem.LineSize) }
+	for k := 0; k < s.machine.Caches.LLC.Ways; k++ {
+		llc.Fill(line(k), cache.FillDemand, true)
+	}
+	s.mem.AddPending(line(0), 100, cache.FillTempo)
+	s.mem.ApplyFills(99)
+	if len(s.mem.pending) != 1 {
+		t.Fatalf("a fill due at cycle 100 applied at 99: %d pending", len(s.mem.pending))
+	}
+	s.mem.ApplyFills(100)
+	if len(s.mem.pending) != 0 || s.mst.TempoLLCFills != 0 || s.ctrl.QueueLen() != 0 {
+		t.Fatalf("resident fill: %d pending, %d TEMPO fills, %d queued; want 0, 0, 0",
+			len(s.mem.pending), s.mst.TempoLLCFills, s.ctrl.QueueLen())
+	}
+	absent := line(s.machine.Caches.LLC.Ways)
+	s.mem.AddPending(absent, 200, cache.FillTempo)
+	s.mem.ApplyFills(200)
+	if !llc.Contains(absent) || llc.Contains(line(0)) || s.mst.TempoLLCFills != 1 || s.ctrl.QueueLen() != 1 {
+		t.Fatalf("absent fill: installed %v, LRU line kept %v, %d TEMPO fills, %d queued; want true, false, 1, 1",
+			llc.Contains(absent), llc.Contains(line(0)), s.mst.TempoLLCFills, s.ctrl.QueueLen())
 	}
 }

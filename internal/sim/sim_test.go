@@ -353,13 +353,14 @@ func TestBadMachineGeometryIsError(t *testing.T) {
 		{"0-set MMU cache", "tlb: L3 MMU cache: assoc: 0 sets", func(c *Config) { c.Machine.MMU.L3.Sets = 0 }},
 		{"0 DRAM channels", "dram: invalid geometry", func(c *Config) { c.Machine.DRAM.Geometry.Channels = 0 }},
 		{"sub-rows below a line", "dram: 256 sub-rows of a 8192B row", func(c *Config) { c.SubRows = 256 }},
+		{"32 sub-rows of 256B", "dram: 32 sub-rows is over the limit of 16 per bank", subRows(32, 1, SubRowFOA)},
 		{"FOA reserving -1 of 4 sub-rows", "dram: -1 prefetch sub-rows is outside 0..4", subRows(4, -1, SubRowFOA)},
 		{"FOA reserving 4 of 2 sub-rows", "dram: 4 prefetch sub-rows is outside 0..2", subRows(2, 4, SubRowFOA)},
 		{"FOA reserving 9 of 8 sub-rows", "dram: 9 prefetch sub-rows is outside 0..8", subRows(8, 9, SubRowFOA)},
 		{"POA reserving -1 of 4 sub-rows", "dram: -1 prefetch sub-rows is outside 0..4", subRows(4, -1, SubRowPOA)},
 		{"negative OtherOverlap", "OtherOverlap -5 is outside [0, 1]", func(c *Config) { c.Machine.OtherOverlap = -5 }},
 		{"zero NonMemIPC", "NonMemIPC 0 is below 1", func(c *Config) { c.Machine.NonMemIPC = 0 }},
-		{"16 GiB LLC", "need 1477448452 bytes of host memory, over the 268435456-byte limit", func(c *Config) {
+		{"16 GiB LLC", "need 1477448324 bytes of host memory, over the 268435456-byte limit", func(c *Config) {
 			c.Machine.Caches.LLC.SizeB = 16 << 30
 		}},
 		{"4096 cores", "bytes of host memory, over the 268435456-byte limit", func(c *Config) {

@@ -243,9 +243,7 @@ func New(cfg Config) (*System, error) {
 
 	// Shared LLC and the memory-side fill path.
 	llc := cache.New(s.machine.Caches.LLC)
-	s.mem = &memSys{llc: llc, ctrl: s.ctrl, st: s.mst, tempoLLC: cfg.Tempo.LLCPrefetch}
-
-	s.mem.pool = s.ctrl.Pool()
+	s.mem = &memSys{llc: llc, ctrl: s.ctrl, st: s.mst, pool: s.ctrl.Pool()}
 
 	// Translation mechanism (MECHANISMS.md): the factory wires itself
 	// into the controller; the default tempo mechanism reproduces the
@@ -260,7 +258,6 @@ func New(cfg Config) (*System, error) {
 			TempoEnabled: cfg.Tempo.Enabled,
 			TempoLLC:     cfg.Tempo.LLCPrefetch,
 			LLCFillExtra: s.machine.LLCFillExtra,
-			Cores:        len(cfg.Workloads),
 		},
 	})
 	if err != nil {
@@ -284,15 +281,12 @@ func New(cfg Config) (*System, error) {
 			pool:    s.ctrl.Pool(),
 		}
 		if cfg.IMP {
-			c.imp = prefetch.New(prefetch.DefaultConfig())
+			c.imp = prefetch.New()
 			// The ring models IMP's index-stream lead: Distance records
 			// plus the one executing.
-			c.lookahead = make([]trace.Record, prefetch.DefaultConfig().Distance+1)
+			c.lookahead = make([]trace.Record, prefetch.Distance+1)
 		}
-		if hooks := s.mech.NewCore(i, mechPort{c}); hooks != nil {
-			c.mech = hooks
-			c.walker.Mech = hooks
-		}
+		c.mech = s.mech.NewCore(i, mechPort{c})
 		s.cores = append(s.cores, c)
 	}
 	return s, nil

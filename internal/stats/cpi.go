@@ -89,13 +89,3 @@ func (s *Stats) CPIAttributed() uint64 {
 	}
 	return sum
 }
-
-// CPIFraction returns bucket b's share of the attributed cycles, 0
-// when the stack is empty (an unattributed legacy result).
-func (s *Stats) CPIFraction(b CPIBucket) float64 {
-	total := s.CPIAttributed()
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CPIStack[b]) / float64(total)
-}

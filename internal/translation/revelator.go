@@ -111,11 +111,9 @@ func (c *revelatorCore) OnTLBMiss(v mem.VAddr, now uint64) Action {
 	return Action{}
 }
 
-func (c *revelatorCore) OnWalkStep(step vm.WalkStep, fromDRAM bool) {}
-
 // OnWalkComplete verifies the outstanding prediction against the
 // walk's ground truth, then trains the table with the fresh mapping.
-func (c *revelatorCore) OnWalkComplete(v mem.VAddr, tr vm.Translation, leafFromDRAM bool, now uint64) {
+func (c *revelatorCore) OnWalkComplete(v mem.VAddr, tr vm.Translation, leafPTE mem.PAddr) {
 	if c.pending {
 		c.pending = false
 		if tr.Translate(v).Line() == c.predicted {

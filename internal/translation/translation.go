@@ -3,7 +3,7 @@
 // mechanism that accelerates it. The paper's TEMPO is one registered
 // Mechanism among peers — Victima (PTEs cached in underutilized L2/LLC
 // capacity) and Revelator (software-guided hash-based speculative
-// translation) drop in through the same four hooks — which turns the
+// translation) drop in through the same three hooks — which turns the
 // repository from a one-paper reproduction into a virtual-memory
 // mechanism testbed. MECHANISMS.md is the normative spec for the
 // interface contract, each mechanism's model and its deviations from
@@ -46,8 +46,6 @@ type Params struct {
 	// LLCFillExtra is the DRAM-completion-to-LLC-usable fill latency,
 	// applied to every mechanism's LLC-bound prefetch.
 	LLCFillExtra uint64
-	// Cores is the run's core count.
-	Cores int
 }
 
 // Deps are the shared memory-side services a Mechanism may wire into.
@@ -107,7 +105,7 @@ type CorePort interface {
 	PrefetchLine(p mem.PAddr, now uint64) bool
 }
 
-// CoreHooks is one core's view of a mechanism: the four interception
+// CoreHooks is one core's view of a mechanism: the three interception
 // points of the TLB-miss lifecycle. Implementations must be cheap and
 // allocation-free — the hooks run on the simulator's per-record path.
 // A mechanism whose NewCore returns nil has no core-side presence: the
@@ -116,12 +114,11 @@ type CoreHooks interface {
 	// OnTLBMiss fires on every demand TLB miss, before the hardware
 	// walk begins. A Hit Action suppresses the walk entirely.
 	OnTLBMiss(v mem.VAddr, now uint64) Action
-	// OnWalkStep fires for every answered PTE reference of a walk
-	// issued through this core's walker (demand and background alike).
-	OnWalkStep(step vm.WalkStep, fromDRAM bool)
-	// OnWalkComplete fires when a demand walk finishes with a valid
-	// translation, before the TLB-fill replay is charged.
-	OnWalkComplete(v mem.VAddr, tr vm.Translation, leafFromDRAM bool, now uint64)
+	// OnWalkComplete fires when the demand walk that followed a non-hit
+	// OnTLBMiss finishes with a valid translation, before the TLB-fill
+	// replay is charged. leafPTE is the physical address of the leaf
+	// PTE the walk read.
+	OnWalkComplete(v mem.VAddr, tr vm.Translation, leafPTE mem.PAddr)
 	// OnPrefetchUseful fires when a demand access hits an LLC line the
 	// mechanism prefetched speculatively (cache.FillSpec provenance).
 	OnPrefetchUseful()

@@ -3,6 +3,7 @@ package translation
 import (
 	"errors"
 
+	"repro/internal/assoc"
 	"repro/internal/mem"
 	"repro/internal/obsv"
 	"repro/internal/vm"
@@ -29,7 +30,6 @@ type victimaEntry struct {
 	valid bool
 	tr    vm.Translation
 	line  mem.PAddr // cache line holding the leaf PTE
-	lru   uint64
 }
 
 // victimaMech holds run-wide counters; the tag stores are per-core.
@@ -52,26 +52,23 @@ func init() {
 	})
 }
 
-// victimaCore is one core's tag store plus the armed capture window
-// that pairs a demand walk's leaf step with its completion. The walker
-// is shared with background IMP walks, but those are issued before the
-// TLB lookup of the same record, so between a missing OnTLBMiss and
-// its OnWalkComplete only the demand walk's steps flow through it.
+// victimaCore is one core's tag store: victimaSets sets of victimaWays
+// entries, each set with its recency stack. Entries empty when their
+// PTE line leaves the chip, so an insert takes the first invalid way
+// before the LRU way.
 type victimaCore struct {
-	m    *victimaMech
-	port CorePort
-	sets [victimaSets][victimaWays]victimaEntry
-	tick uint64
-
-	armed    bool
-	leafSeen bool
-	leafLine mem.PAddr
+	m     *victimaMech
+	port  CorePort
+	sets  [victimaSets][victimaWays]victimaEntry
+	order [victimaSets]assoc.Stack
 }
 
 func (m *victimaMech) Name() string { return "victima" }
 
 func (m *victimaMech) NewCore(coreID int, port CorePort) CoreHooks {
-	return &victimaCore{m: m, port: port}
+	c := &victimaCore{m: m, port: port}
+	copy(c.order[:], assoc.NewStacks(victimaSets, victimaWays))
+	return c
 }
 
 func (m *victimaMech) Attach(rec *obsv.Recorder) {}
@@ -105,7 +102,8 @@ func (c *victimaCore) OnTLBMiss(v mem.VAddr, now uint64) Action {
 	c.m.lookups++
 	for cls := mem.Page4K; cls <= mem.Page1G; cls++ {
 		base := v.PageBase(cls)
-		set := &c.sets[victimaSet(base, cls)]
+		i := victimaSet(base, cls)
+		set := &c.sets[i]
 		for w := range set {
 			e := &set[w]
 			if !e.valid || e.tr.Class != cls || e.tr.VBase != base {
@@ -117,53 +115,31 @@ func (c *victimaCore) OnTLBMiss(v mem.VAddr, now uint64) Action {
 				continue
 			}
 			c.m.pteHits++
-			c.tick++
-			e.lru = c.tick
+			c.order[i] = c.order[i].Touch(w)
 			lat := c.port.ReadLine(e.line, now) + victimaTagLatency
 			return Action{Hit: true, Translation: e.tr, Latency: lat}
 		}
 	}
 	c.m.pteMisses++
-	c.armed = true
-	c.leafSeen = false
 	return Action{}
 }
 
-func (c *victimaCore) OnWalkStep(step vm.WalkStep, fromDRAM bool) {
-	if c.armed && step.IsLeaf {
-		c.leafLine = step.PTEAddr.Line()
-		c.leafSeen = true
-	}
-}
-
-// OnWalkComplete installs the walk's leaf PTE line into the tag store.
-func (c *victimaCore) OnWalkComplete(v mem.VAddr, tr vm.Translation, leafFromDRAM bool, now uint64) {
-	if !c.armed {
-		return
-	}
-	c.armed = false
-	if !c.leafSeen {
-		return
-	}
+// OnWalkComplete installs the line holding the walk's leaf PTE into the
+// tag store: into the first way that is invalid or already holds the
+// page, else the set's LRU way.
+func (c *victimaCore) OnWalkComplete(v mem.VAddr, tr vm.Translation, leafPTE mem.PAddr) {
 	c.m.inserts++
-	c.tick++
-	set := &c.sets[victimaSet(tr.VBase, tr.Class)]
-	victim := &set[0]
-	for w := range set {
-		e := &set[w]
-		if e.valid && e.tr.Class == tr.Class && e.tr.VBase == tr.VBase {
-			victim = e
+	i := victimaSet(tr.VBase, tr.Class)
+	set := &c.sets[i]
+	w := c.order[i].LRU(victimaWays)
+	for j := range set {
+		if e := &set[j]; !e.valid || e.tr.Class == tr.Class && e.tr.VBase == tr.VBase {
+			w = j
 			break
-		}
-		if !e.valid {
-			victim = e
-			break
-		}
-		if e.lru < victim.lru {
-			victim = e
 		}
 	}
-	*victim = victimaEntry{valid: true, tr: tr, line: c.leafLine, lru: c.tick}
+	set[w] = victimaEntry{valid: true, tr: tr, line: leafPTE.Line()}
+	c.order[i] = c.order[i].Touch(w)
 }
 
 func (c *victimaCore) OnPrefetchUseful() {}
