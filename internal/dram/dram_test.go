@@ -75,6 +75,21 @@ func TestTimingLatencies(t *testing.T) {
 	}
 }
 
+// Refresh needs an interval of at least one cycle; with refresh off
+// (TRFC = 0) the interval is unused.
+func TestTimingValidate(t *testing.T) {
+	for _, tc := range []struct {
+		trefi, trfc uint64
+		ok          bool
+	}{{25_000, 1_120, true}, {1, 1_120, true}, {0, 0, true}, {7, 0, true}, {0, 1, false}, {0, 1_120, false}} {
+		tm := DefaultTiming()
+		tm.TREFI, tm.TRFC = tc.trefi, tc.trfc
+		if err := tm.Validate(); (err == nil) != tc.ok {
+			t.Errorf("TREFI %d, TRFC %d: Validate = %v, want ok %v", tc.trefi, tc.trfc, err, tc.ok)
+		}
+	}
+}
+
 func TestBankHitMissConflict(t *testing.T) {
 	var st stats.Stats
 	g := DefaultGeometry()

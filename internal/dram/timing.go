@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"fmt"
+
 	"repro/internal/mem"
 	"repro/internal/stats"
 )
@@ -31,6 +33,16 @@ type Timing struct {
 // (7.8µs tREFI / 350ns tRFC equivalents at 3.2GHz).
 func DefaultTiming() Timing {
 	return Timing{TRCD: 45, TRP: 45, TCL: 45, TBurst: 13, TFAW: 96, TREFI: 25_000, TRFC: 1_120}
+}
+
+// Validate reports timing the controller cannot run: with refresh on
+// (TRFC > 0), a TREFI of 0 would schedule every refresh at cycle
+// TREFI and never move on.
+func (t Timing) Validate() error {
+	if t.TRFC > 0 && t.TREFI == 0 {
+		return fmt.Errorf("dram: refresh of %d cycles needs a TREFI of at least 1", t.TRFC)
+	}
+	return nil
 }
 
 // HitLatency is the service latency of a row-buffer hit.

@@ -213,16 +213,19 @@ type Engine interface {
 }
 
 // Runner executes figures at one scale, memoising simulation results
-// (runs are deterministic, so reuse across figures is sound).
+// by runner.ConfigKey, the content hash DiskCache uses: runs are
+// deterministic, so reuse across figures is sound, and two figure keys
+// that describe one configuration share one run.
 //
 // With an Engine attached, figure execution is two-phase: RunFigure
 // first replays the figure body in enumeration mode to collect every
-// simulation it needs (r.run hands back shaped placeholders and
-// records the config), then executes the deduplicated batch across
-// the engine's workers — hitting its persistent cache where warm —
-// and finally evaluates the figure body for real, served entirely
-// from the populated memo table. Reports are therefore byte-identical
-// to a serial run regardless of worker count or cache temperature.
+// distinct configuration it needs (r.run hands back shaped
+// placeholders and records the config), then executes that batch
+// across the engine's workers — hitting its persistent cache where
+// warm — and finally evaluates the figure body for real, served
+// entirely from the populated memo table. Reports are therefore
+// byte-identical to a serial run regardless of worker count or cache
+// temperature.
 //
 // A Runner's methods are not safe for concurrent use with each other;
 // parallelism lives inside the Engine.
@@ -242,11 +245,15 @@ type Runner struct {
 	// every registered mechanism.
 	Mechs []string
 
-	// mu guards cache: engine workers populate it concurrently.
-	mu    sync.Mutex
-	cache map[string]*sim.Result
+	// mu guards the memo: hashes holds each figure key's ConfigKey,
+	// computed on the key's first use, and cache holds results by that
+	// hash.
+	mu     sync.Mutex
+	hashes map[string]string
+	cache  map[string]*sim.Result
 
-	// Enumeration state (two-phase execution).
+	// Enumeration state (two-phase execution): the jobs collected so
+	// far, one per distinct configuration, and their hashes.
 	enumerating bool
 	pending     []runner.Job
 	pendingSeen map[string]bool
@@ -255,7 +262,7 @@ type Runner struct {
 // NewRunner builds a serial runner; attach an Engine for parallel
 // execution.
 func NewRunner(s Scale) *Runner {
-	return &Runner{Scale: s, cache: make(map[string]*sim.Result)}
+	return &Runner{Scale: s, hashes: make(map[string]string), cache: make(map[string]*sim.Result)}
 }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -287,7 +294,7 @@ func (r *Runner) RunFigure(f Figure) (*Report, error) {
 				return nil, fmt.Errorf("experiments: %s: %w", f.ID, jr.Err)
 			}
 			r.mu.Lock()
-			r.cache[jr.Key] = jr.Result
+			r.cache[r.hashes[jr.Key]] = jr.Result
 			r.mu.Unlock()
 		}
 	}
@@ -295,9 +302,11 @@ func (r *Runner) RunFigure(f Figure) (*Report, error) {
 }
 
 // enumerate replays the figure body collecting the (key, config) set
-// it would run. Config enumeration never depends on simulation
-// outputs (figures decide their sweeps up front), so placeholder
-// results are sufficient to drive the body to completion.
+// it would run: one job per configuration neither memoised nor already
+// collected, under the first key that names it. Config enumeration
+// never depends on simulation outputs (figures decide their sweeps up
+// front), so placeholder results are sufficient to drive the body to
+// completion.
 func (r *Runner) enumerate(f Figure) ([]runner.Job, error) {
 	r.mu.Lock()
 	r.enumerating = true
@@ -313,10 +322,11 @@ func (r *Runner) enumerate(f Figure) ([]runner.Job, error) {
 	return jobs, err
 }
 
-// Enumerate exposes the enumeration pass: the deduplicated job list a
-// figure would execute, without running any of it. tempo-serve expands
-// named sweep submissions into per-configuration jobs this way, so a
-// whole figure can be queued through the service with one request.
+// Enumerate exposes the enumeration pass: the job list a figure would
+// execute, one job per distinct configuration, without running any of
+// it. tempo-serve expands named sweep submissions into
+// per-configuration jobs this way, so a whole figure can be queued
+// through the service with one request.
 func (r *Runner) Enumerate(f Figure) ([]runner.Job, error) { return r.enumerate(f) }
 
 // placeholderResult stands in for a not-yet-run simulation during the
@@ -342,17 +352,27 @@ func placeholderResult(cfg sim.Config) *sim.Result {
 }
 
 // run executes (or recalls) one simulation. The key must uniquely
-// describe cfg among this runner's uses. In enumeration mode it
+// describe cfg among this runner's uses: it is hashed once, on first
+// use, and the memo is looked up by that hash. In enumeration mode it
 // records the job and returns a placeholder instead.
 func (r *Runner) run(key string, cfg sim.Config) (*sim.Result, error) {
 	r.mu.Lock()
-	if res, ok := r.cache[key]; ok {
+	h, ok := r.hashes[key]
+	if !ok {
+		var err error
+		if h, err = runner.ConfigKey(cfg); err != nil {
+			r.mu.Unlock()
+			return nil, fmt.Errorf("experiments: %s: %w", key, err)
+		}
+		r.hashes[key] = h
+	}
+	if res, ok := r.cache[h]; ok {
 		r.mu.Unlock()
 		return res, nil
 	}
 	if r.enumerating {
-		if !r.pendingSeen[key] {
-			r.pendingSeen[key] = true
+		if !r.pendingSeen[h] {
+			r.pendingSeen[h] = true
 			r.pending = append(r.pending, runner.Job{Key: key, Config: cfg})
 		}
 		r.mu.Unlock()
@@ -373,7 +393,7 @@ func (r *Runner) run(key string, cfg sim.Config) (*sim.Result, error) {
 		return nil, fmt.Errorf("experiments: %s: %w", key, err)
 	}
 	r.mu.Lock()
-	r.cache[key] = res
+	r.cache[h] = res
 	r.mu.Unlock()
 	return res, nil
 }

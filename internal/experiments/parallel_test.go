@@ -87,6 +87,67 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 	}
 }
 
+// Figure keys that name one configuration share one run: fig13's THP
+// point repeats fig10's baseline and TEMPO runs under other keys. A
+// pool engine without a persistent cache executes exactly the distinct
+// ConfigKeys of the two figures, as many as a cold DiskCache pool, and
+// both reproduce the serial runner's reports.
+func TestEngineRunsEachConfigurationOnce(t *testing.T) {
+	s := tinyScale()
+	var figs []Figure
+	for _, id := range []string{"fig10", "fig13"} {
+		f, ok := ByID(id)
+		if !ok {
+			t.Fatalf("unknown figure %s", id)
+		}
+		figs = append(figs, f)
+	}
+	reports := func(r *Runner) []string {
+		t.Helper()
+		var out []string
+		for _, f := range figs {
+			rep, err := r.RunFigure(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, rep.String()+rep.CSV())
+		}
+		return out
+	}
+	serial := NewRunner(s)
+	want := reports(serial)
+	distinct := map[string]bool{}
+	for _, h := range serial.hashes {
+		distinct[h] = true
+	}
+	if len(serial.hashes) <= len(distinct) {
+		t.Fatalf("%d keys name %d configurations: the figures share none", len(serial.hashes), len(distinct))
+	}
+	if serial.cacheLen() != len(distinct) {
+		t.Errorf("serial runner holds %d results for %d configurations", serial.cacheLen(), len(distinct))
+	}
+
+	pooled := NewRunner(s)
+	pool := runner.New(runner.Options{Parallelism: 2})
+	pooled.Engine = pool
+	cold, coldPool := engineRunner(t, s, t.TempDir())
+	for _, c := range []struct {
+		name string
+		r    *Runner
+		pool *runner.Pool
+	}{{"pool", pooled, pool}, {"cold DiskCache pool", cold, coldPool}} {
+		got := reports(c.r)
+		for i := range figs {
+			if got[i] != want[i] {
+				t.Errorf("%s: %s diverges from serial:\n--- serial\n%s\n--- engine\n%s", c.name, figs[i].ID, want[i], got[i])
+			}
+		}
+		if n := c.pool.Executed(); n != uint64(len(distinct)) {
+			t.Errorf("%s executed %d simulations for %d distinct configurations", c.name, n, len(distinct))
+		}
+	}
+}
+
 // TestTwoPhaseEnumeration checks the enumerate pass collects exactly
 // the simulations the figure needs, deduplicated, without executing
 // any.
@@ -122,6 +183,37 @@ func TestTwoPhaseEnumeration(t *testing.T) {
 	}
 	if len(jobs) != 0 {
 		t.Errorf("fig04 re-enumerated %d cached jobs", len(jobs))
+	}
+}
+
+// Enumerate lists each distinct configuration once, under the first
+// key that names it: fig16's weight sweep at weight 1 and its grace
+// sweep at 15 cycles are one configuration under two keys.
+func TestEnumerateListsEachConfigurationOnce(t *testing.T) {
+	r := NewRunner(tinyScale())
+	fig, _ := ByID("fig16")
+	jobs, err := r.Enumerate(fig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]string{}
+	for _, j := range jobs {
+		h, err := runner.ConfigKey(j.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k, dup := seen[h]; dup {
+			t.Errorf("%s and %s list one configuration twice", k, j.Key)
+		}
+		seen[h] = j.Key
+	}
+	if len(r.hashes) <= len(jobs) {
+		t.Errorf("fig16 names %d keys and enumerates %d jobs: no key was folded into another", len(r.hashes), len(jobs))
+	}
+	for _, key := range []string{"f16/mix0/w1", "f16/mix0/g15"} {
+		if r.hashes[key] == "" || r.hashes[key] != r.hashes["f16/mix0/w1"] {
+			t.Errorf("%s does not name the weight-1 configuration", key)
+		}
 	}
 }
 

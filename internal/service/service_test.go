@@ -1,7 +1,10 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -533,6 +536,38 @@ func TestSubmitDedupsAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// A sweep submission lists each distinct configuration of its figure
+// once. fig16 names one configuration per mix under two keys (weight 1
+// of its prefetch-weight sweep, 15 cycles of its grace sweep), so a
+// list built per key would hold that job twice.
+func TestSweepListsEachConfigurationOnce(t *testing.T) {
+	pool := runner.New(runner.Options{Parallelism: 1, Exec: func(cfg sim.Config) (*sim.Result, error) {
+		return stubResult(cfg), nil
+	}})
+	co, err := New(Options{Pool: pool, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	rec := httptest.NewRecorder()
+	NewAPI(co).submit(rec, httptest.NewRequest(http.MethodPost, "/jobs",
+		strings.NewReader(`{"sweep":"fig16","scale":"quick"}`)))
+	var resp SubmitResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusCreated {
+		t.Fatalf("POST /jobs: %d %s", rec.Code, rec.Body)
+	}
+	ids, hashes := map[string]bool{}, map[string]bool{}
+	for _, j := range resp.Jobs {
+		if ids[j.ID] || hashes[j.Hash] {
+			t.Errorf("job %s (hash %s) listed twice", j.ID, j.Hash)
+		}
+		ids[j.ID], hashes[j.Hash] = true, true
+	}
+	if qv := co.Queue(); qv.Submitted != uint64(len(resp.Jobs)) {
+		t.Errorf("sweep listed %d jobs, the queue took %d", len(resp.Jobs), qv.Submitted)
+	}
+}
+
 // smallConfig is a quick job: 1,000 records over a 64 MB footprint.
 func smallConfig(seed int64) sim.Config {
 	cfg := cfgSeed(seed)
@@ -555,6 +590,7 @@ var badMachines = []struct {
 	{"3072 sets is not a positive power of two", func(c *sim.Config) { c.Machine.Caches.LLC.SizeB = 3 << 20 }},
 	{"tlb: L2 4k: assoc: 0 ways", func(c *sim.Config) { c.Machine.TLB.L2[mem.Page4K].Ways = 0 }},
 	{"dram: invalid geometry", func(c *sim.Config) { c.Machine.DRAM.Geometry.Channels = 0 }},
+	{"needs a TREFI of at least 1", func(c *sim.Config) { c.Machine.DRAM.Timing.TREFI = 0 }},
 	{"dram: -1 prefetch sub-rows is outside 0..4", tempoSubRows(4, -1, sim.SubRowFOA)},
 	{"dram: 4 prefetch sub-rows is outside 0..2", tempoSubRows(2, 4, sim.SubRowFOA)},
 	{"dram: 9 prefetch sub-rows is outside 0..8", tempoSubRows(8, 9, sim.SubRowFOA)},
@@ -581,8 +617,9 @@ func tempoSubRows(n, prefetch int, policy sim.SubRowPolicyKind) func(*sim.Config
 
 // A configuration sizing physical memory past vm.MaxPhysFrames —
 // explicitly or through a workload footprint — giving a cache, TLB or
-// DRAM geometry no structure can be built with, core timing that
-// would divide by zero or step the clock back, or a machine whose
+// DRAM geometry no structure can be built with, DRAM refresh that
+// never advances, core timing that would divide by zero or step the
+// clock back, or a machine whose
 // structures would exceed sim.MaxMachineBytes fails as that job's
 // error, through the real simulator, and the coordinator keeps serving.
 func TestOversizedMachineFailsJob(t *testing.T) {

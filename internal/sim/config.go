@@ -218,9 +218,10 @@ func DefaultConfig(workload string) Config {
 
 // validateMachine reports every machine structure that cannot be
 // built: cache, TLB and MMU-cache geometries, the DRAM organisation
-// with the run's sub-rows, and core timing that would divide by zero
-// or step the clock back. Machines arrive in tempo-serve job JSON, so
-// a bad one must fail the run with an error, not a panic or a hang.
+// with the run's sub-rows, DRAM refresh timing that would never
+// advance, and core timing that would divide by zero or step the
+// clock back. Machines arrive in tempo-serve job JSON, so a bad one
+// must fail the run with an error, not a panic or a hang.
 func (c *Config) validateMachine() error {
 	m := &c.Machine
 	var overlap, ipc error
@@ -231,7 +232,8 @@ func (c *Config) validateMachine() error {
 		ipc = fmt.Errorf("NonMemIPC %d is below 1", m.NonMemIPC)
 	}
 	return errors.Join(m.Caches.L1.Validate(), m.Caches.L2.Validate(), m.Caches.LLC.Validate(),
-		m.TLB.Validate(), m.MMU.Validate(), c.dramConfig().Geometry.Validate(), overlap, ipc)
+		m.TLB.Validate(), m.MMU.Validate(), c.dramConfig().Geometry.Validate(), m.DRAM.Timing.Validate(),
+		overlap, ipc)
 }
 
 // MaxMachineBytes caps the host memory of a machine's caches, TLBs,

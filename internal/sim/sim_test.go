@@ -352,6 +352,9 @@ func TestBadMachineGeometryIsError(t *testing.T) {
 		{"3-set L1 TLB", "tlb: L1 2m: assoc: 3 sets", func(c *Config) { c.Machine.TLB.L1[mem.Page2M].Sets = 3 }},
 		{"0-set MMU cache", "tlb: L3 MMU cache: assoc: 0 sets", func(c *Config) { c.Machine.MMU.L3.Sets = 0 }},
 		{"0 DRAM channels", "dram: invalid geometry", func(c *Config) { c.Machine.DRAM.Geometry.Channels = 0 }},
+		{"refresh every 0 cycles", "dram: refresh of 1120 cycles needs a TREFI of at least 1", func(c *Config) {
+			c.Machine.DRAM.Timing.TREFI = 0
+		}},
 		{"sub-rows below a line", "dram: 256 sub-rows of a 8192B row", func(c *Config) { c.SubRows = 256 }},
 		{"32 sub-rows of 256B", "dram: 32 sub-rows is over the limit of 16 per bank", subRows(32, 1, SubRowFOA)},
 		{"FOA reserving -1 of 4 sub-rows", "dram: -1 prefetch sub-rows is outside 0..4", subRows(4, -1, SubRowFOA)},

@@ -5,11 +5,14 @@
 // the paper's page-size policies (4KB-only, transparent 2MB hugepages,
 // libhugetlbfs 2MB, and libhugetlbfs 1GB).
 //
-// Per-frame state — the buddy allocator's block heads and free-list
-// links, and the page table's frame-to-table-page index — lives in
+// Per-frame state — the heads and free-list links of buddy blocks
+// below 2MB, and the page table's frame-to-table-page index — lives in
 // frameIndex, a frame-indexed dense array whose 2MB chunks materialise
 // on first write: lookups are two indexings rather than a hash, and a
-// machine costs memory only where its frames have been touched.
+// machine costs memory only where its frames have been touched. Heads
+// of 2MB-and-larger blocks, at most one per 2MB region, live in a
+// dense slice with one entry per region, so superpages, hugetlbfs
+// reservations and the splits of large blocks materialise no chunk.
 package vm
 
 import (
@@ -56,15 +59,22 @@ type blockHead struct {
 // Buddy is a binary buddy allocator over 4KB physical frames. Orders
 // run from 0 (one 4KB frame) to MaxOrder (one 1GB block); order 9
 // blocks are exactly 2MB superpages. Each order's free list is a
-// doubly linked LIFO list threaded through the heads of its blocks,
-// stored in a lazily chunked frame-indexed array; the allocator is
-// deterministic, since no step depends on anything but the sequence of
-// calls.
+// doubly linked LIFO list threaded through the heads of its blocks;
+// the allocator is deterministic, since no step depends on anything
+// but the sequence of calls.
+//
+// A block's head lives in one of two stores, chosen by its order (see
+// head): blocks holds those of blocks below order 9 in a lazily
+// chunked frame-indexed array, and regions those of order 9 and above,
+// which start 2MB regions, one slot per region. A frame heads at most
+// one block at a time, so at most one store holds a nonzero state for
+// it.
 type Buddy struct {
 	frames     uint64
 	freeFrames uint64
 	heads      [MaxOrder + 1]uint32
 	blocks     frameIndex[blockHead]
+	regions    []blockHead
 }
 
 // NewBuddy creates an allocator over the given number of 4KB frames.
@@ -74,7 +84,11 @@ func NewBuddy(frames uint64) *Buddy {
 	if frames > MaxPhysFrames {
 		panic(fmt.Sprintf("vm: %d frames exceeds MaxPhysFrames (%d)", frames, uint64(MaxPhysFrames)))
 	}
-	b := &Buddy{frames: frames, blocks: newFrameIndex[blockHead](frames)}
+	b := &Buddy{
+		frames:  frames,
+		blocks:  newFrameIndex[blockHead](frames),
+		regions: make([]blockHead, (frames+regionFrames-1)>>regionOrder),
+	}
 	for i := range b.heads {
 		b.heads[i] = nilLink
 	}
@@ -125,31 +139,64 @@ func (b *Buddy) LargestFreeOrder() int {
 	return -1
 }
 
+// head returns the slot of the block of the given order at f, which
+// must be aligned to that order and inside memory: its region's slot
+// from order 9 up, else its frame-index entry, materialising the chunk.
+func (b *Buddy) head(f mem.Frame, order int) *blockHead {
+	if order >= regionOrder {
+		return &b.regions[f>>regionOrder]
+	}
+	return b.blocks.at(f)
+}
+
+// peek reads the slot head would return, without materialising
+// anything; a slot past memory reads as zero.
+func (b *Buddy) peek(f mem.Frame, order int) blockHead {
+	if order >= regionOrder {
+		if r := uint64(f >> regionOrder); r < uint64(len(b.regions)) {
+			return b.regions[r]
+		}
+		return blockHead{}
+	}
+	return b.blocks.get(f)
+}
+
+// state returns the state of the block f heads, from whichever store
+// holds it, or 0 if f heads no block.
+func (b *Buddy) state(f mem.Frame) uint8 {
+	if f%regionFrames == 0 {
+		if st := b.peek(f, regionOrder).state; st != 0 {
+			return st
+		}
+	}
+	return b.blocks.get(f).state
+}
+
 // isFreeHead reports whether f heads a free block of the given order.
 func (b *Buddy) isFreeHead(f mem.Frame, order int) bool {
-	return b.blocks.get(f).state == freeHead|uint8(order)
+	return b.peek(f, order).state == freeHead|uint8(order)
 }
 
 func (b *Buddy) insertFree(f mem.Frame, order int) {
 	h := b.heads[order]
-	*b.blocks.at(f) = blockHead{next: h, prev: nilLink, state: freeHead | uint8(order)}
+	*b.head(f, order) = blockHead{next: h, prev: nilLink, state: freeHead | uint8(order)}
 	if h != nilLink {
-		b.blocks.at(mem.Frame(h)).prev = uint32(f)
+		b.head(mem.Frame(h), order).prev = uint32(f)
 	}
 	b.heads[order] = uint32(f)
 }
 
 func (b *Buddy) removeFree(f mem.Frame, order int) {
-	e := b.blocks.at(f)
+	e := b.head(f, order)
 	n, p := e.next, e.prev
 	e.state = 0
 	if p != nilLink {
-		b.blocks.at(mem.Frame(p)).next = n
+		b.head(mem.Frame(p), order).next = n
 	} else {
 		b.heads[order] = n
 	}
 	if n != nilLink {
-		b.blocks.at(mem.Frame(n)).prev = p
+		b.head(mem.Frame(n), order).prev = p
 	}
 }
 
@@ -198,7 +245,7 @@ func (b *Buddy) Alloc(order int) (mem.Frame, error) {
 	}
 	f := mem.Frame(b.heads[o])
 	b.split(f, o, order, f)
-	b.blocks.at(f).state = allocHead | uint8(order)
+	b.head(f, order).state = allocHead | uint8(order)
 	b.freeFrames -= 1 << uint(order)
 	return f, nil
 }
@@ -227,12 +274,12 @@ func (b *Buddy) AllocSpecific(f mem.Frame) error {
 // Free releases a previously allocated block, coalescing with free
 // buddies as far as possible.
 func (b *Buddy) Free(f mem.Frame) error {
-	st := b.blocks.get(f).state
+	st := b.state(f)
 	if st&allocHead == 0 {
 		return fmt.Errorf("vm: frame %d not allocated", f)
 	}
-	b.blocks.at(f).state = 0
 	order := int(st &^ allocHead)
+	b.head(f, order).state = 0
 	b.freeFrames += 1 << uint(order)
 	for order < MaxOrder {
 		buddy := f ^ (mem.Frame(1) << uint(order))
@@ -254,5 +301,5 @@ func (b *Buddy) Free(f mem.Frame) error {
 
 // Allocated reports whether f is the head of an allocated block.
 func (b *Buddy) Allocated(f mem.Frame) bool {
-	return b.blocks.get(f).state&allocHead != 0
+	return b.state(f)&allocHead != 0
 }

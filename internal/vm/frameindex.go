@@ -17,8 +17,8 @@ const (
 //
 // It backs both the page table's frame-to-node index (on the
 // per-access hot path: every walk step and every TEMPO engine PTE read)
-// and the buddy allocator's per-frame block state; two bounds-checked
-// indexings beat hashing in both.
+// and the buddy allocator's state for blocks below 2MB; two
+// bounds-checked indexings beat hashing in both.
 type frameIndex[T any] struct {
 	chunks []*[frameChunk]T
 }

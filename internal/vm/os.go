@@ -95,9 +95,6 @@ type AddressSpace struct {
 
 	// thpEligible caches the eligibility draw per 2MB virtual region.
 	thpEligible map[mem.VAddr]bool
-	// sparse4K records 2MB virtual regions backed by 4KB pages, for
-	// steady-state coverage accounting (see SuperpageFraction).
-	sparse4K map[mem.VAddr]struct{}
 
 	// Resident footprint in bytes by page-size class.
 	footprint [3]uint64
@@ -123,7 +120,6 @@ func NewAddressSpaceShared(cfg OSConfig, buddy *Buddy) (*AddressSpace, error) {
 		buddy:       buddy,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		thpEligible: make(map[mem.VAddr]bool),
-		sparse4K:    make(map[mem.VAddr]struct{}),
 	}
 	if err := as.reservePool(); err != nil {
 		return nil, err
@@ -185,10 +181,12 @@ func (as *AddressSpace) FootprintBytes() [3]uint64 { return as.footprint }
 // contributes its whole span — which matches the steady-state RSS a
 // real run reaches once the application has touched its footprint
 // (short traces would otherwise under-count the 4KB side and make any
-// granted superpage dominate the byte total).
+// granted superpage dominate the byte total). Those regions are the
+// page table's level-1 table pages, one per 2MB region holding a 4KB
+// mapping.
 func (as *AddressSpace) SuperpageFraction() float64 {
 	super := as.footprint[1] + as.footprint[2]
-	frag := uint64(len(as.sparse4K)) * mem.Page2M.Bytes()
+	frag := as.table.L1TablePages() * mem.Page2M.Bytes()
 	if super+frag == 0 {
 		return 0
 	}
@@ -271,9 +269,6 @@ func (as *AddressSpace) install(v mem.VAddr, c mem.PageSizeClass, f mem.Frame) (
 		return Translation{}, err
 	}
 	as.footprint[c] += c.Bytes()
-	if c == mem.Page4K {
-		as.sparse4K[v.PageBase(mem.Page2M)] = struct{}{}
-	}
 	return Translation{VBase: v.PageBase(c), Frame: f, Class: c}, nil
 }
 

@@ -104,6 +104,29 @@ func TestPageTableMapErrors(t *testing.T) {
 	}
 }
 
+// A packed entry holds any frame with a 64-bit physical address; Map
+// and table-page allocation reject the frames beyond.
+func TestPageTableFrameLimit(t *testing.T) {
+	pt, _ := newTestTable(t)
+	v := mem.VAddr(0x7F12_3456_7000)
+	if err := pt.Map(v, mem.Page4K, maxPTEFrame); err != nil {
+		t.Fatal(err)
+	}
+	if tr, ok := pt.Lookup(v); !ok || tr.Frame != maxPTEFrame {
+		t.Fatalf("Lookup = %+v %v, want frame %#x", tr, ok, uint64(maxPTEFrame))
+	}
+	steps, n, _ := pt.Walk(v)
+	if pte, _, ok := pt.ReadPTE(steps[n-1].PTEAddr); !ok || pte != (PTE{Present: true, Leaf: true, Frame: maxPTEFrame}) {
+		t.Fatalf("ReadPTE = %+v %v", pte, ok)
+	}
+	if err := pt.Map(v+mem.PageSize, mem.Page4K, maxPTEFrame+1); err == nil {
+		t.Error("a frame past the 64-bit physical address space should fail")
+	}
+	if _, err := NewPageTable(func() (mem.Frame, error) { return maxPTEFrame + 1, nil }); err == nil {
+		t.Error("a table page past the 64-bit physical address space should fail")
+	}
+}
+
 func TestPageTableWalkSteps(t *testing.T) {
 	pt, b := newTestTable(t)
 	f, _ := b.AllocFrame()
@@ -207,6 +230,9 @@ func TestTablePagesGrowth(t *testing.T) {
 	}
 	if pt.TablePages() != 4 {
 		t.Errorf("sibling mapping should reuse tables, got %d", pt.TablePages())
+	}
+	if pt.L1TablePages() != 1 {
+		t.Errorf("two 4KB mappings in one 2MB region need 1 level-1 page, got %d", pt.L1TablePages())
 	}
 }
 
