@@ -8,12 +8,16 @@ import (
 )
 
 // The adaptive policy's prediction cache: predSets sets of predWays
-// rows per bank. A row's window starts at predInit cycles, halves on a
-// conflict and doubles on an early close, within [predMin, predMax].
+// rows per bank, held in chunks of predChunkSets consecutive sets. A
+// row's window starts at predInit cycles, halves on a conflict and
+// doubles on an early close, within [predMin, predMax].
 const (
-	predSetBits = 11
-	predSets    = 1 << predSetBits
-	predWays    = 4
+	predSetBits   = 11
+	predSets      = 1 << predSetBits
+	predWays      = 4
+	predChunkBits = 5
+	predChunkSets = 1 << predChunkBits
+	predChunks    = predSets / predChunkSets
 
 	predInit = 200
 	predMin  = 25
@@ -34,28 +38,43 @@ type predSet struct {
 	n     uint8            // ways fill in index order and never empty
 }
 
+// predChunk is predChunkSets consecutive sets in 896 bytes, an exact
+// Go size class.
+type predChunk [predChunkSets]predSet
+
 // openPredictor implements the prediction-cache-based adaptive row
 // policy of Awasthi et al. [17]: a bank's 2048-set 4-way cache keyed
 // by row predicting how long the row should stay open after its last
 // access. Rows that suffer conflicts have their windows shrunk; rows
 // that are re-opened shortly after an early close have them grown.
-type openPredictor [predSets]predSet
+//
+// A chunk materialises when set first writes it, and a probe of an
+// unwritten chunk finds no row, just as a zeroed set holds none, so a
+// bank costs memory only for the sets its run writes. The chunk table
+// sits inside Bank: a probe loads a chunk pointer where a flat table
+// loaded the table pointer.
+type openPredictor [predChunks]*predChunk
 
-// find returns row's set and tag, and the way holding row or -1.
-func (p *openPredictor) find(row uint64) (s *predSet, tag uint32, way int) {
-	s, tag = &p[row&(predSets-1)], uint32(row>>predSetBits)
+// predChunkOf returns the index of row's chunk.
+func predChunkOf(row uint64) uint64 { return row >> predChunkBits & (predChunks - 1) }
+
+// find returns the way of s holding tag, or -1.
+func (s *predSet) find(tag uint32) int {
 	for w := 0; w < int(s.n); w++ {
 		if s.tags[w] == tag {
-			return s, tag, w
+			return w
 		}
 	}
-	return s, tag, -1
+	return -1
 }
 
 // window returns row's predicted window without touching recency.
 func (p *openPredictor) window(row uint64) uint64 {
-	if s, _, w := p.find(row); w >= 0 {
-		return uint64(s.wins[w])
+	if c := p[predChunkOf(row)]; c != nil {
+		s := &c[row&(predChunkSets-1)]
+		if w := s.find(uint32(row >> predSetBits)); w >= 0 {
+			return uint64(s.wins[w])
+		}
 	}
 	return predInit
 }
@@ -63,7 +82,13 @@ func (p *openPredictor) window(row uint64) uint64 {
 // set installs row's window into its way, else the set's next empty
 // way, else its LRU way, and reports the row it evicted, if any.
 func (p *openPredictor) set(row, win uint64) (evicted uint64, ok bool) {
-	s, tag, w := p.find(row)
+	c := p[predChunkOf(row)]
+	if c == nil {
+		c = new(predChunk)
+		p[predChunkOf(row)] = c
+	}
+	s, tag := &c[row&(predChunkSets-1)], uint32(row>>predSetBits)
+	w := s.find(tag)
 	if w < 0 {
 		if s.n < predWays {
 			w = int(s.n)
@@ -108,7 +133,6 @@ func (s *subRow) open(now uint64) bool { return s.valid && now <= s.until }
 type Bank struct {
 	timing Timing
 	policy RowPolicy
-	pred   *openPredictor // non-nil only for PolicyAdaptive
 
 	readyAt uint64
 	subs    []subRow
@@ -123,6 +147,10 @@ type Bank struct {
 	// WouldHit(row, seg, ReadyAt()) is a pure function of (row, seg).
 	// Versions start at 1 so a zeroed request never matches.
 	version uint64
+
+	// pred is the adaptive policy's chunk table, last so the fields
+	// every access reads share cache lines.
+	pred openPredictor
 }
 
 // NewBank builds a bank with the geometry's sub-row organisation.
@@ -131,12 +159,8 @@ func NewBank(geo Geometry, timing Timing, policy RowPolicy) *Bank {
 	if n < 1 {
 		n = 1
 	}
-	b := &Bank{timing: timing, policy: policy, subs: make([]subRow, n),
+	return &Bank{timing: timing, policy: policy, subs: make([]subRow, n),
 		order: assoc.NewStacks(1, n)[0], version: 1}
-	if policy == PolicyAdaptive {
-		b.pred = new(openPredictor)
-	}
-	return b
 }
 
 // setUntil recomputes s.until after lastTouch, pinnedUntil or win
@@ -233,7 +257,7 @@ func (b *Bank) Access(row uint64, seg int, issue uint64, allowed []int, st *stat
 	outcome := stats.RowMiss
 	if s.open(issue) {
 		outcome = stats.RowConflict
-		if b.pred != nil {
+		if b.policy == PolicyAdaptive {
 			b.retune(s.row, false)
 		}
 		st.PreCount++
@@ -241,7 +265,7 @@ func (b *Bank) Access(row uint64, seg int, issue uint64, allowed []int, st *stat
 		// The victim was closed by the policy in the background; its
 		// precharge happened off the critical path.
 		st.PreCount++
-		if s.row == row && s.seg == seg && b.pred != nil {
+		if s.row == row && s.seg == seg && b.policy == PolicyAdaptive {
 			// Same row wanted again after an early close: grow window.
 			b.retune(row, true)
 		}
@@ -250,7 +274,7 @@ func (b *Bank) Access(row uint64, seg int, issue uint64, allowed []int, st *stat
 	done := issue + b.timing.latency(outcome)
 	*s = subRow{valid: true, row: row, seg: seg, lastTouch: done}
 	b.order = b.order.Touch(victim)
-	if b.pred != nil {
+	if b.policy == PolicyAdaptive {
 		s.win = b.pred.window(row)
 	}
 	b.setUntil(s)

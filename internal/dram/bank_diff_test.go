@@ -167,7 +167,7 @@ func (d *bankDiff) compareState(op string) {
 	if !slices.Equal(order, want) {
 		d.t.Fatalf("step %d %s: valid sub-rows from LRU = %v, reference %v", d.step, op, order, want)
 	}
-	if d.b.pred == nil {
+	if d.b.policy != PolicyAdaptive {
 		return
 	}
 	for _, row := range d.rows {

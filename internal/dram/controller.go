@@ -132,10 +132,11 @@ func (g Geometry) Validate() error {
 	return nil
 }
 
-// HostBytes returns the host memory the controller's banks take: each
-// bank's state and (sub-)row buffers and, under the adaptive policy,
-// its 57,344-byte row predictor. It saturates at math.MaxUint64. The
-// geometry must be valid.
+// HostBytes returns the host memory the controller's banks can take:
+// each bank's state and (sub-)row buffers and, under the adaptive
+// policy, its row predictor with every chunk written, 57,344 bytes,
+// although a run materialises only the chunks it writes. It saturates
+// at math.MaxUint64. The geometry must be valid.
 func (cfg Config) HostBytes() uint64 {
 	g := cfg.Geometry
 	subs := uint64(max(g.SubRows, 1))
@@ -144,7 +145,7 @@ func (cfg Config) HostBytes() uint64 {
 	}
 	bank := uint64(unsafe.Sizeof(Bank{})) + subs*uint64(unsafe.Sizeof(subRow{}))
 	if cfg.Policy == PolicyAdaptive {
-		bank += uint64(unsafe.Sizeof(openPredictor{}))
+		bank += predChunks * uint64(unsafe.Sizeof(predChunk{}))
 	}
 	hi, banks := bits.Mul64(uint64(g.Channels), uint64(g.BanksPerCh))
 	if hi != 0 {

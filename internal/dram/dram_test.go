@@ -172,7 +172,7 @@ func TestAdaptivePolicyClosesAfterWindow(t *testing.T) {
 
 func TestAdaptivePredictorLearns(t *testing.T) {
 	b := NewBank(DefaultGeometry(), DefaultTiming(), PolicyAdaptive)
-	p := b.pred
+	p := &b.pred
 	w0 := p.window(42)
 	b.retune(42, true)
 	if p.window(42) <= w0 {

@@ -598,6 +598,7 @@ var badMachines = []struct {
 	{"dram: -1 prefetch sub-rows is outside 0..4", tempoSubRows(4, -1, sim.SubRowPOA)},
 	{"OtherOverlap -5 is outside [0, 1]", func(c *sim.Config) { c.Machine.OtherOverlap = -5 }},
 	{"NonMemIPC 0 is below 1", func(c *sim.Config) { c.Machine.NonMemIPC = 0 }},
+	{"Interconnect of 4611686018427387904 cycles is over", func(c *sim.Config) { c.Machine.Interconnect = 1 << 62 }},
 	{"bytes of host memory", func(c *sim.Config) { c.Machine.Caches.LLC.SizeB = 16 << 30 }},
 	{"bytes of host memory", func(c *sim.Config) {
 		for len(c.Workloads) < 4096 {

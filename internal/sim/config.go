@@ -219,22 +219,49 @@ func DefaultConfig(workload string) Config {
 // validateMachine reports every machine structure that cannot be
 // built: cache, TLB and MMU-cache geometries, the DRAM organisation
 // with the run's sub-rows, DRAM refresh timing that would never
-// advance, and core timing that would divide by zero or step the
-// clock back. Machines arrive in tempo-serve job JSON, so a bad one
-// must fail the run with an error, not a panic or a hang.
+// advance, core timing that would divide by zero or step the clock
+// back, and latencies over MaxLatency. Machines arrive in tempo-serve
+// job JSON, so a bad one must fail the run with an error, not a panic
+// or a hang.
 func (c *Config) validateMachine() error {
 	m := &c.Machine
-	var overlap, ipc error
+	errs := []error{m.Caches.L1.Validate(), m.Caches.L2.Validate(), m.Caches.LLC.Validate(),
+		m.TLB.Validate(), m.MMU.Validate(), c.dramConfig().Geometry.Validate(), m.DRAM.Timing.Validate()}
 	if !(m.OtherOverlap >= 0 && m.OtherOverlap <= 1) { // NaN fails too
-		overlap = fmt.Errorf("OtherOverlap %v is outside [0, 1]", m.OtherOverlap)
+		errs = append(errs, fmt.Errorf("OtherOverlap %v is outside [0, 1]", m.OtherOverlap))
 	}
 	if m.NonMemIPC < 1 {
-		ipc = fmt.Errorf("NonMemIPC %d is below 1", m.NonMemIPC)
+		errs = append(errs, fmt.Errorf("NonMemIPC %d is below 1", m.NonMemIPC))
 	}
-	return errors.Join(m.Caches.L1.Validate(), m.Caches.L2.Validate(), m.Caches.LLC.Validate(),
-		m.TLB.Validate(), m.MMU.Validate(), c.dramConfig().Geometry.Validate(), m.DRAM.Timing.Validate(),
-		overlap, ipc)
+	t := &m.DRAM.Timing
+	for _, l := range []struct {
+		name   string
+		cycles uint64
+	}{
+		{"L1 LatencyC", m.Caches.L1.LatencyC}, {"L2 LatencyC", m.Caches.L2.LatencyC},
+		{"LLC LatencyC", m.Caches.LLC.LatencyC}, {"L2TLBPenalty", m.L2TLBPenalty},
+		{"ReplayRestart", m.ReplayRestart}, {"Interconnect", m.Interconnect},
+		{"LLCFillExtra", m.LLCFillExtra}, {"DRAM TRCD", t.TRCD}, {"DRAM TRP", t.TRP},
+		{"DRAM TCL", t.TCL}, {"DRAM TBurst", t.TBurst}, {"DRAM TFAW", t.TFAW},
+		{"DRAM TRFC", t.TRFC}, {"PTRowWait", c.dramConfig().PTRowWait},
+	} {
+		if l.cycles > MaxLatency {
+			errs = append(errs, fmt.Errorf("%s of %d cycles is over the %d-cycle limit", l.name, l.cycles, MaxLatency))
+		}
+	}
+	return errors.Join(errs...)
 }
+
+// MaxLatency caps each latency a run adds to a clock: the caches'
+// LatencyC, L2TLBPenalty, ReplayRestart, Interconnect, LLCFillExtra,
+// the DRAM timing's TRCD, TRP, TCL, TBurst, TFAW and TRFC, and TEMPO's
+// PT-row wait. It is 2^20 cycles, about 330µs at 3.2GHz and over 900
+// times the largest shipped latency (TRFC, 1,120 cycles). Far larger
+// latencies stall Run: on every serve the memory controller catches
+// refresh up to the request's cycle one TREFI at a time, and at 2^62
+// cycles a 1,000-record run did not finish in 5s. TREFI is an
+// interval, not a latency: a huge one only postpones refresh.
+const MaxLatency = 1 << 20
 
 // MaxMachineBytes caps the host memory of a machine's caches, TLBs,
 // MMU caches and DRAM banks, the structures New allocates in full from

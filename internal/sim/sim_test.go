@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -363,7 +365,10 @@ func TestBadMachineGeometryIsError(t *testing.T) {
 		{"POA reserving -1 of 4 sub-rows", "dram: -1 prefetch sub-rows is outside 0..4", subRows(4, -1, SubRowPOA)},
 		{"negative OtherOverlap", "OtherOverlap -5 is outside [0, 1]", func(c *Config) { c.Machine.OtherOverlap = -5 }},
 		{"zero NonMemIPC", "NonMemIPC 0 is below 1", func(c *Config) { c.Machine.NonMemIPC = 0 }},
-		{"16 GiB LLC", "need 1477448324 bytes of host memory, over the 268435456-byte limit", func(c *Config) {
+		{"2^62-cycle interconnect", "Interconnect of 4611686018427387904 cycles is over the 1048576-cycle limit", func(c *Config) {
+			c.Machine.Interconnect = 1 << 62
+		}},
+		{"16 GiB LLC", "need 1477456388 bytes of host memory, over the 268435456-byte limit", func(c *Config) {
 			c.Machine.Caches.LLC.SizeB = 16 << 30
 		}},
 		{"4096 cores", "bytes of host memory, over the 268435456-byte limit", func(c *Config) {
@@ -380,5 +385,54 @@ func TestBadMachineGeometryIsError(t *testing.T) {
 		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: New error = %v, want %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// Every latency a run adds to a clock is rejected one cycle over
+// MaxLatency, and a machine with all of them at MaxLatency still
+// completes a run: the ceiling bounds the refresh catch-up that a
+// 2^62-cycle interconnect turned into a hang.
+func TestLatencyCeiling(t *testing.T) {
+	latencies := func(c *Config) map[string]*uint64 {
+		m, tm := &c.Machine, &c.Machine.DRAM.Timing
+		return map[string]*uint64{
+			"L1 LatencyC": &m.Caches.L1.LatencyC, "L2 LatencyC": &m.Caches.L2.LatencyC,
+			"LLC LatencyC": &m.Caches.LLC.LatencyC, "L2TLBPenalty": &m.L2TLBPenalty,
+			"ReplayRestart": &m.ReplayRestart, "Interconnect": &m.Interconnect,
+			"LLCFillExtra": &m.LLCFillExtra, "DRAM TRCD": &tm.TRCD, "DRAM TRP": &tm.TRP,
+			"DRAM TCL": &tm.TCL, "DRAM TBurst": &tm.TBurst, "DRAM TFAW": &tm.TFAW,
+			"DRAM TRFC": &tm.TRFC, "PTRowWait": &c.Tempo.PTRowWait,
+		}
+	}
+	base := quickCfg("xsbench", 200)
+	base.Tempo = DefaultTempo()
+	for name := range latencies(&base) {
+		cfg := base
+		*latencies(&cfg)[name] = MaxLatency + 1
+		want := fmt.Sprintf("%s of %d cycles is over the %d-cycle limit", name, MaxLatency+1, MaxLatency)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: New error = %v, want %q", name, err, want)
+		}
+	}
+	cfg := base
+	for _, l := range latencies(&cfg) {
+		*l = MaxLatency
+	}
+	run(t, cfg)
+}
+
+// Building the default machine must cost memory only for what its run
+// writes: the adaptive row predictor's chunks materialise on first
+// write, so New allocates about 0.6MB, where sixteen predictors
+// allocated in full took it to 1.5MB.
+func TestNewAllocationIsLazy(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := New(DefaultConfig("xsbench")); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("New allocated %d bytes for the default machine, want < 1MB", got)
 	}
 }

@@ -5,14 +5,17 @@
 // the paper's page-size policies (4KB-only, transparent 2MB hugepages,
 // libhugetlbfs 2MB, and libhugetlbfs 1GB).
 //
-// Per-frame state — the heads and free-list links of buddy blocks
+// Per-frame state — the states and free-list links of buddy blocks
 // below 2MB, and the page table's frame-to-table-page index — lives in
 // frameIndex, a frame-indexed dense array whose 2MB chunks materialise
 // on first write: lookups are two indexings rather than a hash, and a
-// machine costs memory only where its frames have been touched. Heads
-// of 2MB-and-larger blocks, at most one per 2MB region, live in a
-// dense slice with one entry per region, so superpages, hugetlbfs
-// reservations and the splits of large blocks materialise no chunk.
+// machine costs memory only where its frames have been written. Block
+// states take a byte per frame and free-list links eight bytes, the
+// latter only where a free block below 2MB is headed, so a 2MB region
+// memhog fills completely costs 512 bytes. Heads of 2MB-and-larger
+// blocks, at most one per 2MB region, live in a dense slice with one
+// entry per region, so superpages, hugetlbfs reservations and the
+// splits of large blocks materialise no chunk.
 package vm
 
 import (
@@ -48,12 +51,17 @@ const (
 	allocHead = 1 << 7
 )
 
-// blockHead is the buddy allocator's state for one frame. next and
-// prev link a free block into its order's free list; they are
-// meaningful only while state is freeHead|order.
-type blockHead struct {
+// freeLink threads a free block into its order's free list; it is
+// meaningful only while the block's state is freeHead|order.
+type freeLink struct {
 	next, prev uint32
-	state      uint8
+}
+
+// blockHead is the state and free-list links of a block of order 9 or
+// above, kept per 2MB region.
+type blockHead struct {
+	freeLink
+	state uint8
 }
 
 // Buddy is a binary buddy allocator over 4KB physical frames. Orders
@@ -64,16 +72,18 @@ type blockHead struct {
 // but the sequence of calls.
 //
 // A block's head lives in one of two stores, chosen by its order (see
-// head): blocks holds those of blocks below order 9 in a lazily
-// chunked frame-indexed array, and regions those of order 9 and above,
-// which start 2MB regions, one slot per region. A frame heads at most
-// one block at a time, so at most one store holds a nonzero state for
-// it.
+// setState and link): blocks below order 9 keep their state in states
+// and, while free, their links in links, two lazily chunked
+// frame-indexed arrays; blocks of order 9 and above, which start 2MB
+// regions, keep both in regions, one slot per region. A frame heads at
+// most one block at a time, so at most one store holds a nonzero state
+// for it.
 type Buddy struct {
 	frames     uint64
 	freeFrames uint64
 	heads      [MaxOrder + 1]uint32
-	blocks     frameIndex[blockHead]
+	states     frameIndex[uint8]
+	links      frameIndex[freeLink]
 	regions    []blockHead
 }
 
@@ -86,7 +96,8 @@ func NewBuddy(frames uint64) *Buddy {
 	}
 	b := &Buddy{
 		frames:  frames,
-		blocks:  newFrameIndex[blockHead](frames),
+		states:  newFrameIndex[uint8](frames),
+		links:   newFrameIndex[freeLink](frames),
 		regions: make([]blockHead, (frames+regionFrames-1)>>regionOrder),
 	}
 	for i := range b.heads {
@@ -139,64 +150,77 @@ func (b *Buddy) LargestFreeOrder() int {
 	return -1
 }
 
-// head returns the slot of the block of the given order at f, which
-// must be aligned to that order and inside memory: its region's slot
-// from order 9 up, else its frame-index entry, materialising the chunk.
-func (b *Buddy) head(f mem.Frame, order int) *blockHead {
+// setState records st as the state of the block of the given order at
+// f, which must be aligned to that order and inside memory: in its
+// region's slot from order 9 up, else in states, materialising the
+// chunk.
+func (b *Buddy) setState(f mem.Frame, order int, st uint8) {
 	if order >= regionOrder {
-		return &b.regions[f>>regionOrder]
+		b.regions[f>>regionOrder].state = st
+		return
 	}
-	return b.blocks.at(f)
+	*b.states.at(f) = st
 }
 
-// peek reads the slot head would return, without materialising
+// link returns the free-list links of the free block of the given
+// order at f: its region's slot from order 9 up, else its entry in
+// links, materialising the chunk.
+func (b *Buddy) link(f mem.Frame, order int) *freeLink {
+	if order >= regionOrder {
+		return &b.regions[f>>regionOrder].freeLink
+	}
+	return b.links.at(f)
+}
+
+// peek reads the state setState would write, without materialising
 // anything; a slot past memory reads as zero.
-func (b *Buddy) peek(f mem.Frame, order int) blockHead {
+func (b *Buddy) peek(f mem.Frame, order int) uint8 {
 	if order >= regionOrder {
 		if r := uint64(f >> regionOrder); r < uint64(len(b.regions)) {
-			return b.regions[r]
+			return b.regions[r].state
 		}
-		return blockHead{}
+		return 0
 	}
-	return b.blocks.get(f)
+	return b.states.get(f)
 }
 
 // state returns the state of the block f heads, from whichever store
 // holds it, or 0 if f heads no block.
 func (b *Buddy) state(f mem.Frame) uint8 {
 	if f%regionFrames == 0 {
-		if st := b.peek(f, regionOrder).state; st != 0 {
+		if st := b.peek(f, regionOrder); st != 0 {
 			return st
 		}
 	}
-	return b.blocks.get(f).state
+	return b.states.get(f)
 }
 
 // isFreeHead reports whether f heads a free block of the given order.
 func (b *Buddy) isFreeHead(f mem.Frame, order int) bool {
-	return b.peek(f, order).state == freeHead|uint8(order)
+	return b.peek(f, order) == freeHead|uint8(order)
 }
 
 func (b *Buddy) insertFree(f mem.Frame, order int) {
 	h := b.heads[order]
-	*b.head(f, order) = blockHead{next: h, prev: nilLink, state: freeHead | uint8(order)}
+	b.setState(f, order, freeHead|uint8(order))
+	*b.link(f, order) = freeLink{next: h, prev: nilLink}
 	if h != nilLink {
-		b.head(mem.Frame(h), order).prev = uint32(f)
+		b.link(mem.Frame(h), order).prev = uint32(f)
 	}
 	b.heads[order] = uint32(f)
 }
 
 func (b *Buddy) removeFree(f mem.Frame, order int) {
-	e := b.head(f, order)
-	n, p := e.next, e.prev
-	e.state = 0
+	b.setState(f, order, 0)
+	l := b.link(f, order)
+	n, p := l.next, l.prev
 	if p != nilLink {
-		b.head(mem.Frame(p), order).next = n
+		b.link(mem.Frame(p), order).next = n
 	} else {
 		b.heads[order] = n
 	}
 	if n != nilLink {
-		b.head(mem.Frame(n), order).prev = p
+		b.link(mem.Frame(n), order).prev = p
 	}
 }
 
@@ -245,7 +269,7 @@ func (b *Buddy) Alloc(order int) (mem.Frame, error) {
 	}
 	f := mem.Frame(b.heads[o])
 	b.split(f, o, order, f)
-	b.head(f, order).state = allocHead | uint8(order)
+	b.setState(f, order, allocHead|uint8(order))
 	b.freeFrames -= 1 << uint(order)
 	return f, nil
 }
@@ -266,7 +290,7 @@ func (b *Buddy) AllocSpecific(f mem.Frame) error {
 		return fmt.Errorf("vm: frame %d not free", f)
 	}
 	b.split(head, order, 0, f)
-	b.blocks.at(f).state = allocHead
+	*b.states.at(f) = allocHead
 	b.freeFrames--
 	return nil
 }
@@ -279,7 +303,7 @@ func (b *Buddy) Free(f mem.Frame) error {
 		return fmt.Errorf("vm: frame %d not allocated", f)
 	}
 	order := int(st &^ allocHead)
-	b.head(f, order).state = 0
+	b.setState(f, order, 0)
 	b.freeFrames += 1 << uint(order)
 	for order < MaxOrder {
 		buddy := f ^ (mem.Frame(1) << uint(order))

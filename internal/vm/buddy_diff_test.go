@@ -158,13 +158,17 @@ func TestBuddyMatchesReferenceRandomOps(t *testing.T) {
 }
 
 // fragment runs fragment on the Buddy and refFragment on the
-// reference, from the same seed, over the whole machine.
+// reference, from the same seed, over the whole machine; both must
+// then mark the same frames allocated.
 func (d *buddyDiff) fragment(seed int64, frac float64) {
 	d.t.Helper()
 	frames := d.b.TotalFrames()
 	fragment(rand.New(rand.NewSource(seed)), d.b, frames, frac)
 	refFragment(rand.New(rand.NewSource(seed)), frames, frac, d.r.AllocSpecific)
 	d.check(fmt.Sprintf("fragment(%v)", frac))
+	for f := mem.Frame(0); uint64(f) < frames; f++ {
+		d.allocated(f)
+	}
 }
 
 // drain allocates single frames from both allocators until they run

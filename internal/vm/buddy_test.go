@@ -290,9 +290,10 @@ func TestBuddyDeterminism(t *testing.T) {
 }
 
 // Building a machine must not cost memory in proportion to its size:
-// NewBuddy plus a first 2MB allocation touch only the chunks holding
-// block heads (13 of 6KB here) and the 16KB chunk table, where flat
-// per-frame state for 4GB of frames would take 12MB.
+// NewBuddy plus a first 2MB allocation split only blocks of 2MB and
+// above, so they touch no chunk, only two 16KB chunk tables and the
+// 24KB slice of region slots (60KB in all), where flat per-frame state
+// for 4GB of frames would take 12MB.
 func TestBuddySetupAllocationIsLazy(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -303,5 +304,23 @@ func TestBuddySetupAllocationIsLazy(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 128<<10 {
 		t.Errorf("NewBuddy(1<<20) + Alloc(9) allocated %d bytes, want < 128KB", got)
+	}
+}
+
+// Memhog state must cost memory only where a region keeps free blocks:
+// at memhog 0.75 over 1GB, fragment fills all 512 regions, half of
+// them completely. 12-byte heads would need 6KB a region, 3MB in all;
+// a state byte per frame needs 256KB, plus 4KB of free-list links in
+// each region memhog leaves free blocks in, about 1.3MB.
+func TestFragmentAllocationIsLazy(t *testing.T) {
+	const frames = 1 << 18
+	b := NewBuddy(frames)
+	fullTemplates()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fragment(rand.New(rand.NewSource(1)), b, frames, 0.75)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Errorf("fragment of 1GB at 0.75 allocated %d bytes, want < 2MB", got)
 	}
 }

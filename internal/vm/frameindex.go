@@ -15,7 +15,7 @@ const (
 // nothing up front. Reads of frames never written — including frames
 // beyond every chunk — return T's zero value without allocating.
 //
-// It backs both the page table's frame-to-node index (on the
+// It backs both the page table's frame-to-table-page index (on the
 // per-access hot path: every walk step and every TEMPO engine PTE read)
 // and the buddy allocator's state for blocks below 2MB; two
 // bounds-checked indexings beat hashing in both.

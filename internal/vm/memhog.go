@@ -113,7 +113,7 @@ func newRegionTemplate(step, count int) *regionTemplate {
 	t := &regionTemplate{step: step, count: count}
 	for o := 0; o < regionOrder; o++ {
 		n := len(t.free)
-		for f := s.heads[o]; f != nilLink; f = s.blocks.get(mem.Frame(f)).next {
+		for f := s.heads[o]; f != nilLink; f = s.links.get(mem.Frame(f)).next {
 			t.free = append(t.free, templateBlock{off: uint16(f), order: uint8(o)})
 		}
 		slices.Reverse(t.free[n:])
@@ -128,9 +128,9 @@ func (b *Buddy) splice(base mem.Frame, t *regionTemplate) {
 	for _, fb := range t.free {
 		b.insertFree(base+mem.Frame(fb.off), int(fb.order))
 	}
-	c := b.blocks.chunk(base) // a region is one chunk
+	c := b.states.chunk(base) // a region is one chunk
 	for i := 0; i < t.count; i++ {
-		c[i*t.step].state = allocHead
+		c[i*t.step] = allocHead
 	}
 	b.freeFrames -= uint64(t.count)
 }
