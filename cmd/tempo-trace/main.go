@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/mem"
@@ -69,19 +70,32 @@ func cmdGen(args []string) {
 	if err != nil {
 		fatal("gen: %v", err)
 	}
-	for i := 0; i < *records; i++ {
-		rec, ok := g.Next()
-		if !ok {
-			break
-		}
+	each(g, *records, func(rec trace.Record) {
 		if err := w.Write(rec); err != nil {
 			fatal("gen: %v", err)
 		}
-	}
+	})
 	if err := w.Flush(); err != nil {
 		fatal("gen: %v", err)
 	}
 	fmt.Printf("wrote %d records of %s to %s\n", *records, *wl, *out)
+}
+
+// each calls fn on the records of s in order, reading them a batch at
+// a time, until s ends or fn has seen limit records.
+func each(s trace.Stream, limit int, fn func(trace.Record)) {
+	var batch [256]trace.Record
+	for limit > 0 {
+		want := min(limit, len(batch))
+		n := s.Read(batch[:want])
+		for _, rec := range batch[:n] {
+			fn(rec)
+		}
+		if n < want {
+			return
+		}
+		limit -= n
+	}
 }
 
 func openTrace(path string) *trace.Reader {
@@ -110,11 +124,7 @@ func cmdInfo(args []string) {
 		lo, hi                      mem.VAddr
 	)
 	lo = ^mem.VAddr(0)
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
+	each(r, math.MaxInt, func(rec trace.Record) {
 		n++
 		insts += uint64(rec.Gap) + 1
 		if rec.Kind == trace.Store {
@@ -132,7 +142,7 @@ func cmdInfo(args []string) {
 		if rec.VAddr > hi {
 			hi = rec.VAddr
 		}
-	}
+	})
 	if err := r.Err(); err != nil {
 		fatal("info: %v", err)
 	}
@@ -150,11 +160,8 @@ func cmdDump(args []string) {
 		fatal("dump: one trace file required")
 	}
 	r := openTrace(fs.Arg(0))
-	for i := 0; i < *n; i++ {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
+	i := 0
+	each(r, *n, func(rec trace.Record) {
 		kind := "LD"
 		if rec.Kind == trace.Store {
 			kind = "ST"
@@ -164,7 +171,8 @@ func cmdDump(args []string) {
 			val = fmt.Sprintf("  val=%d", rec.Value)
 		}
 		fmt.Printf("%6d  pc=%#08x  %s %#012x  gap=%d%s\n", i, rec.PC, kind, uint64(rec.VAddr), rec.Gap, val)
-	}
+		i++
+	})
 	if err := r.Err(); err != nil {
 		fatal("dump: %v", err)
 	}

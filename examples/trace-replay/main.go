@@ -42,8 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := 0; i < records; i++ {
-		rec, _ := g.Next()
+	for _, rec := range trace.Take(g, records) {
 		if err := w.Write(rec); err != nil {
 			log.Fatal(err)
 		}

@@ -7,7 +7,9 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/assoc"
@@ -54,17 +56,12 @@ func (r Replacement) String() string {
 	}
 }
 
-// invalidTag marks an empty way. Tags are the line address with the
-// set-index bits stripped, so the all-ones pattern would need a
-// physical address of at least 2^38 bytes (per 64-set cache) — far
-// beyond any modelled memory; index panics should an address reach it.
-const invalidTag = ^uint32(0)
-
-// Cache is one set-associative write-back cache level, stored as a
-// structure of arrays: one tag and one meta byte per way, and one
-// recency stack (assoc.Stack) per set. Ways fill in index order and
-// never empty again, so a set's LRU way is its first empty way while
-// it has one.
+// Cache is one set-associative write-back cache level. Each set is one
+// block (see block), so zeroed memory is a cache of empty sets and New
+// writes nothing. A probe compares eight fingerprints in one word and
+// reads the tag of each way whose fingerprint matches. Ways fill in
+// index order and never empty again, so a set's LRU way is its first
+// empty way while it has one.
 type Cache struct {
 	name     string
 	sets     int
@@ -73,9 +70,9 @@ type Cache struct {
 	setShift uint
 	latency  uint64
 	replace  Replacement
-	tags     []uint32      // invalidTag = empty way
-	meta     []uint8       // dirty bit + RRPV + provenance, packed
-	order    []assoc.Stack // per-set recency order
+	wide     bool        // more than eight ways: two fingerprint words
+	start    assoc.Stack // a fresh set's recency order
+	blocks   []block
 
 	// Hits and Misses count demand lookups.
 	Hits, Misses uint64
@@ -83,9 +80,30 @@ type Cache struct {
 	Writebacks uint64
 }
 
+// block is one set of up to assoc.MaxWays ways in two 64-byte host
+// cache lines: the set's recency stack XOR its starting order, so a
+// zero block is a fresh set, then per way a fingerprint byte, a meta
+// byte and a tag. A fingerprint is a hash of the tag with its top bit
+// set, or zero for an empty way.
+type block struct {
+	order uint64
+	fps   [assoc.MaxWays]uint8
+	meta  [assoc.MaxWays]uint8
+	tags  [assoc.MaxWays]uint32
+	_     [24]byte
+}
+
+// blockBytes is a block's host size, a whole number of host cache
+// lines.
+const blockBytes = 128
+
+// wayMask keeps way indices inside a block's arrays, so indexing them
+// needs no bounds check.
+const wayMask = assoc.MaxWays - 1
+
 // meta byte layout: bit 0 dirty, bits 1-2 RRPV, bits 3-4 provenance.
-// One byte per line keeps the fill/hit bookkeeping to a single array
-// write instead of three.
+// One byte per line keeps the fill/hit bookkeeping to a single write
+// instead of three.
 const (
 	metaDirtyBit  = 1 << 0
 	metaRrpvShift = 1
@@ -116,12 +134,12 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// HostBytes returns the host memory a cache of this shape takes: a
-// 4-byte tag and a metadata byte per line, and a recency stack per
-// set. cfg must be valid.
+// HostBytes returns the host memory a cache of this shape takes: one
+// 128-byte block per set, which holds the set's recency stack and a
+// fingerprint byte, a meta byte and a 4-byte tag for each of up to 16
+// ways. cfg must be valid.
 func (cfg Config) HostBytes() uint64 {
-	lines := cfg.SizeB / mem.LineSize
-	return lines*5 + lines/uint64(cfg.Ways)*8
+	return cfg.SizeB / mem.LineSize / uint64(cfg.Ways) * blockBytes
 }
 
 // New builds a cache. Panics with Config.Validate's error on invalid
@@ -131,8 +149,7 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	sets := int(cfg.SizeB/mem.LineSize) / cfg.Ways
-	n := sets * cfg.Ways
-	c := &Cache{
+	return &Cache{
 		name:     cfg.Name,
 		sets:     sets,
 		ways:     cfg.Ways,
@@ -140,14 +157,10 @@ func New(cfg Config) *Cache {
 		setShift: uint(bits.TrailingZeros(uint(sets))),
 		latency:  cfg.LatencyC,
 		replace:  cfg.Replace,
-		tags:     make([]uint32, n),
-		meta:     make([]uint8, n),
-		order:    assoc.NewStacks(sets, cfg.Ways),
+		wide:     cfg.Ways > 8,
+		start:    assoc.NewStacks(1, cfg.Ways)[0],
+		blocks:   make([]block, sets),
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	return c
 }
 
 // Name returns the configured name.
@@ -159,40 +172,84 @@ func (c *Cache) Latency() uint64 { return c.latency }
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 
-func (c *Cache) index(p mem.PAddr) (base int, set uint64, tag uint32) {
+// tagRangeError is the panic value of an address whose tag does not fit
+// in 32 bits; its message is built only when printed, so index inlines.
+type tagRangeError struct {
+	name string
+	p    mem.PAddr
+}
+
+func (e tagRangeError) Error() string {
+	return fmt.Sprintf("cache %q: physical address %#x exceeds the representable tag range", e.name, uint64(e.p))
+}
+
+// index returns the block of the set holding p, the set and p's tag:
+// its line address with the set-index bits stripped.
+func (c *Cache) index(p mem.PAddr) (b *block, set uint64, tag uint32) {
 	lineAddr := uint64(p) >> mem.LineShift
 	set = lineAddr & c.setMask
 	t := lineAddr >> c.setShift
-	if t >= uint64(invalidTag) {
-		panic(fmt.Sprintf("cache %q: physical address %#x exceeds the representable tag range", c.name, uint64(p)))
+	if t > math.MaxUint32 {
+		panic(tagRangeError{c.name, p})
 	}
-	return int(set) * c.ways, set, uint32(t)
+	return &c.blocks[set], set, uint32(t)
 }
 
-// find returns the way of the set starting at base that holds tag, or
-// -1. Empty ways hold invalidTag, which no real tag equals.
-func (c *Cache) find(base int, tag uint32) int {
-	for w, t := range c.tags[base : base+c.ways] {
-		if t == tag {
+// fingerprint hashes a tag to the byte its way's fingerprint holds:
+// seven bits of the hash under a set top bit, so no tag's fingerprint
+// is an empty way's zero.
+func fingerprint(tag uint32) uint64 { return 0x80 | uint64(tag*0x9E3779B1>>25) }
+
+// Word-parallel byte masks: the low bit and the low seven bits of every
+// byte.
+const (
+	lowBits  = 0x0101010101010101
+	low7Bits = 0x7F7F7F7F7F7F7F7F
+)
+
+// find returns the way of b holding tag, or -1.
+func (c *Cache) find(b *block, tag uint32) int {
+	want := fingerprint(tag) * lowBits
+	if w := b.match(0, want, tag); w >= 0 || !c.wide {
+		return w
+	}
+	return b.match(8, want, tag)
+}
+
+// match returns the way among ways first..first+7 of b that holds tag,
+// whose fingerprint repeated in every byte is want, or -1. The eight
+// fingerprints are compared at once: a byte of x is zero exactly where
+// a way's fingerprint matches, and only those ways' tags are read.
+func (b *block) match(first int, want uint64, tag uint32) int {
+	x := binary.LittleEndian.Uint64(b.fps[first&8:]) ^ want
+	// The top bit of each byte of m is set where x's byte is zero.
+	for m := ^((x&low7Bits + low7Bits) | x | low7Bits); m != 0; m &= m - 1 {
+		if w := first + bits.TrailingZeros64(m)>>3; b.tags[w&wayMask] == tag {
 			return w
 		}
 	}
 	return -1
 }
 
+// order returns b's recency stack, and setOrder stores one.
+func (c *Cache) order(b *block) assoc.Stack { return assoc.Stack(b.order) ^ c.start }
+
+func (c *Cache) setOrder(b *block, s assoc.Stack) { b.order = uint64(s ^ c.start) }
+
 // Access looks up the line holding p, updating LRU and hit/miss
 // counters. On a hit it returns true plus the line's provenance, and
 // demotes the provenance to FillDemand (a prefetched line is counted
 // useful only once). Write hits mark the line dirty.
 func (c *Cache) Access(p mem.PAddr, write bool) (bool, Provenance) {
-	base, set, tag := c.index(p)
-	w := c.find(base, tag)
+	b, _, tag := c.index(p)
+	w := c.find(b, tag)
 	if w < 0 {
 		c.Misses++
 		return false, FillDemand
 	}
-	c.order[set] = c.order[set].Touch(w)
-	m := c.meta[base+w]
+	c.setOrder(b, c.order(b).Touch(w))
+	w &= wayMask
+	m := b.meta[w]
 	prov := Provenance(m >> metaProvShift & 3)
 	// SRRIP: near re-reference on a hit (RRPV 0); provenance demotes to
 	// FillDemand; a write marks the line dirty.
@@ -200,15 +257,15 @@ func (c *Cache) Access(p mem.PAddr, write bool) (bool, Provenance) {
 	if write {
 		m |= metaDirtyBit
 	}
-	c.meta[base+w] = m
+	b.meta[w] = m
 	c.Hits++
 	return true, prov
 }
 
 // Contains peeks for p without disturbing LRU or counters.
 func (c *Cache) Contains(p mem.PAddr) bool {
-	base, _, tag := c.index(p)
-	return c.find(base, tag) >= 0
+	b, _, tag := c.index(p)
+	return c.find(b, tag) >= 0
 }
 
 // Victim describes an eviction caused by a fill.
@@ -226,29 +283,30 @@ func (c *Cache) Fill(p mem.PAddr, prov Provenance, dirty bool) (Victim, bool) {
 	return c.fill(p, prov, dirty, false)
 }
 
-// fill is Fill; absent says the caller knows p is not resident (its
-// Access just missed and nothing has touched the cache since), so the
+// fill is Fill; absent says the caller knows p is not resident (it
+// missed this cache and nothing has touched the cache since), so the
 // set is not searched for it.
 func (c *Cache) fill(p mem.PAddr, prov Provenance, dirty, absent bool) (out Victim, evicted bool) {
-	base, set, tag := c.index(p)
+	b, set, tag := c.index(p)
+	order := c.order(b)
 	if !absent {
-		if w := c.find(base, tag); w >= 0 {
-			c.order[set] = c.order[set].Touch(w)
+		if w := c.find(b, tag); w >= 0 {
+			c.setOrder(b, order.Touch(w))
 			if dirty {
-				c.meta[base+w] |= metaDirtyBit
+				b.meta[w&wayMask] |= metaDirtyBit
 			}
 			return Victim{}, false
 		}
 	}
 	// The LRU way is the first empty way while the set has one, so a
 	// valid LRU way means the set is full.
-	w := c.order[set].LRU(c.ways)
-	if c.tags[base+w] != invalidTag {
+	w := order.LRU(c.ways) & wayMask
+	if b.fps[w] != 0 {
 		if c.replace == ReplaceSRRIP {
-			w = c.srripVictim(base) - base
+			w = c.srripVictim(b) & wayMask
 		}
-		line := uint64(c.tags[base+w])<<c.setShift | set
-		out = Victim{Addr: mem.PAddr(line << mem.LineShift), Dirty: c.meta[base+w]&metaDirtyBit != 0}
+		line := uint64(b.tags[w])<<c.setShift | set
+		out = Victim{Addr: mem.PAddr(line << mem.LineShift), Dirty: b.meta[w]&metaDirtyBit != 0}
 		evicted = true
 		if out.Dirty {
 			c.Writebacks++
@@ -262,9 +320,10 @@ func (c *Cache) fill(p mem.PAddr, prov Provenance, dirty, absent bool) (out Vict
 	if dirty {
 		m |= metaDirtyBit
 	}
-	c.tags[base+w] = tag
-	c.meta[base+w] = m
-	c.order[set] = c.order[set].Touch(w)
+	b.fps[w] = uint8(fingerprint(tag))
+	b.meta[w] = m
+	b.tags[w] = tag
+	c.setOrder(b, order.Touch(w))
 	return out, evicted
 }
 
@@ -273,25 +332,26 @@ func (c *Cache) fill(p mem.PAddr, prov Provenance, dirty, absent bool) (out Vict
 // until one reaches it. Computed in one pass instead of repeated
 // aging sweeps — the first way holding the set's maximum RRPV is the
 // first to reach 3, and every way ages by the same shortfall.
-func (c *Cache) srripVictim(base int) int {
-	maxI, maxV := base, c.meta[base]>>metaRrpvShift&3
+func (c *Cache) srripVictim(b *block) int {
+	meta := b.meta[:c.ways]
+	maxW, maxV := 0, meta[0]>>metaRrpvShift&3
 	if maxV >= 3 {
-		return base
+		return 0
 	}
-	for i := base + 1; i < base+c.ways; i++ {
-		r := c.meta[i] >> metaRrpvShift & 3
+	for w := 1; w < len(meta); w++ {
+		r := meta[w] >> metaRrpvShift & 3
 		if r >= 3 {
-			return i
+			return w
 		}
 		if r > maxV {
-			maxI, maxV = i, r
+			maxW, maxV = w, r
 		}
 	}
 	// Every RRPV in the set is at most maxV, so adding the shortfall
 	// cannot carry out of the packed field.
 	age := 3 - maxV
-	for i := base; i < base+c.ways; i++ {
-		c.meta[i] += age << metaRrpvShift
+	for w := range meta {
+		meta[w] += age << metaRrpvShift
 	}
-	return maxI
+	return maxW
 }

@@ -8,6 +8,10 @@ import (
 	"repro/internal/mem"
 )
 
+// invalidTag marks the reference's empty ways; Cache marks them with a
+// zero fingerprint instead.
+const invalidTag = ^uint32(0)
+
 // cacheDiff drives Cache and the stamp-based reference (refCache)
 // through the same operations and fails on the first observable
 // difference: a return value or a counter.

@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/stats"
@@ -256,4 +259,31 @@ func TestCleanEvictionsProduceNoWritebacks(t *testing.T) {
 	if len(wbs) != 0 {
 		t.Errorf("clean traffic produced %d writebacks", len(wbs))
 	}
+}
+
+// HostBytes counts each set as blockBytes, so that must be a block's
+// size.
+func TestBlockBytes(t *testing.T) {
+	if got := unsafe.Sizeof(block{}); got != blockBytes {
+		t.Errorf("a block takes %d bytes, blockBytes says %d", got, blockBytes)
+	}
+}
+
+// A tag is the line address above the set bits and must fit in 32
+// bits: the largest such tag is an ordinary line, and an address one
+// line above it panics.
+func TestTagRange(t *testing.T) {
+	c := New(Config{Name: "one-set", SizeB: 2 * mem.LineSize, Ways: 2, LatencyC: 1})
+	top := mem.PAddr(math.MaxUint32) << mem.LineShift
+	c.Fill(top, FillDemand, false)
+	if hit, _ := c.Access(top, false); !hit {
+		t.Error("the largest tag should be cached like any other")
+	}
+	defer func() {
+		want := `cache "one-set": physical address 0x4000000000 exceeds the representable tag range`
+		if got := fmt.Sprint(recover()); got != want {
+			t.Errorf("panic %q, want %q", got, want)
+		}
+	}()
+	c.Access(top+mem.LineSize, false)
 }

@@ -134,10 +134,16 @@ func (h *Hierarchy) Access(p mem.PAddr, write bool) AccessResult {
 // three levels and returns the dirty LLC victims bound for DRAM. The
 // returned slice aliases a per-Hierarchy scratch buffer: it is valid
 // only until the next fill and must not be retained.
+//
+// p must be resident in neither L1 nor L2, as it is when this
+// hierarchy's Access of p missed every level and neither level has been
+// touched since (the core stayed parked on the DRAM request): the fills
+// into L1 and L2 do not search them for p. The LLC, which other cores
+// and prefetches fill meanwhile, is searched.
 func (h *Hierarchy) FillFromDRAM(p mem.PAddr, write bool) []mem.PAddr {
 	wb := h.fillLLC(h.wbFill[:0], p, FillDemand, false)
-	wb = h.fillL2(wb, p, false, false)
-	wb = h.fillL1(wb, p, write, false)
+	wb = h.fillL2(wb, p, false, true)
+	wb = h.fillL1(wb, p, write, true)
 	h.wbFill = wb
 	h.WBBurst.Observe(uint64(len(wb)))
 	return wb
@@ -149,8 +155,9 @@ func (h *Hierarchy) PeekLLC(p mem.PAddr) bool { return h.LLC.Contains(p) }
 
 // fillL1/fillL2/fillLLC install a line at one level, cascading any
 // dirty victim into the level below; dirty LLC victims are appended to
-// wb and the extended slice returned. Access's promotion fills pass
-// absent, as the level has just missed p: see Cache.fill.
+// wb and the extended slice returned. Access's promotion fills and
+// FillFromDRAM's L1 and L2 fills pass absent, as the level has missed
+// p and not changed since: see Cache.fill.
 func (h *Hierarchy) fillL1(wb []mem.PAddr, p mem.PAddr, dirty, absent bool) []mem.PAddr {
 	if v, evicted := h.L1.fill(p, FillDemand, dirty, absent); evicted && v.Dirty {
 		return h.fillL2(wb, v.Addr, true, false)

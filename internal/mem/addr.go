@@ -54,19 +54,30 @@ const (
 	Page1G
 )
 
-// Shift returns the log2 of the page size for the class.
+// Shift returns the log2 of the page size for the class: 12, then 9
+// more (one radix level) per class.
 func (c PageSizeClass) Shift() uint {
-	switch c {
-	case Page4K:
-		return 12
-	case Page2M:
-		return 21
-	case Page1G:
-		return 30
-	default:
-		panic(fmt.Sprintf("mem: invalid page size class %d", c))
+	if c > Page1G {
+		panic(badClass(c))
 	}
+	return PageShift + LevelBits*uint(c)
 }
+
+// badClass, badLevel and badPTEIndex are the panic values of an
+// invalid page size class, page-table level and PTE index. Their
+// messages are built only when printed, so the helpers that panic with
+// them stay small enough to inline.
+type (
+	badClass    PageSizeClass
+	badLevel    int
+	badPTEIndex uint64
+)
+
+func (c badClass) Error() string { return fmt.Sprintf("mem: invalid page size class %d", c) }
+
+func (l badLevel) Error() string { return fmt.Sprintf("mem: invalid page table level %d", l) }
+
+func (i badPTEIndex) Error() string { return fmt.Sprintf("mem: PTE index %d out of range", i) }
 
 // Bytes returns the page size in bytes.
 func (c PageSizeClass) Bytes() uint64 { return 1 << c.Shift() }
@@ -77,16 +88,10 @@ func (c PageSizeClass) Frames() uint64 { return 1 << (c.Shift() - PageShift) }
 // LeafLevel returns the page-table level that holds the leaf entry for
 // this page size: L1 (level 1) for 4KB, L2 for 2MB, L3 for 1GB.
 func (c PageSizeClass) LeafLevel() int {
-	switch c {
-	case Page4K:
-		return 1
-	case Page2M:
-		return 2
-	case Page1G:
-		return 3
-	default:
-		panic(fmt.Sprintf("mem: invalid page size class %d", c))
+	if c > Page1G {
+		panic(badClass(c))
 	}
+	return int(c) + 1
 }
 
 // String implements fmt.Stringer.
@@ -107,7 +112,7 @@ func (c PageSizeClass) String() string {
 // (4 = root ... 1 = leaf) when walking this virtual address.
 func (v VAddr) Index(level int) uint64 {
 	if level < 1 || level > Levels {
-		panic(fmt.Sprintf("mem: invalid page table level %d", level))
+		panic(badLevel(level))
 	}
 	shift := PageShift + uint(level-1)*LevelBits
 	return (uint64(v) >> shift) & (EntriesPerTable - 1)
@@ -160,7 +165,7 @@ func (f Frame) Addr() PAddr { return PAddr(uint64(f) << PageShift) }
 // entry inside a table page stored in frame f.
 func (f Frame) PTEAddr(idx uint64) PAddr {
 	if idx >= EntriesPerTable {
-		panic(fmt.Sprintf("mem: PTE index %d out of range", idx))
+		panic(badPTEIndex(idx))
 	}
 	return f.Addr() + PAddr(idx*PTEBytes)
 }

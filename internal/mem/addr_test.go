@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -191,5 +192,30 @@ func TestPageBaseIdempotent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// The address helpers panic on invalid arguments with the same
+// messages whether or not they are inlined.
+func TestInvalidArgumentPanicMessages(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		fn   func()
+	}{
+		{"mem: invalid page size class 3", func() { Page1G.Shift(); PageSizeClass(3).Shift() }},
+		{"mem: invalid page size class 9", func() { PageSizeClass(9).LeafLevel() }},
+		{"mem: invalid page size class 4", func() { PageSizeClass(4).Bytes() }},
+		{"mem: invalid page table level 0", func() { VAddr(0).Index(0) }},
+		{"mem: invalid page table level 5", func() { VAddr(0).Index(5) }},
+		{"mem: PTE index 512 out of range", func() { Frame(1).PTEAddr(EntriesPerTable) }},
+	} {
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != tc.want {
+					t.Errorf("panic %q, want %q", got, tc.want)
+				}
+			}()
+			tc.fn()
+		}()
 	}
 }

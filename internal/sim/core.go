@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cache"
@@ -59,8 +60,9 @@ const (
 // on a miss offer it to the mechanism's hooks and walk the page table,
 // then access the data and do the tail bookkeeping. The coordinator
 // calls step, which runs records until the core must block on a DRAM
-// request (coreWait), recording its resume point in phase. Strictly
-// one core executes at a time, so runs are deterministic.
+// request (coreWait), recording its resume point in phase; in a
+// one-core system the core serves that request itself and carries on.
+// Strictly one core executes at a time, so runs are deterministic.
 type Core struct {
 	id     int
 	sys    *System
@@ -69,6 +71,10 @@ type Core struct {
 	walker *ptwalk.Walker
 	hier   *cache.Hierarchy
 	imp    *prefetch.IMP
+	// lone is set in a one-core system: a park on DRAM then serves
+	// the controller itself (serveOwn) instead of returning to
+	// System.Run.
+	lone bool
 	// mech is this core's translation-mechanism hooks, nil when the
 	// mechanism has no core-side presence (tempo and the baseline);
 	// then the kernel makes no hook calls.
@@ -77,12 +83,16 @@ type Core struct {
 	st     *stats.Stats
 	pool   *dram.Pool
 
-	// lookahead is a fixed-capacity ring buffer modelling IMP's
-	// index-stream lead: record n+Distance is visible to the
-	// prefetcher while record n executes.
-	lookahead []trace.Record
-	laHead    int
-	laLen     int
+	// buf holds records read from stream a batch at a time: buf[pos-1]
+	// is the executing record and buf[pos:end] are read but not yet
+	// executed. With IMP on, lead is prefetch.Distance and the buffer
+	// is refilled before fewer than lead records follow the executing
+	// one, so the record lead places further along, IMP's lookahead
+	// edge, is always in it; eof records that the stream has ended.
+	buf      []trace.Record
+	pos, end int
+	lead     int
+	eof      bool
 	// pfBuf is impIssue's reusable prefetch-target scratch.
 	pfBuf []mem.VAddr
 
@@ -98,7 +108,7 @@ type Core struct {
 
 	// State-machine registers: the values live across a coreWait park.
 	phase      corePhase
-	rec        trace.Record
+	rec        *trace.Record // in buf; no refill moves it while it runs
 	tr         vm.Translation
 	walked     bool
 	leafDRAM   bool
@@ -129,7 +139,8 @@ type Core struct {
 // re-running the coordinator's pick loop would choose this core again,
 // so the batched schedule is bit-identical to picking after every
 // record. The coordinator must not call step again on a waiting core
-// until the returned request completes.
+// until the returned request completes. A lone core never returns
+// coreWait: it serves its own waits (serveOwn) and runs on.
 func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Request, executed uint64) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -139,14 +150,15 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 	}()
 	m := &c.sys.machine
 	waiters := c.sys.ctrl.ServedWaiters()
+kernel:
 	for {
 		switch c.phase {
 		case phRecord:
 			if c.ran >= c.records {
 				return coreDone, nil, executed
 			}
-			rec, ok := c.nextRecord()
-			if !ok {
+			rec := c.nextRecord()
+			if rec == nil {
 				return coreDone, nil, executed
 			}
 			c.ran++
@@ -254,7 +266,14 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 				c.sys.ctrl.Submit(req)
 				c.waitReq = req
 				c.phase = phAccessResume
-				return coreWait, req, executed
+				if !c.lone {
+					return coreWait, req, executed
+				}
+				if !c.serveOwn(req) {
+					return coreDone, nil, executed
+				}
+				waiters = c.sys.ctrl.ServedWaiters()
+				continue
 			}
 			c.now += c.ar.Latency
 			switch c.ar.Served {
@@ -381,7 +400,14 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 				req.MarkWaiter()
 				c.waitReq, c.waitAt, c.waitLat = req, at, lat
 				c.phase = phWalkResume
-				return coreWait, req, executed
+				if !c.lone {
+					return coreWait, req, executed
+				}
+				if !c.serveOwn(req) {
+					return coreDone, nil, executed
+				}
+				waiters = c.sys.ctrl.ServedWaiters()
+				continue kernel
 			}
 			res := c.ws.Finish()
 			if !res.OK {
@@ -438,6 +464,25 @@ func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Reque
 	}
 }
 
+// errDeadlock reports cores parked on requests that an empty memory
+// queue can never complete.
+var errDeadlock = errors.New("sim: deadlock — cores parked on an empty memory queue")
+
+// serveOwn stands in for the coordinator when a lone core parks on
+// req: it serves the controller until req completes, the sequence
+// System.Run would issue, and reports false with c.err set if the
+// queue runs dry first.
+func (c *Core) serveOwn(req *dram.Request) bool {
+	for !req.Done {
+		if c.sys.ctrl.QueueLen() == 0 {
+			c.err = errDeadlock
+			return false
+		}
+		c.sys.ctrl.ServeOne()
+	}
+	return true
+}
+
 // demandPage faults v's page in unless it is resident. Fault cost is
 // excluded (traces model a warmed system; DESIGN.md).
 func (c *Core) demandPage(v mem.VAddr) {
@@ -475,26 +520,21 @@ func (c *Core) chargeDRAMStall(req *dram.Request, total, charged uint64) {
 	c.st.CPIStack[stats.CPIDataDRAMService] += charged - queue - conflict
 }
 
-// nextRecord pulls the next record, maintaining the IMP lookahead ring.
-func (c *Core) nextRecord() (trace.Record, bool) {
-	if c.imp == nil {
-		return c.stream.Next()
+// nextRecord returns the next record to execute, or nil when the
+// stream has ended. When fewer than lead records would follow it, the
+// unexecuted records move to the front of buf and a batch read fills
+// the rest.
+func (c *Core) nextRecord() *trace.Record {
+	if c.pos+c.lead >= c.end && !c.eof {
+		n := copy(c.buf, c.buf[c.pos:c.end])
+		got := c.stream.Read(c.buf[n:])
+		c.pos, c.end, c.eof = 0, n+got, got < len(c.buf)-n
 	}
-	for c.laLen < len(c.lookahead) {
-		rec, ok := c.stream.Next()
-		if !ok {
-			break
-		}
-		c.lookahead[(c.laHead+c.laLen)%len(c.lookahead)] = rec
-		c.laLen++
+	if c.pos == c.end {
+		return nil
 	}
-	if c.laLen == 0 {
-		return trace.Record{}, false
-	}
-	rec := c.lookahead[c.laHead]
-	c.laHead = (c.laHead + 1) % len(c.lookahead)
-	c.laLen--
-	return rec, true
+	c.pos++
+	return &c.buf[c.pos-1]
 }
 
 // serialGuardQueue is the controller queue depth above which the
@@ -587,15 +627,18 @@ func (c *Core) prefetchLine(line mem.PAddr, now uint64, prov cache.Provenance) b
 	return true
 }
 
-// impIssue lets IMP see the newest lookahead record and performs any
-// prefetches it requests: translate (dropping unmapped targets, the
-// hardware behaviour on a would-be fault), walking on TLB misses in
-// the background, then fetching the line toward the LLC.
+// impIssue lets IMP see its lookahead edge, the record
+// prefetch.Distance places past the executing one (the stream's last
+// record when it ends sooner; none while the last one executes), and
+// performs any prefetches it requests: translate (dropping unmapped
+// targets, the hardware behaviour on a would-be fault), walking on TLB
+// misses in the background, then fetching the line toward the LLC.
 func (c *Core) impIssue() {
-	if c.laLen == 0 {
+	ahead := min(c.end-c.pos, prefetch.Distance)
+	if ahead == 0 {
 		return
 	}
-	edge := c.lookahead[(c.laHead+c.laLen-1)%len(c.lookahead)]
+	edge := &c.buf[c.pos-1+ahead]
 	if !edge.HasValue {
 		return
 	}

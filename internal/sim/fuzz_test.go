@@ -198,14 +198,23 @@ func FuzzSimulate(f *testing.F) {
 }
 
 // FuzzTraceReplay replays arbitrary bytes as a trace file on one core
-// with a 64 MB footprint and at most 4,096 records. Run may reject the
-// file with an error but must not panic, and a result it returns must
-// pass checkAudit. The records consumed are not checked: a trace
-// shorter than Records is legal (TestTraceReplayShorterThanRecords).
-// The seeds are a captured trace, the same file cut in half, the file
-// under a header claiming 2^40 records, and the file with a bad magic.
+// with a 64 MB footprint and at most 4,096 records, with IMP off and
+// then on, so IMP's lookahead meets every way a trace can end. Run may
+// reject the file with an error but must not panic, and a result it
+// returns must pass checkAudit. The records consumed are not checked: a
+// trace shorter than Records is legal
+// (TestTraceReplayShorterThanRecords). The seeds are a captured trace,
+// the same file cut in half, the file under a header claiming 2^40
+// records, the file with a bad magic, the file with one more record
+// that the writer cannot produce (a gap of 65,536, or a flag bit other
+// than kind and value), and a captured spmv trace, whose index loads
+// IMP follows.
 func FuzzTraceReplay(f *testing.F) {
 	good, err := os.ReadFile(writeTrace(f, "mcf", 100, 64<<20))
+	if err != nil {
+		f.Fatal(err)
+	}
+	spmv, err := os.ReadFile(writeTrace(f, "spmv", 100, 64<<20))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -217,18 +226,25 @@ func FuzzTraceReplay(f *testing.F) {
 	f.Add(good[:len(good)/2])
 	f.Add(hostile)
 	f.Add(badMagic)
+	f.Add(spmv)
+	// flags, PC delta, VAddr delta and gap, each a uvarint after flags.
+	f.Add(append(bytes.Clone(good), 0, 0, 0, 0x80, 0x80, 0x04))
+	f.Add(append(bytes.Clone(good), 4, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.trc")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cfg := DefaultConfig("mcf")
-		cfg.Records = 4096
-		cfg.Workloads = []WorkloadSpec{{TracePath: path, Footprint: 64 << 20}}
-		res, err := Run(cfg)
-		if err != nil {
-			return
+		for _, imp := range []bool{false, true} {
+			cfg := DefaultConfig("mcf")
+			cfg.Records = 4096
+			cfg.Workloads = []WorkloadSpec{{TracePath: path, Footprint: 64 << 20}}
+			cfg.IMP = imp
+			res, err := Run(cfg)
+			if err != nil {
+				continue
+			}
+			checkAudit(t, cfg, res)
 		}
-		checkAudit(t, cfg, res)
 	})
 }

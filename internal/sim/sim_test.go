@@ -368,7 +368,7 @@ func TestBadMachineGeometryIsError(t *testing.T) {
 		{"2^62-cycle interconnect", "Interconnect of 4611686018427387904 cycles is over the 1048576-cycle limit", func(c *Config) {
 			c.Machine.Interconnect = 1 << 62
 		}},
-		{"16 GiB LLC", "need 1477456388 bytes of host memory, over the 268435456-byte limit", func(c *Config) {
+		{"16 GiB LLC", "need 2148591108 bytes of host memory, over the 268435456-byte limit", func(c *Config) {
 			c.Machine.Caches.LLC.SizeB = 16 << 30
 		}},
 		{"4096 cores", "bytes of host memory, over the 268435456-byte limit", func(c *Config) {
@@ -423,8 +423,8 @@ func TestLatencyCeiling(t *testing.T) {
 
 // Building the default machine must cost memory only for what its run
 // writes: the adaptive row predictor's chunks materialise on first
-// write, so New allocates about 0.6MB, where sixteen predictors
-// allocated in full took it to 1.5MB.
+// write, so New allocates about 0.85MB (0.6MB of it the caches' set
+// blocks), where sixteen predictors allocated in full took it to 1.5MB.
 func TestNewAllocationIsLazy(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

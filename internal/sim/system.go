@@ -53,12 +53,13 @@ func openTraceStream(path string) (trace.Stream, error) {
 		capHint = max
 	}
 	recs := make([]trace.Record, 0, capHint)
+	var batch [recordBatch]trace.Record
 	for {
-		rec, ok := r.Next()
-		if !ok {
+		n := r.Read(batch[:])
+		recs = append(recs, batch[:n]...)
+		if n < len(batch) {
 			break
 		}
-		recs = append(recs, rec)
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", path, err)
@@ -68,6 +69,10 @@ func openTraceStream(path string) (trace.Stream, error) {
 	}
 	return trace.NewSliceStream(recs), nil
 }
+
+// recordBatch is how many records a core reads from its stream at a
+// time, beyond IMP's lead.
+const recordBatch = 256
 
 // Result is the outcome of one run.
 type Result struct {
@@ -279,13 +284,13 @@ func New(cfg Config) (*System, error) {
 			st:      cst,
 			records: cfg.Records,
 			pool:    s.ctrl.Pool(),
+			lone:    len(cfg.Workloads) == 1,
 		}
 		if cfg.IMP {
 			c.imp = prefetch.New()
-			// The ring models IMP's index-stream lead: Distance records
-			// plus the one executing.
-			c.lookahead = make([]trace.Record, prefetch.Distance+1)
+			c.lead = prefetch.Distance
 		}
+		c.buf = make([]trace.Record, min(cfg.Records, recordBatch)+c.lead)
 		c.mech = s.mech.NewCore(i, mechPort{c})
 		s.cores = append(s.cores, c)
 	}
@@ -399,7 +404,7 @@ func (s *System) Run() (*Result, error) {
 			break
 		}
 		if s.ctrl.QueueLen() == 0 {
-			return nil, errors.New("sim: deadlock — cores parked on an empty memory queue")
+			return nil, errDeadlock
 		}
 		s.ctrl.ServeOne()
 	}

@@ -110,9 +110,23 @@ func hostBytes(gs []Geometry, valueBytes uintptr) uint64 {
 // TLB is a two-level, page-size-aware translation lookaside buffer.
 // Each level keeps one set-associative array per page-size class,
 // probed in parallel (as hardware does with size-partitioned TLBs).
+//
+// The TLB remembers the L1 entry its last Lookup or Insert left most
+// recent in its set, and answers a lookup of that entry's page straight
+// from the memo. That is exact: touching a set's most recent way
+// changes nothing, every change to an L1 array goes through Lookup or
+// Insert and moves the memo, and a virtual page keeps one page size for
+// the whole run, so no other class's L1 array, probed first, holds it.
 type TLB struct {
 	l1 [3]*assoc.Assoc[vm.Translation]
 	l2 [3]*assoc.Assoc[vm.Translation]
+
+	// memo is the remembered L1 entry, memoKey its key and memoShift
+	// its class's page shift; memoKey starts at ^0, which no address
+	// shifts to.
+	memo      vm.Translation
+	memoKey   uint64
+	memoShift uint
 
 	// Per-page-size-class hit/miss counters (nil unless Instrument was
 	// called; obsv counters discard updates through nil pointers, so
@@ -124,7 +138,7 @@ type TLB struct {
 
 // New builds a TLB with the given geometry.
 func New(cfg Config) *TLB {
-	t := &TLB{}
+	t := &TLB{memoKey: ^uint64(0), memoShift: mem.PageShift}
 	for c := 0; c < 3; c++ {
 		t.l1[c] = assoc.New[vm.Translation](cfg.L1[c].Sets, cfg.L1[c].Ways)
 		t.l2[c] = assoc.New[vm.Translation](cfg.L2[c].Sets, cfg.L2[c].Ways)
@@ -136,18 +150,32 @@ func key(v mem.VAddr, c mem.PageSizeClass) uint64 {
 	return uint64(v) >> c.Shift()
 }
 
+// remember makes tr, just left most recent in its L1 set under key k,
+// the memo.
+func (t *TLB) remember(k uint64, tr vm.Translation) {
+	t.memo, t.memoKey, t.memoShift = tr, k, tr.Class.Shift()
+}
+
 // Lookup probes both levels for a translation of v. An L2 hit is
 // promoted into the L1 array of its class.
 func (t *TLB) Lookup(v mem.VAddr) (vm.Translation, HitLevel) {
+	if uint64(v)>>t.memoShift == t.memoKey {
+		t.obsL1Hits[t.memo.Class].Inc()
+		return t.memo, HitL1
+	}
 	for c := mem.Page4K; c <= mem.Page1G; c++ {
-		if tr, ok := t.l1[c].Lookup(key(v, c)); ok {
+		k := key(v, c)
+		if tr, ok := t.l1[c].Lookup(k); ok {
+			t.remember(k, tr)
 			t.obsL1Hits[c].Inc()
 			return tr, HitL1
 		}
 	}
 	for c := mem.Page4K; c <= mem.Page1G; c++ {
-		if tr, ok := t.l2[c].Lookup(key(v, c)); ok {
-			t.l1[c].Insert(key(v, c), tr)
+		k := key(v, c)
+		if tr, ok := t.l2[c].Lookup(k); ok {
+			t.l1[c].Insert(k, tr)
+			t.remember(k, tr)
 			t.obsL2Hits[c].Inc()
 			return tr, HitL2
 		}
@@ -175,6 +203,7 @@ func (t *TLB) Insert(tr vm.Translation) {
 	k := key(tr.VBase, c)
 	t.l1[c].Insert(k, tr)
 	t.l2[c].Insert(k, tr)
+	t.remember(k, tr)
 }
 
 // Reach4K returns how many bytes the 4KB L2 array can map — useful for

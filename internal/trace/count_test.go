@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -53,13 +54,7 @@ func TestWriterPatchesCount(t *testing.T) {
 	if r.Count() != n {
 		t.Errorf("Count = %d, want %d", r.Count(), n)
 	}
-	got := 0
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-		got++
-	}
+	got := len(readAll(r))
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +83,7 @@ func TestNonSeekableCountUnknown(t *testing.T) {
 	if r.Count() != 0 {
 		t.Errorf("Count = %d, want 0 for non-seekable output", r.Count())
 	}
-	n := 0
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 2 || r.Err() != nil {
+	if n := len(readAll(r)); n != 2 || r.Err() != nil {
 		t.Errorf("n=%d err=%v", n, r.Err())
 	}
 }
@@ -125,14 +113,8 @@ func TestV1TraceStillReadable(t *testing.T) {
 	if r.Count() != 0 {
 		t.Errorf("Count = %d, want 0 for v1", r.Count())
 	}
-	for i, want := range recs {
-		got, ok := r.Next()
-		if !ok || got != want {
-			t.Fatalf("record %d = %+v ok=%v, want %+v", i, got, ok, want)
-		}
-	}
-	if _, ok := r.Next(); ok || r.Err() != nil {
-		t.Errorf("v1 trace should end cleanly (err=%v)", r.Err())
+	if got := readAll(r); !reflect.DeepEqual(got, recs) || r.Err() != nil {
+		t.Errorf("v1 trace decoded %+v (err=%v), want %+v", got, r.Err(), recs)
 	}
 }
 
@@ -156,12 +138,13 @@ func BenchmarkTraceLoad(b *testing.B) {
 				b.Fatal(err)
 			}
 			recs := make([]Record, 0, capHint)
+			var batch [256]Record
 			for {
-				rec, ok := r.Next()
-				if !ok {
+				k := r.Read(batch[:])
+				recs = append(recs, batch[:k]...)
+				if k < len(batch) {
 					break
 				}
-				recs = append(recs, rec)
 			}
 			if len(recs) != n {
 				b.Fatalf("decoded %d records", len(recs))

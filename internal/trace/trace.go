@@ -1,8 +1,10 @@
 // Package trace defines the memory-trace record the simulator
-// executes and a compact binary on-disk format (delta + varint
-// encoded), standing in for the paper's Pin-collected traces. The
-// simulator usually consumes live generator streams; the format exists
-// so traces can be captured once and replayed exactly (cmd/tempo-trace).
+// executes, the batch-reading Stream every record source implements,
+// and a compact binary on-disk format (delta + varint encoded),
+// standing in for the paper's Pin-collected traces. The simulator
+// usually consumes live generator streams; the format exists so traces
+// can be captured once and replayed exactly (cmd/tempo-trace). A
+// reader rejects any record the writer cannot produce.
 package trace
 
 import (
@@ -11,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/mem"
 )
@@ -26,28 +29,31 @@ const (
 )
 
 // Record is one memory reference plus the non-memory instruction gap
-// preceding it.
+// preceding it. The 8-byte fields come first, so a record is 32 bytes.
 type Record struct {
 	// PC identifies the static instruction (IMP indexes on it).
 	PC uint64
 	// VAddr is the virtual address referenced.
 	VAddr mem.VAddr
-	// Kind distinguishes loads from stores.
-	Kind Kind
-	// Gap counts non-memory instructions executed before this access.
-	Gap uint16
 	// Value is the loaded data for index-array loads (HasValue set);
 	// IMP snoops it to learn indirect patterns.
-	Value    uint64
+	Value uint64
+	// Gap counts non-memory instructions executed before this access.
+	Gap uint16
+	// Kind distinguishes loads from stores.
+	Kind     Kind
 	HasValue bool
 }
 
-// Stream produces records. Streams may be infinite; callers take as
-// many records as the run needs.
+// Stream produces records in batches. Streams may be infinite; callers
+// take as many records as the run needs.
 type Stream interface {
-	// Next returns the next record. ok is false when the stream is
-	// exhausted (file traces); generators never exhaust.
-	Next() (Record, bool)
+	// Read fills dst with the stream's next records and returns how
+	// many it wrote. It writes fewer than len(dst) only when the stream
+	// has ended: a file trace's last record was read, or a record
+	// failed to decode (Reader.Err says which). Generators never end,
+	// so they always fill dst.
+	Read(dst []Record) int
 }
 
 // magic identifies the file format; the trailing byte is the version.
@@ -94,9 +100,9 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // Write appends one record.
 func (w *Writer) Write(r Record) error {
 	var buf [binary.MaxVarintLen64 * 4]byte
-	flags := byte(r.Kind) & 1
+	flags := byte(r.Kind) & flagKind
 	if r.HasValue {
-		flags |= 2
+		flags |= flagValue
 	}
 	if err := w.w.WriteByte(flags); err != nil {
 		return err
@@ -147,6 +153,7 @@ type Reader struct {
 	prev  Record
 	err   error
 	count uint64
+	n     uint64 // records decoded so far: the next record's index
 }
 
 // ErrBadMagic marks a non-trace or wrong-version file.
@@ -180,45 +187,76 @@ func NewReader(r io.Reader) (*Reader, error) {
 // of truth.
 func (r *Reader) Count() uint64 { return r.count }
 
-// Next implements Stream.
-func (r *Reader) Next() (Record, bool) {
+// Read implements Stream. A short read ends the stream: the file
+// ended at a record boundary, or Err reports why it did not.
+func (r *Reader) Read(dst []Record) int {
+	for i := range dst {
+		if !r.decode(&dst[i]) {
+			return i
+		}
+	}
+	return len(dst)
+}
+
+// flagKind and flagValue are a record's flag bits: its Kind and
+// whether it carries a Value. The writer sets no others.
+const (
+	flagKind  = 1 << 0
+	flagValue = 1 << 1
+)
+
+// decode reads the next record into rec. It reports false at the end
+// of the file or on the first error, and keeps doing so.
+func (r *Reader) decode(rec *Record) bool {
 	if r.err != nil {
-		return Record{}, false
+		return false
 	}
 	flags, err := r.r.ReadByte()
 	if err != nil {
 		r.err = err
-		return Record{}, false
+		return false
 	}
-	rec := Record{Kind: Kind(flags & 1), HasValue: flags&2 != 0}
+	if flags&^(flagKind|flagValue) != 0 {
+		r.err = fmt.Errorf("trace: record %d: flags %#x set bits other than kind and value", r.n, flags)
+		return false
+	}
 	pcD, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		r.err = noEOF(err)
-		return Record{}, false
+		return false
 	}
 	vaD, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		r.err = noEOF(err)
-		return Record{}, false
+		return false
 	}
 	gap, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		r.err = noEOF(err)
-		return Record{}, false
+		return false
 	}
-	rec.PC = uint64(int64(r.prev.PC) + unzigzag(pcD))
-	rec.VAddr = mem.VAddr(int64(r.prev.VAddr) + unzigzag(vaD))
-	rec.Gap = uint16(gap)
+	if gap > math.MaxUint16 {
+		r.err = fmt.Errorf("trace: record %d: gap %d exceeds %d", r.n, gap, math.MaxUint16)
+		return false
+	}
+	*rec = Record{
+		PC:       uint64(int64(r.prev.PC) + unzigzag(pcD)),
+		VAddr:    mem.VAddr(int64(r.prev.VAddr) + unzigzag(vaD)),
+		Gap:      uint16(gap),
+		Kind:     Kind(flags & flagKind),
+		HasValue: flags&flagValue != 0,
+	}
 	if rec.HasValue {
 		v, err := binary.ReadUvarint(r.r)
 		if err != nil {
 			r.err = noEOF(err)
-			return Record{}, false
+			return false
 		}
 		rec.Value = v
 	}
-	r.prev = rec
-	return rec, true
+	r.prev = *rec
+	r.n++
+	return true
 }
 
 // noEOF upgrades an EOF in the middle of a record to a real error:
@@ -238,17 +276,10 @@ func (r *Reader) Err() error {
 	return r.err
 }
 
-// Take drains up to n records from a stream into a slice.
+// Take reads up to n records from a stream into a new slice.
 func Take(s Stream, n int) []Record {
-	out := make([]Record, 0, n)
-	for len(out) < n {
-		rec, ok := s.Next()
-		if !ok {
-			break
-		}
-		out = append(out, rec)
-	}
-	return out
+	out := make([]Record, n)
+	return out[:s.Read(out)]
 }
 
 // SliceStream replays a fixed record slice (tests, captured traces).
@@ -260,12 +291,9 @@ type SliceStream struct {
 // NewSliceStream wraps records in a Stream.
 func NewSliceStream(recs []Record) *SliceStream { return &SliceStream{recs: recs} }
 
-// Next implements Stream.
-func (s *SliceStream) Next() (Record, bool) {
-	if s.pos >= len(s.recs) {
-		return Record{}, false
-	}
-	r := s.recs[s.pos]
-	s.pos++
-	return r, true
+// Read implements Stream.
+func (s *SliceStream) Read(dst []Record) int {
+	n := copy(dst, s.recs[s.pos:])
+	s.pos += n
+	return n
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -29,18 +30,25 @@ func roundTrip(t *testing.T, recs []Record) []Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Record
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-		got = append(got, rec)
-	}
+	got := readAll(r)
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return got
+}
+
+// readAll reads s to its end in batches of seven, so streams are also
+// read across batch boundaries and into a partly filled last batch.
+func readAll(s Stream) []Record {
+	var out []Record
+	var batch [7]Record
+	for {
+		n := s.Read(batch[:])
+		out = append(out, batch[:n]...)
+		if n < len(batch) {
+			return out
+		}
+	}
 }
 
 func TestRoundTripBasic(t *testing.T) {
@@ -82,14 +90,7 @@ func TestTruncatedTraceStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 1 {
+	if n := len(readAll(r)); n != 1 {
 		t.Errorf("decoded %d records from truncated trace", n)
 	}
 	if r.Err() == nil {
@@ -169,14 +170,7 @@ func TestWriterFlushIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 1 || r.Err() != nil {
+	if n := len(readAll(r)); n != 1 || r.Err() != nil {
 		t.Errorf("n=%d err=%v", n, r.Err())
 	}
 }
@@ -188,8 +182,8 @@ func TestReaderStopsAfterError(t *testing.T) {
 	w.Flush()
 	data := buf.Bytes()[:buf.Len()-1]
 	r, _ := NewReader(bytes.NewReader(data))
-	r.Next() // fails mid-record
-	if _, ok := r.Next(); ok {
+	Take(r, 1) // fails mid-record
+	if len(Take(r, 1)) != 0 {
 		t.Error("reader must stay stopped after an error")
 	}
 	if r.Err() == nil {
@@ -205,5 +199,59 @@ func TestNegativeDeltasRoundTrip(t *testing.T) {
 	got := roundTrip(t, recs)
 	if !reflect.DeepEqual(got, recs) {
 		t.Errorf("negative-delta round trip failed: %+v", got)
+	}
+}
+
+// afterValidRecord returns a trace file holding one valid record
+// followed by the raw bytes of a second one.
+func afterValidRecord(t testing.TB, raw ...byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(Record{PC: 0x400000, VAddr: 0x7000, Gap: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return append(buf.Bytes(), raw...)
+}
+
+// A record the writer cannot produce, a gap above 65,535 or a flag bit
+// other than kind and value, is an error that names the record's
+// index, not a record read with the extra bits dropped.
+func TestReaderRejectsRecordsTheWriterCannotProduce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want string
+	}{
+		// flags, PC delta, VAddr delta, then the gap 65,536 as a uvarint.
+		{"gap 65536", []byte{0, 0, 0, 0x80, 0x80, 0x04}, "record 1: gap 65536 exceeds 65535"},
+		{"flag bit 2", []byte{4, 0, 0, 0}, "record 1: flags 0x4 set bits other than kind and value"},
+		{"flag bit 7", []byte{0x81, 0, 0, 0}, "record 1: flags 0x81 set bits other than kind and value"},
+	} {
+		r, err := NewReader(bytes.NewReader(afterValidRecord(t, tc.raw...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := readAll(r); len(got) != 1 {
+			t.Errorf("%s: decoded %d records, want the valid one only", tc.name, len(got))
+		}
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Err() = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	// The largest gap the writer can produce still decodes.
+	r, err := NewReader(bytes.NewReader(afterValidRecord(t, 3, 0, 0, 0xff, 0xff, 0x03, 9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := readAll(r)
+	if len(got) != 2 || got[1].Gap != 65535 || got[1].Kind != Store || got[1].Value != 9 || r.Err() != nil {
+		t.Errorf("gap 65535: got %+v, err %v", got, r.Err())
 	}
 }

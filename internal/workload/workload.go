@@ -133,16 +133,21 @@ func (g *gen) Name() string { return g.name }
 // Footprint implements Generator.
 func (g *gen) Footprint() uint64 { return g.footprint }
 
-// Next implements trace.Stream.
-func (g *gen) Next() (trace.Record, bool) {
-	for g.head >= len(g.queue) {
-		g.queue = g.queue[:0]
-		g.head = 0
-		g.refill(g)
+// Read implements trace.Stream: it copies queued records into dst,
+// refilling the queue as it empties, until dst is full.
+func (g *gen) Read(dst []trace.Record) int {
+	n := 0
+	for n < len(dst) {
+		if g.head == len(g.queue) {
+			g.queue = g.queue[:0]
+			g.head = 0
+			g.refill(g)
+		}
+		k := copy(dst[n:], g.queue[g.head:])
+		g.head += k
+		n += k
 	}
-	r := g.queue[g.head]
-	g.head++
-	return r, true
+	return n
 }
 
 // load/store/indexLoad append records to the queue.
