@@ -101,10 +101,9 @@ func buildConfig(o options) (tempo.Config, error) {
 	cfg.IMP = o.impOn
 	switch o.mech {
 	case "", "tempo":
-		// The default path: leave Config.Mech empty so the run is
-		// byte-identical (config hash included) with builds that predate
-		// the mechanism seam. -tempo alone decides whether the tempo
-		// mechanism actually prefetches.
+		// The default machine: leave Config.Mech empty so the config
+		// hash matches runs that name no mechanism. -tempo alone
+		// decides whether TEMPO prefetches.
 		cfg.Mech = ""
 	default:
 		if !slices.Contains(translation.Names(), o.mech) {

@@ -81,7 +81,9 @@ type Row struct {
 	Values []float64
 }
 
-// Report is a regenerated figure: labelled rows under named columns.
+// Report is a table of labelled rows under named columns: a
+// regenerated figure, or one of tempo-report's cross-run summaries. It
+// renders as aligned text, CSV or markdown.
 type Report struct {
 	ID      string
 	Title   string
@@ -142,6 +144,38 @@ func (r *Report) CSV() string {
 		}
 		b.WriteByte('\n')
 	}
+	return b.String()
+}
+
+// Markdown renders the report as a GitHub-flavoured markdown table
+// with a title heading.
+func (r *Report) Markdown() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "## %s — %s\n\n", r.ID, r.Title)
+	b.WriteString("| label |")
+	for _, c := range r.Columns {
+		fmt.Fprintf(&b, " %s |", c)
+	}
+	b.WriteString("\n|---|")
+	for range r.Columns {
+		b.WriteString("---:|")
+	}
+	b.WriteByte('\n')
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "| %s |", row.Label)
+		for i := range r.Columns {
+			if i < len(row.Values) {
+				fmt.Fprintf(&b, " %.4f |", row.Values[i])
+			} else {
+				b.WriteString(" - |")
+			}
+		}
+		b.WriteByte('\n')
+	}
+	for _, n := range r.Notes {
+		fmt.Fprintf(&b, "\n> %s\n", n)
+	}
+	b.WriteByte('\n')
 	return b.String()
 }
 

@@ -44,25 +44,21 @@ func (r *Runner) Mech01() (*Report, error) {
 			cfg := r.singleCfg(wl)
 			cfg.Mech = m
 			if m == "tempo" {
-				// The tempo mechanism is inert without the engine; give
-				// it the paper's full configuration so the row restates
-				// the fig10 comparison through the mechanism seam.
+				// "tempo" names the default machine; give it the
+				// paper's full TEMPO configuration so the row restates
+				// the fig10 comparison.
 				cfg.Tempo = sim.DefaultTempo()
 			}
 			res, err := r.run("mech/"+m+"/"+wl, cfg)
 			if err != nil {
 				return nil, err
 			}
-			engaged := 0.0
-			if c := translation.Engagement(m); c != "" {
-				engaged = float64(res.MechCounters[c])
-			}
 			rep.Rows = append(rep.Rows, Row{Label: m + "/" + wl, Values: []float64{
 				float64(base.Total.Cycles) / float64(res.Total.Cycles),
 				res.Total.IPC(),
 				float64(res.Total.DRAMLatencyPercentile(stats.DRAMPTW, 0.50)),
 				float64(res.Total.DRAMLatencyPercentile(stats.DRAMPTW, 0.95)),
-				engaged,
+				float64(translation.Engagement(m, &res.Total, res.MechCounters)),
 			}})
 		}
 	}

@@ -84,19 +84,14 @@ var CPIBucketMetrics = [stats.NumCPIBuckets]string{
 }
 
 // Canonical registry names for the translation-mechanism zoo
-// (internal/translation, MECHANISMS.md). Each registered mechanism
-// reports its activity under "mech/<name>/..."; the tempo mirrors
-// restate the engine's mem/tempo_* counters under the mech schema so
-// Audit can cross-check the two views, and the rival counters obey
-// their own conservation laws (a lookup ends in exactly one verdict, a
-// verified prediction was made, and so on). The name strings are owned
-// here so the audit and the mechanisms cannot drift apart; the
-// translation package re-exports them.
+// (internal/translation, MECHANISMS.md). Each rival mechanism reports
+// its activity under "mech/<name>/...", and its counters obey their own
+// conservation laws (a lookup ends in exactly one verdict, a verified
+// prediction was made, and so on). TEMPO has no mech/* counters: its
+// engine reports under mem/tempo_*. The name strings are owned here so
+// the audit and the mechanisms cannot drift apart; the translation
+// package re-exports them.
 const (
-	MetricMechTempoTriggers   = "mech/tempo/triggers"
-	MetricMechTempoPrefetches = "mech/tempo/prefetches"
-	MetricMechTempoSuppressed = "mech/tempo/suppressed"
-
 	MetricMechVictimaLookups   = "mech/victima/lookups"
 	MetricMechVictimaPTEHits   = "mech/victima/pte_hits"
 	MetricMechVictimaPTEMisses = "mech/victima/pte_misses"
@@ -344,12 +339,8 @@ func Audit(s Snapshot) []AuditViolation {
 		}
 	}
 
-	// Translation-mechanism zoo (mech/* — present only on explicit
-	// Config.Mech runs, so every law here self-skips elsewhere).
-	if mt, ok := get(MetricMechTempoTriggers); ok && hasTriggers && mt != triggers {
-		fail("mech-tempo-mirror",
-			"%d mech/tempo/triggers != %d mem/tempo_triggers", mt, triggers)
-	}
+	// Translation-mechanism zoo (mech/* — present only on rival
+	// mechanism runs, so every law here self-skips elsewhere).
 	if lookups, ok := get(MetricMechVictimaLookups); ok {
 		hits, ok1 := get(MetricMechVictimaPTEHits)
 		misses, ok2 := get(MetricMechVictimaPTEMisses)

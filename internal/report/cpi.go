@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/experiments"
 	"repro/internal/stats"
 )
 
@@ -28,12 +29,12 @@ var cpiGlyphs = [stats.NumCPIBuckets]byte{
 // fraction of core cycles each stack bucket accounts for (fractions of
 // cpi/cycles, so every row's bucket cells sum to 1 on an attributed
 // run). Unattributed results (pre-CPI cache entries) are skipped.
-func CPITable(d *Data) *Table {
+func CPITable(d *Data) *experiments.Report {
 	cols := []string{"cpi"}
 	for b := stats.CPIBucket(0); b < stats.NumCPIBuckets; b++ {
 		cols = append(cols, b.String())
 	}
-	t := &Table{
+	t := &experiments.Report{
 		ID:      "cpi",
 		Title:   "CPI stacks: where did the cycles go",
 		Columns: cols,
@@ -51,7 +52,7 @@ func CPITable(d *Data) *Table {
 		for b := stats.CPIBucket(0); b < stats.NumCPIBuckets; b++ {
 			cells = append(cells, float64(st.CPIStack[b])/float64(st.CPICycles))
 		}
-		t.Rows = append(t.Rows, TableRow{Label: key, Cells: cells})
+		t.Rows = append(t.Rows, experiments.Row{Label: key, Values: cells})
 	}
 	if len(t.Rows) > 0 {
 		t.Notes = append(t.Notes,

@@ -23,7 +23,7 @@ func TestCPITable(t *testing.T) {
 	for _, row := range tab.Rows {
 		// Bucket fractions (cells after the cpi column) sum to 1.
 		var sum float64
-		for _, c := range row.Cells[1:] {
+		for _, c := range row.Values[1:] {
 			sum += c
 		}
 		if sum < 0.9999 || sum > 1.0001 {
@@ -32,8 +32,8 @@ func TestCPITable(t *testing.T) {
 	}
 	// base/xsbench: 2000 cycles / 1000 instructions.
 	for _, row := range tab.Rows {
-		if row.Label == "base/xsbench" && row.Cells[0] != 2.0 {
-			t.Errorf("base/xsbench cpi = %v, want 2.0", row.Cells[0])
+		if row.Label == "base/xsbench" && row.Values[0] != 2.0 {
+			t.Errorf("base/xsbench cpi = %v, want 2.0", row.Values[0])
 		}
 	}
 	md := tab.Markdown()

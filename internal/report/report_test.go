@@ -138,11 +138,11 @@ func TestSpeedupTable(t *testing.T) {
 	if row.Label != "xsbench" {
 		t.Fatalf("row label %q", row.Label)
 	}
-	if got := row.Cells[0]; got != 2.0 {
+	if got := row.Values[0]; got != 2.0 {
 		t.Fatalf("speedup = %v, want 2.0", got)
 	}
 	// Weighted speedup: one core, IPC 1.0 vs 0.5 → ratio 2.0.
-	if got := row.Cells[1]; got != 2.0 {
+	if got := row.Values[1]; got != 2.0 {
 		t.Fatalf("weighted speedup = %v, want 2.0", got)
 	}
 }
@@ -159,11 +159,11 @@ func TestRowBufferTable(t *testing.T) {
 	}
 	// Overall: 38 hits / 50 accesses; prefetch category: 8/10.
 	for _, row := range tab.Rows {
-		if row.Cells[0] != 0.76 {
-			t.Fatalf("%s hit_rate = %v, want 0.76", row.Label, row.Cells[0])
+		if row.Values[0] != 0.76 {
+			t.Fatalf("%s hit_rate = %v, want 0.76", row.Label, row.Values[0])
 		}
-		if row.Cells[3] != 0.8 {
-			t.Fatalf("%s prefetch_hit_rate = %v, want 0.8", row.Label, row.Cells[3])
+		if row.Values[3] != 0.8 {
+			t.Fatalf("%s prefetch_hit_rate = %v, want 0.8", row.Label, row.Values[3])
 		}
 	}
 }
@@ -182,8 +182,8 @@ func TestWalkLatencyTable(t *testing.T) {
 	if row.Label != "tempo/xsbench" {
 		t.Fatalf("row label %q", row.Label)
 	}
-	if row.Cells[0] != 15 || row.Cells[2] != 127 || row.Cells[3] != 4 {
-		t.Fatalf("quantiles = %v, want [15 _ 127 4]", row.Cells)
+	if row.Values[0] != 15 || row.Values[2] != 127 || row.Values[3] != 4 {
+		t.Fatalf("quantiles = %v, want [15 _ 127 4]", row.Values)
 	}
 }
 

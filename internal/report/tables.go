@@ -1,91 +1,20 @@
 package report
 
 import (
-	"fmt"
 	"strings"
 
+	"repro/internal/experiments"
 	"repro/internal/stats"
 	"repro/internal/translation"
 )
 
-// Table is one rendered cross-run summary: labelled rows under named
-// columns, renderable as GitHub markdown or CSV. Rows are emitted in
-// the order they were added; builders add them in sorted-key order so
-// rendering is byte-deterministic.
-type Table struct {
-	ID      string
-	Title   string
-	Columns []string
-	Rows    []TableRow
-	Notes   []string
-}
-
-// TableRow is one labelled row. Cells align with the table's Columns;
-// a NaN-free fixed format keeps output stable across runs.
-type TableRow struct {
-	Label string
-	Cells []float64
-}
-
-// Markdown renders the table as a GitHub-flavoured markdown table with
-// a title heading.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "## %s — %s\n\n", t.ID, t.Title)
-	b.WriteString("| label |")
-	for _, c := range t.Columns {
-		fmt.Fprintf(&b, " %s |", c)
-	}
-	b.WriteString("\n|---|")
-	for range t.Columns {
-		b.WriteString("---:|")
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "| %s |", r.Label)
-		for i := range t.Columns {
-			if i < len(r.Cells) {
-				fmt.Fprintf(&b, " %.4f |", r.Cells[i])
-			} else {
-				b.WriteString(" - |")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "\n> %s\n", n)
-	}
-	b.WriteByte('\n')
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values with a header row.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString("label")
-	for _, c := range t.Columns {
-		b.WriteByte(',')
-		b.WriteString(c)
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		b.WriteString(r.Label)
-		for i := range t.Columns {
-			b.WriteByte(',')
-			if i < len(r.Cells) {
-				fmt.Fprintf(&b, "%g", r.Cells[i])
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Tables builds every summary table the joined sweep supports. Tables
 // whose inputs are entirely absent (no base/tempo pairs, no interval
-// series) are omitted rather than rendered empty.
-func Tables(d *Data) []*Table {
-	var out []*Table
+// series) are omitted rather than rendered empty. Rows are emitted in
+// the order they were added; builders add them in sorted-key order so
+// rendering is byte-deterministic.
+func Tables(d *Data) []*experiments.Report {
+	var out []*experiments.Report
 	if t := SpeedupTable(d); len(t.Rows) > 0 {
 		out = append(out, t)
 	}
@@ -119,8 +48,8 @@ func pairedResult(d *Data, baseKey, varKey string) (base, variant *Run, ok bool)
 // paper's headline metrics: runtime speedup (cycle ratio), weighted
 // speedup (mean per-core IPC ratio — equal to the IPC ratio for
 // single-core runs), both IPCs, and the energy ratio.
-func SpeedupTable(d *Data) *Table {
-	t := &Table{
+func SpeedupTable(d *Data) *experiments.Report {
+	t := &experiments.Report{
 		ID:      "speedup",
 		Title:   "TEMPO speedup over baseline (Figure 10 regime)",
 		Columns: []string{"speedup", "weighted_speedup", "base_ipc", "tempo_ipc", "energy_gain"},
@@ -136,7 +65,7 @@ func SpeedupTable(d *Data) *Table {
 		if ve := v.Energy.Total(); ve > 0 {
 			energy = b.Energy.Total() / ve
 		}
-		t.Rows = append(t.Rows, TableRow{Label: label, Cells: []float64{
+		t.Rows = append(t.Rows, experiments.Row{Label: label, Values: []float64{
 			speedup, ws, b.Total.IPC(), v.Total.IPC(), energy,
 		}})
 	}
@@ -173,8 +102,8 @@ func SpeedupTable(d *Data) *Table {
 // rival that never engages shows a flat 1.0 speedup indistinguishable
 // from a broken one. Only tempo rows are paper-comparable; see the
 // "Mechanism zoo" section of paper_vs_measured.md.
-func MechTable(d *Data) *Table {
-	t := &Table{
+func MechTable(d *Data) *experiments.Report {
+	t := &experiments.Report{
 		ID:      "mech",
 		Title:   "Translation-mechanism head-to-head vs shared baseline",
 		Columns: []string{"speedup", "weighted_speedup", "mech_ipc", "energy_gain", "ptw_dram_p50", "engaged"},
@@ -200,17 +129,13 @@ func MechTable(d *Data) *Table {
 		if ve := v.Energy.Total(); ve > 0 {
 			energy = b.Energy.Total() / ve
 		}
-		engaged := 0.0
-		if c := translation.Engagement(name); c != "" {
-			engaged = float64(v.MechCounters[c])
-		}
-		t.Rows = append(t.Rows, TableRow{Label: name + "/" + wl, Cells: []float64{
+		t.Rows = append(t.Rows, experiments.Row{Label: name + "/" + wl, Values: []float64{
 			float64(b.Total.Cycles) / float64(v.Total.Cycles),
 			weightedSpeedup(b.Cores, v.Cores),
 			v.Total.IPC(),
 			energy,
 			float64(v.Total.DRAMLatencyPercentile(stats.DRAMPTW, 0.50)),
-			engaged,
+			float64(translation.Engagement(name, &v.Total, v.MechCounters)),
 		}})
 	}
 	if len(t.Rows) > 0 {
@@ -247,8 +172,8 @@ func weightedSpeedup(base, variant []stats.Stats) float64 {
 // and for the prefetch category — the mechanism behind TEMPO's DRAM
 // latency win (prefetches open the PT row's neighbourhood, so replays
 // hit open rows).
-func RowBufferTable(d *Data) *Table {
-	t := &Table{
+func RowBufferTable(d *Data) *experiments.Report {
+	t := &experiments.Report{
 		ID:      "rowbuffer",
 		Title:   "DRAM row-buffer hit rate by run",
 		Columns: []string{"hit_rate", "ptw_hit_rate", "replay_hit_rate", "prefetch_hit_rate"},
@@ -260,7 +185,7 @@ func RowBufferTable(d *Data) *Table {
 		}
 		m := &r.Result.Mem
 		overall := rowHitRate(m, -1)
-		t.Rows = append(t.Rows, TableRow{Label: key, Cells: []float64{
+		t.Rows = append(t.Rows, experiments.Row{Label: key, Values: []float64{
 			overall,
 			rowHitRate(m, int(stats.DRAMPTW)),
 			rowHitRate(m, int(stats.DRAMReplay)),
@@ -296,8 +221,8 @@ func rowHitRate(m *stats.Stats, cat int) float64 {
 // the interval-stats series (summing every core's walk-latency
 // histogram). Only runs that executed with -stats-interval have a
 // series; cache hits are skipped.
-func WalkLatencyTable(d *Data) *Table {
-	t := &Table{
+func WalkLatencyTable(d *Data) *experiments.Report {
+	t := &experiments.Report{
 		ID:      "walklat",
 		Title:   "Page-walk latency quantiles (cycles, power-of-two bucket upper bounds)",
 		Columns: []string{"p50", "p95", "p99", "walks"},
@@ -311,7 +236,7 @@ func WalkLatencyTable(d *Data) *Table {
 		if !ok || h.Count == 0 {
 			continue
 		}
-		t.Rows = append(t.Rows, TableRow{Label: key, Cells: []float64{
+		t.Rows = append(t.Rows, experiments.Row{Label: key, Values: []float64{
 			float64(h.Quantile(0.50)),
 			float64(h.Quantile(0.95)),
 			float64(h.Quantile(0.99)),

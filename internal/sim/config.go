@@ -162,12 +162,13 @@ type Config struct {
 	// IMP enables the indirect prefetcher on every core.
 	IMP bool
 
-	// Mech selects the translation-path mechanism by registry name
-	// (internal/translation; see MECHANISMS.md). Empty selects "tempo" —
-	// the pre-mechanism pipeline, bit-identical to it — so the field is
-	// omitted from the cache-hash JSON for unset configs and existing
-	// cached results keep their keys. Rival mechanisms ("victima",
-	// "revelator") require Tempo.Enabled to be false.
+	// Mech selects the translation-path mechanism by name
+	// (internal/translation; see MECHANISMS.md). Empty and "tempo" both
+	// select the default machine, whose TEMPO engine Tempo.Enabled
+	// switches; the field is omitted from the cache-hash JSON when
+	// empty, so existing cached results keep their keys. Rival
+	// mechanisms ("victima", "revelator") require Tempo.Enabled to be
+	// false.
 	Mech string `json:"Mech,omitempty"`
 
 	Scheduler SchedulerKind

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/cache"
@@ -71,13 +70,12 @@ type Core struct {
 	walker *ptwalk.Walker
 	hier   *cache.Hierarchy
 	imp    *prefetch.IMP
-	// lone is set in a one-core system: a park on DRAM then serves
-	// the controller itself (serveOwn) instead of returning to
-	// System.Run.
+	// lone is set in a one-core system: a park on DRAM then runs the
+	// controller until its request completes (Controller.RunUntil)
+	// instead of returning to System.Run.
 	lone bool
-	// mech is this core's translation-mechanism hooks, nil when the
-	// mechanism has no core-side presence (tempo and the baseline);
-	// then the kernel makes no hook calls.
+	// mech is this core's rival-mechanism hooks, nil on the default
+	// machine; then the kernel makes no hook calls.
 	mech   translation.CoreHooks
 	stream trace.Stream
 	st     *stats.Stats
@@ -140,7 +138,8 @@ type Core struct {
 // so the batched schedule is bit-identical to picking after every
 // record. The coordinator must not call step again on a waiting core
 // until the returned request completes. A lone core never returns
-// coreWait: it serves its own waits (serveOwn) and runs on.
+// coreWait: it runs the controller until its own request completes
+// (Controller.RunUntil) and runs on.
 func (c *Core) step(limit, budget uint64) (status coreStatus, waitOn *dram.Request, executed uint64) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -269,9 +268,7 @@ kernel:
 				if !c.lone {
 					return coreWait, req, executed
 				}
-				if !c.serveOwn(req) {
-					return coreDone, nil, executed
-				}
+				c.sys.ctrl.RunUntil(req)
 				waiters = c.sys.ctrl.ServedWaiters()
 				continue
 			}
@@ -403,9 +400,7 @@ kernel:
 				if !c.lone {
 					return coreWait, req, executed
 				}
-				if !c.serveOwn(req) {
-					return coreDone, nil, executed
-				}
+				c.sys.ctrl.RunUntil(req)
 				waiters = c.sys.ctrl.ServedWaiters()
 				continue kernel
 			}
@@ -462,25 +457,6 @@ kernel:
 			c.phase = phTail
 		}
 	}
-}
-
-// errDeadlock reports cores parked on requests that an empty memory
-// queue can never complete.
-var errDeadlock = errors.New("sim: deadlock — cores parked on an empty memory queue")
-
-// serveOwn stands in for the coordinator when a lone core parks on
-// req: it serves the controller until req completes, the sequence
-// System.Run would issue, and reports false with c.err set if the
-// queue runs dry first.
-func (c *Core) serveOwn(req *dram.Request) bool {
-	for !req.Done {
-		if c.sys.ctrl.QueueLen() == 0 {
-			c.err = errDeadlock
-			return false
-		}
-		c.sys.ctrl.ServeOne()
-	}
-	return true
 }
 
 // demandPage faults v's page in unless it is resident. Fault cost is

@@ -1,18 +1,19 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/obsv"
 	"repro/internal/translation"
 )
 
-// TestMechTempoBitIdentical pins the tentpole invariant of the
-// translation-mechanism seam (MECHANISMS.md §1): selecting the tempo
-// mechanism explicitly produces a result identical to not naming a
-// mechanism at all, except for the explicitly-requested mechanism
-// metadata (Result.Mechanism, Result.MechCounters; Energy.MechJ is 0
-// for tempo, so even the energy totals match).
+// TestMechTempoBitIdentical pins MECHANISMS.md §1: "tempo" names the
+// default machine, so a run that selects it explicitly produces a
+// result identical in every field, mechanism metadata included, to a
+// run that names no mechanism.
 func TestMechTempoBitIdentical(t *testing.T) {
 	for _, wl := range []string{"xsbench", "graph500"} {
 		cfg := quickCfg(wl, 20_000)
@@ -22,19 +23,8 @@ func TestMechTempoBitIdentical(t *testing.T) {
 		cfg.Mech = "tempo"
 		explicit := run(t, cfg)
 
-		if explicit.Mechanism != "tempo" {
-			t.Fatalf("%s: Mechanism = %q, want tempo", wl, explicit.Mechanism)
-		}
-		if explicit.MechCounters[translation.MetricTempoMirrorPrefetches] != implicit.Mem.TempoPrefetches {
-			t.Errorf("%s: mirror counter %d != engine prefetches %d", wl,
-				explicit.MechCounters[translation.MetricTempoMirrorPrefetches],
-				implicit.Mem.TempoPrefetches)
-		}
-		// Strip the opt-in metadata; everything else must be identical.
-		explicit.Mechanism = ""
-		explicit.MechCounters = nil
 		if !reflect.DeepEqual(implicit, explicit) {
-			t.Errorf("%s: explicit -mech tempo diverged from the default path", wl)
+			t.Errorf("%s: explicit -mech tempo diverged from the default machine", wl)
 		}
 	}
 }
@@ -49,6 +39,54 @@ func TestMechDefaultResultCarriesNoMechanism(t *testing.T) {
 	if res.Mechanism != "" || res.MechCounters != nil || res.Energy.MechJ != 0 {
 		t.Errorf("default run leaked mechanism metadata: %q %v %g",
 			res.Mechanism, res.MechCounters, res.Energy.MechJ)
+	}
+}
+
+// TestMechGauges pins the observer wiring of MECHANISMS.md §1.3: a
+// rival's mech/* counters reach the registry as gauges holding the
+// values its Result reports, and the default machine with TEMPO on
+// registers no mech/* name at all (the engine reports under
+// mem/tempo_*).
+func TestMechGauges(t *testing.T) {
+	cfg := quickCfg("xsbench", 20_000)
+	cfg.Mech = "victima"
+	res, o := runObserved(t, cfg, obsv.Options{IntervalEvery: 5_000, IntervalSink: &bytes.Buffer{}})
+	snap := o.Reg.Snapshot()
+	names := []string{
+		translation.MetricVictimaLookups, translation.MetricVictimaPTEHits,
+		translation.MetricVictimaPTEMisses, translation.MetricVictimaEvicted,
+		translation.MetricVictimaInserts,
+	}
+	if len(res.MechCounters) != len(names) || res.MechCounters[translation.MetricVictimaLookups] == 0 {
+		t.Fatalf("victima result counters = %v, want %d names and some lookups", res.MechCounters, len(names))
+	}
+	for _, name := range names {
+		got, ok := snap.Counters[name]
+		if want, inRes := res.MechCounters[name]; !ok || !inRes || got != want {
+			t.Errorf("victima gauge %s = %d (registered %v), result %d (reported %v)", name, got, ok, want, inRes)
+		}
+	}
+	for _, v := range obsv.Audit(snap) {
+		t.Errorf("victima snapshot: %s", v)
+	}
+
+	cfg = quickCfg("xsbench", 20_000)
+	cfg.Tempo = DefaultTempo()
+	var sink bytes.Buffer
+	res, o = runObserved(t, cfg, obsv.Options{IntervalEvery: 5_000, IntervalSink: &sink})
+	if res.Mem.TempoPrefetches == 0 {
+		t.Fatal("TEMPO run issued no prefetches")
+	}
+	for name := range o.Reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "mech/") {
+			t.Errorf("TEMPO run registered %s", name)
+		}
+	}
+	if sink.Len() == 0 {
+		t.Error("TEMPO run wrote no interval lines")
+	}
+	if strings.Contains(sink.String(), `"mech/`) {
+		t.Error("TEMPO interval lines carry a mech/ name")
 	}
 }
 

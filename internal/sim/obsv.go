@@ -39,23 +39,27 @@ func (s *System) Attach(o *obsv.Observer) {
 		}
 	}
 	s.ctrl.Rec = o.Rec
-	s.mech.Attach(o.Rec)
+	if s.tempo != nil {
+		s.tempo.Rec = o.Rec
+	}
 	if o.Reg != nil {
 		s.ctrl.QDepth = o.Reg.Histogram("dram/queue_depth")
-		// The mechanism's mech/<name>/* counters as lazy gauges: the
-		// name set is fixed at construction, so one registration pass
-		// covers the run's whole schema.
-		s.mech.CountersInto(func(name string, _ uint64) {
-			o.Reg.Gauge(name, func() uint64 {
-				var v uint64
-				s.mech.CountersInto(func(n string, x uint64) {
-					if n == name {
-						v = x
-					}
+		// A rival mechanism's mech/<name>/* counters as lazy gauges:
+		// the name set is fixed at construction, so one registration
+		// pass covers the run's whole schema.
+		if s.mech != nil {
+			s.mech.CountersInto(func(name string, _ uint64) {
+				o.Reg.Gauge(name, func() uint64 {
+					var v uint64
+					s.mech.CountersInto(func(n string, x uint64) {
+						if n == name {
+							v = x
+						}
+					})
+					return v
 				})
-				return v
 			})
-		})
+		}
 		// Every canonical cross-subsystem metric (obsv.Metric*) becomes a
 		// lazy gauge over the merged system view — the same Stats merge
 		// Run uses for Result.Total, so live snapshots satisfy the same

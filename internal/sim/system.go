@@ -91,13 +91,13 @@ type Result struct {
 	Energy dram.Energy
 	// TempoOn records whether TEMPO was enabled.
 	TempoOn bool
-	// Mechanism is the translation mechanism the run selected
-	// explicitly via Config.Mech ("" for default runs, whose pipeline
-	// is the tempo mechanism; see MECHANISMS.md).
+	// Mechanism is the rival translation mechanism Config.Mech
+	// selected ("" for runs of the default machine, TEMPO on or off,
+	// including those that name "tempo"; see MECHANISMS.md).
 	Mechanism string
-	// MechCounters holds the mechanism's mech/<name>/* counters,
-	// populated only for explicit Config.Mech runs (default runs stay
-	// byte-identical on the wire for the result cache).
+	// MechCounters holds the rival mechanism's mech/<name>/* counters
+	// (nil on the default machine, whose results stay byte-identical on
+	// the wire for the result cache).
 	MechCounters map[string]uint64
 }
 
@@ -115,9 +115,10 @@ type System struct {
 	ctrl    *dram.Controller
 	mem     *memSys
 	mst     *stats.Stats
-	// mech is the run's translation mechanism (never nil after New;
-	// the default is the tempo mechanism, which reproduces the
-	// pre-mechanism wiring verbatim).
+	// tempo is TEMPO's Prefetch Engine (nil with TEMPO off).
+	tempo *core.Engine
+	// mech is the run's rival translation mechanism (nil on the
+	// default machine).
 	mech translation.Mechanism
 	// obs is the instrumentation layer Attach wires in (nil = disabled).
 	obs *obsv.Observer
@@ -250,25 +251,29 @@ func New(cfg Config) (*System, error) {
 	llc := cache.New(s.machine.Caches.LLC)
 	s.mem = &memSys{llc: llc, ctrl: s.ctrl, st: s.mst, pool: s.ctrl.Pool()}
 
-	// Translation mechanism (MECHANISMS.md): the factory wires itself
-	// into the controller; the default tempo mechanism reproduces the
-	// pre-mechanism TEMPO wiring verbatim (or nothing when Tempo is
-	// off), so unset Mech stays bit-identical to the old pipeline.
-	mech, err := translation.New(cfg.Mech, translation.Deps{
-		Reader:   readers,
-		MemStats: s.mst,
-		Ctrl:     s.ctrl,
-		Fill:     s.mem,
-		Params: translation.Params{
-			TempoEnabled: cfg.Tempo.Enabled,
-			TempoLLC:     cfg.Tempo.LLCPrefetch,
-			LLCFillExtra: s.machine.LLCFillExtra,
-		},
-	})
-	if err != nil {
+	// A rival translation mechanism (MECHANISMS.md), if Mech names
+	// one: one translation mechanism per run.
+	if s.mech, err = translation.New(cfg.Mech); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	s.mech = mech
+	if s.mech != nil && cfg.Tempo.Enabled {
+		return nil, fmt.Errorf("sim: translation: %s: mechanism is exclusive of -tempo (one translation mechanism per run)", cfg.Mech)
+	}
+
+	// TEMPO's Prefetch Engine sits in the memory controller (paper
+	// Section 4): it parses the leaf-PTE bursts of page walks and
+	// prefetches the data they point to into the row buffer and, with
+	// LLCPrefetch, the LLC.
+	if cfg.Tempo.Enabled {
+		s.tempo = core.NewEngine(readers, s.mst)
+		s.tempo.Pool = s.ctrl.Pool()
+		s.ctrl.Observer = s.tempo
+		if cfg.Tempo.LLCPrefetch {
+			s.ctrl.OnPrefetchDone = func(r *dram.Request) {
+				s.mem.AddPending(r.Addr, r.Complete+s.machine.LLCFillExtra, cache.FillTempo)
+			}
+		}
+	}
 
 	// Cores.
 	for i := range cfg.Workloads {
@@ -291,11 +296,17 @@ func New(cfg Config) (*System, error) {
 			c.lead = prefetch.Distance
 		}
 		c.buf = make([]trace.Record, min(cfg.Records, recordBatch)+c.lead)
-		c.mech = s.mech.NewCore(i, mechPort{c})
+		if s.mech != nil {
+			c.mech = s.mech.NewCore(i, mechPort{c})
+		}
 		s.cores = append(s.cores, c)
 	}
 	return s, nil
 }
+
+// errDeadlock reports cores parked on requests that an empty memory
+// queue can never complete.
+var errDeadlock = errors.New("sim: deadlock — cores parked on an empty memory queue")
 
 // Core scheduling states of the coordinator loop.
 const (
@@ -438,11 +449,7 @@ func (s *System) Run() (*Result, error) {
 		res.Total.Add(&res.Cores[i])
 	}
 	res.Energy = s.machine.Energy.Account(&res.Total, s.cfg.Tempo.Enabled)
-	// Mechanism identity and counters are reported only for explicit
-	// -mech runs: default configs keep their wire encoding (and thus
-	// their result-cache entries) byte-identical to the pre-mechanism
-	// simulator even though they run the tempo mechanism internally.
-	if s.cfg.Mech != "" {
+	if s.mech != nil {
 		res.Mechanism = s.mech.Name()
 		res.MechCounters = map[string]uint64{}
 		s.mech.CountersInto(func(name string, v uint64) {

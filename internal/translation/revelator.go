@@ -1,10 +1,7 @@
 package translation
 
 import (
-	"errors"
-
 	"repro/internal/mem"
-	"repro/internal/obsv"
 	"repro/internal/vm"
 )
 
@@ -41,15 +38,6 @@ type revelatorMech struct {
 	tableOps     uint64
 }
 
-func init() {
-	Register("revelator", func(d Deps) (Mechanism, error) {
-		if d.Params.TempoEnabled {
-			return nil, errors.New("mechanism is exclusive of -tempo (one translation mechanism per run)")
-		}
-		return &revelatorMech{}, nil
-	})
-}
-
 // revelatorCore is one core's prediction table plus the in-flight
 // verification window: per-core demand misses are strictly serial, so
 // a single pending slot pairs each prediction with its walk.
@@ -67,8 +55,6 @@ func (m *revelatorMech) Name() string { return "revelator" }
 func (m *revelatorMech) NewCore(coreID int, port CorePort) CoreHooks {
 	return &revelatorCore{m: m, port: port}
 }
-
-func (m *revelatorMech) Attach(rec *obsv.Recorder) {}
 
 func (m *revelatorMech) CountersInto(emit func(string, uint64)) {
 	emit(MetricRevelatorPredictions, m.predictions)

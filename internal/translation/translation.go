@@ -1,74 +1,28 @@
-// Package translation is the pluggable translation-path engine: the
-// seam between the TLB-miss/page-walk pipeline in internal/sim and the
-// mechanism that accelerates it. The paper's TEMPO is one registered
-// Mechanism among peers — Victima (PTEs cached in underutilized L2/LLC
-// capacity) and Revelator (software-guided hash-based speculative
-// translation) drop in through the same three hooks — which turns the
-// repository from a one-paper reproduction into a virtual-memory
-// mechanism testbed. MECHANISMS.md is the normative spec for the
-// interface contract, each mechanism's model and its deviations from
-// its source paper, and the `-mech` comparison workflow; this package
-// is its implementation.
+// Package translation is the seam between the TLB-miss/page-walk
+// pipeline in internal/sim and the rival translation mechanisms that
+// accelerate it: Victima (PTEs cached in underutilized L2/LLC capacity)
+// and Revelator (software-guided hash-based speculative translation)
+// drop in through the same three per-core hooks. The paper's TEMPO is
+// not one of them: its Prefetch Engine sits in the memory controller,
+// and sim.New wires it whenever Config.Tempo.Enabled is set.
+// MECHANISMS.md is the normative spec for the interface contract, each
+// mechanism's model and its deviations from its source paper, and the
+// `-mech` comparison workflow; this package is its implementation.
 //
-// The contract, in brief: a Mechanism is built once per run from Deps
-// (shared memory-side services), hands each core a CoreHooks instance
-// (nil for mechanisms that live entirely on the memory side, like
-// TEMPO — a core with nil hooks makes no hook calls), and reports its
-// activity as mech/<name>/* counters that feed the obsv conservation
-// audit and the tempo-report head-to-head tables.
+// The contract, in brief: New builds a rival Mechanism once per run, it
+// hands each core a CoreHooks instance, and it reports its activity as
+// mech/<name>/* counters that feed the obsv conservation audit and the
+// tempo-report head-to-head tables.
 package translation
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/cache"
-	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/mem"
 	"repro/internal/obsv"
 	"repro/internal/stats"
 	"repro/internal/vm"
 )
-
-// Default is the mechanism an empty Config.Mech selects: the paper's
-// TEMPO path, bit-identical to the simulator before this seam existed.
-const Default = "tempo"
-
-// Params carries the configuration axes mechanisms consume. Tempo*
-// mirror sim.TempoConfig; rival mechanisms reject TempoEnabled so a
-// sweep cannot silently stack two translation mechanisms in one run.
-type Params struct {
-	// TempoEnabled turns the TEMPO engine on (tempo mechanism only).
-	TempoEnabled bool
-	// TempoLLC enables the LLC half of TEMPO's prefetch.
-	TempoLLC bool
-	// LLCFillExtra is the DRAM-completion-to-LLC-usable fill latency,
-	// applied to every mechanism's LLC-bound prefetch.
-	LLCFillExtra uint64
-}
-
-// Deps are the shared memory-side services a Mechanism may wire into.
-// All fields are owned by the simulator and live for the whole run.
-type Deps struct {
-	// Reader resolves a physical address to the page-table entry it
-	// holds (TEMPO parses the DRAM burst that serviced a walk).
-	Reader core.PTEReader
-	// MemStats is the shared memory-side stats sink.
-	MemStats *stats.Stats
-	// Ctrl is the shared memory controller.
-	Ctrl *dram.Controller
-	// Fill is the memory-side LLC prefetch fill path.
-	Fill FillPort
-	// Params carries the mechanism-relevant configuration.
-	Params Params
-}
-
-// FillPort registers a prefetched line that becomes LLC-visible at the
-// given cycle (the simulator's memSys implements it).
-type FillPort interface {
-	AddPending(addr mem.PAddr, ready uint64, prov cache.Provenance)
-}
 
 // Action is a CoreHooks.OnTLBMiss verdict. Hit short-circuits the
 // hardware walk: the core installs Translation into its TLB, charges
@@ -108,8 +62,8 @@ type CorePort interface {
 // CoreHooks is one core's view of a mechanism: the three interception
 // points of the TLB-miss lifecycle. Implementations must be cheap and
 // allocation-free — the hooks run on the simulator's per-record path.
-// A mechanism whose NewCore returns nil has no core-side presence: the
-// core runs the same record kernel and skips every hook call.
+// A core of the default machine has no hooks: it runs the same record
+// kernel and skips every hook call.
 type CoreHooks interface {
 	// OnTLBMiss fires on every demand TLB miss, before the hardware
 	// walk begins. A Hit Action suppresses the walk entirely.
@@ -124,17 +78,13 @@ type CoreHooks interface {
 	OnPrefetchUseful()
 }
 
-// Mechanism is one registered translation-path mechanism, built once
-// per run. See MECHANISMS.md for the normative contract.
+// Mechanism is one rival translation-path mechanism, built once per
+// run. See MECHANISMS.md for the normative contract.
 type Mechanism interface {
-	// Name returns the registry name ("tempo", "victima", ...).
+	// Name returns the mechanism's name ("victima", "revelator").
 	Name() string
-	// NewCore hands core coreID its hooks, or nil when the mechanism
-	// has no core-side presence (that core then makes no hook calls).
+	// NewCore hands core coreID its hooks.
 	NewCore(coreID int, port CorePort) CoreHooks
-	// Attach wires the obsv event recorder into the mechanism's
-	// memory-side components (nil-safe; no-op for most mechanisms).
-	Attach(rec *obsv.Recorder)
 	// CountersInto emits every mechanism counter under its canonical
 	// mech/<name>/* registry name. The name set is fixed at
 	// construction (zero values included) so gauges registered before
@@ -142,67 +92,44 @@ type Mechanism interface {
 	CountersInto(emit func(name string, v uint64))
 	// EnergyJ returns the mechanism's modelled energy overhead in
 	// joules — the hardware the baseline machine does not have (tag
-	// stores, prediction tables). TEMPO returns 0 here because its
-	// engine power is already accounted by dram.EnergyModel.Account.
+	// stores, prediction tables).
 	EnergyJ() float64
 }
 
-// Factory builds a mechanism for one run.
-type Factory func(Deps) (Mechanism, error)
-
-var registry = map[string]Factory{}
-
-// Register adds a mechanism factory under name. Mechanisms register
-// from init; duplicate names panic (a programming error).
-func Register(name string, f Factory) {
-	if name == "" || f == nil {
-		panic("translation: Register needs a name and a factory")
-	}
-	if _, dup := registry[name]; dup {
-		panic("translation: duplicate mechanism " + name)
-	}
-	registry[name] = f
-}
-
-// Names returns every registered mechanism name in sorted order.
+// Names returns every mechanism name -mech accepts, in sorted order.
+// "tempo" names the default machine, whose TEMPO engine sim.New wires.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return []string{"revelator", "tempo", "victima"}
 }
 
-// New builds the named mechanism ("" selects Default) for one run.
-func New(name string, d Deps) (Mechanism, error) {
-	if name == "" {
-		name = Default
+// New builds the named rival mechanism for one run. "" and "tempo"
+// select the default machine, which has no mechanism: New returns nil.
+func New(name string) (Mechanism, error) {
+	switch name {
+	case "", "tempo":
+		return nil, nil
+	case "victima":
+		return &victimaMech{}, nil
+	case "revelator":
+		return &revelatorMech{}, nil
 	}
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("translation: unknown mechanism %q (registered: %v)", name, Names())
-	}
-	m, err := f(d)
-	if err != nil {
-		return nil, fmt.Errorf("translation: %s: %w", name, err)
-	}
-	return m, nil
+	return nil, fmt.Errorf("translation: unknown mechanism %q (registered: %v)", name, Names())
 }
 
-// Engagement returns the canonical counter name that proves the named
-// mechanism actually engaged in a run (the column the head-to-head
-// tables report), or "" for an unknown name.
-func Engagement(name string) string {
+// Engagement returns the count that proves the named mechanism acted
+// in a run (the column the head-to-head tables report): TEMPO's issued
+// prefetches from the run's total stats, a rival's engagement counter
+// from its mech/* counters, or 0 for an unknown name.
+func Engagement(name string, total *stats.Stats, mech map[string]uint64) uint64 {
 	switch name {
 	case "tempo":
-		return MetricTempoMirrorPrefetches
+		return total.TempoPrefetches
 	case "victima":
-		return MetricVictimaPTEHits
+		return mech[MetricVictimaPTEHits]
 	case "revelator":
-		return MetricRevelatorSpecHits
+		return mech[MetricRevelatorSpecHits]
 	}
-	return ""
+	return 0
 }
 
 // Canonical mech/* registry names, re-exported from internal/obsv
@@ -210,14 +137,6 @@ func Engagement(name string) string {
 // cannot drift apart). Every mechanism counter appears in live gauges,
 // Result.MechCounters and the obsv audit under exactly these names.
 const (
-	// MetricTempoMirrorTriggers mirrors mem/tempo_triggers under the
-	// mech/* schema (the audit cross-checks the two views).
-	MetricTempoMirrorTriggers = obsv.MetricMechTempoTriggers
-	// MetricTempoMirrorPrefetches mirrors mem/tempo_prefetches.
-	MetricTempoMirrorPrefetches = obsv.MetricMechTempoPrefetches
-	// MetricTempoMirrorSuppressed mirrors mem/tempo_suppressed.
-	MetricTempoMirrorSuppressed = obsv.MetricMechTempoSuppressed
-
 	// MetricVictimaLookups counts tag-store probes (one per TLB miss).
 	MetricVictimaLookups = obsv.MetricMechVictimaLookups
 	// MetricVictimaPTEHits counts walks elided by a cached PTE.

@@ -1,11 +1,8 @@
 package translation
 
 import (
-	"errors"
-
 	"repro/internal/assoc"
 	"repro/internal/mem"
-	"repro/internal/obsv"
 	"repro/internal/vm"
 )
 
@@ -43,15 +40,6 @@ type victimaMech struct {
 	inserts   uint64
 }
 
-func init() {
-	Register("victima", func(d Deps) (Mechanism, error) {
-		if d.Params.TempoEnabled {
-			return nil, errors.New("mechanism is exclusive of -tempo (one translation mechanism per run)")
-		}
-		return &victimaMech{}, nil
-	})
-}
-
 // victimaCore is one core's tag store: victimaSets sets of victimaWays
 // entries, each set with its recency stack. Entries empty when their
 // PTE line leaves the chip, so an insert takes the first invalid way
@@ -70,8 +58,6 @@ func (m *victimaMech) NewCore(coreID int, port CorePort) CoreHooks {
 	copy(c.order[:], assoc.NewStacks(victimaSets, victimaWays))
 	return c
 }
-
-func (m *victimaMech) Attach(rec *obsv.Recorder) {}
 
 func (m *victimaMech) CountersInto(emit func(string, uint64)) {
 	emit(MetricVictimaLookups, m.lookups)

@@ -193,22 +193,6 @@ func (as *AddressSpace) SuperpageFraction() float64 {
 	return float64(super) / float64(super+frag)
 }
 
-// Unmap releases the page containing v: the translation disappears
-// from the page table and the physical frames return to the allocator.
-// The caller must invalidate TLBs (a shootdown) — the OS model cannot
-// reach into per-core hardware. Returns the removed translation.
-func (as *AddressSpace) Unmap(v mem.VAddr) (Translation, bool, error) {
-	tr, ok := as.table.Unmap(v)
-	if !ok {
-		return Translation{}, false, nil
-	}
-	if err := as.buddy.Free(tr.Frame); err != nil {
-		return Translation{}, false, fmt.Errorf("vm: freeing %#x: %w", uint64(tr.Frame), err)
-	}
-	as.footprint[tr.Class] -= tr.Class.Bytes()
-	return tr, true, nil
-}
-
 // Touch ensures the page containing v is resident, faulting it in if
 // needed, and returns its translation. The boolean reports whether a
 // page fault occurred (first touch).

@@ -242,56 +242,3 @@ func TestOutOfMemory(t *testing.T) {
 		t.Error("physical memory past MaxPhysFrames should be refused")
 	}
 }
-
-func TestUnmapReleasesMemory(t *testing.T) {
-	cfg := DefaultOSConfig(testPhysFrames)
-	cfg.Mode = Mode4KOnly
-	as, err := NewAddressSpace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := mem.VAddr(0x5555_0000)
-	if _, _, err := as.Touch(v); err != nil {
-		t.Fatal(err)
-	}
-	free := as.Buddy().FreeFrames()
-	tr, ok, err := as.Unmap(v)
-	if err != nil || !ok {
-		t.Fatalf("unmap: ok=%v err=%v", ok, err)
-	}
-	if tr.Class != mem.Page4K {
-		t.Errorf("class = %v", tr.Class)
-	}
-	if as.Buddy().FreeFrames() != free+1 {
-		t.Errorf("frame not returned: %d -> %d", free, as.Buddy().FreeFrames())
-	}
-	if as.FootprintBytes()[mem.Page4K] != 0 {
-		t.Error("footprint not decremented")
-	}
-	// The page is gone; a second unmap finds nothing.
-	if _, ok, _ := as.Unmap(v); ok {
-		t.Error("double unmap should miss")
-	}
-	// Touching again refaults a fresh page.
-	if _, faulted, err := as.Touch(v); err != nil || !faulted {
-		t.Errorf("refault: faulted=%v err=%v", faulted, err)
-	}
-}
-
-func TestUnmapSuperpage(t *testing.T) {
-	cfg := DefaultOSConfig(testPhysFrames)
-	cfg.THPEligibility = 1.0
-	as, _ := NewAddressSpace(cfg)
-	v := mem.VAddr(0x4000_0000)
-	tr, _, err := as.Touch(v)
-	if err != nil || tr.Class != mem.Page2M {
-		t.Fatalf("touch: %+v %v", tr, err)
-	}
-	free := as.Buddy().FreeFrames()
-	if _, ok, err := as.Unmap(v + 0x12345); err != nil || !ok {
-		t.Fatalf("unmap within superpage: %v %v", ok, err)
-	}
-	if as.Buddy().FreeFrames() != free+512 {
-		t.Error("2MB block not fully returned")
-	}
-}

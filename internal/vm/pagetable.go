@@ -115,7 +115,7 @@ type PageTable struct {
 	// [memoDepth, Levels]. A later walk whose upper indices match
 	// memoV's resumes from the deepest shared page: the shared entries
 	// were present and non-leaf when memoized (the walk descended
-	// through them) and the table is immutable between Map/Unmap calls,
+	// through them) and the table is immutable between Map calls,
 	// which drop the memo. Consecutive translations share upper levels
 	// almost always, so most walks probe only the leaf table page.
 	memoV     mem.VAddr
@@ -285,31 +285,6 @@ func (pt *PageTable) dropMemo() {
 	for i := range pt.memoPages {
 		pt.memoPages[i] = tableRef{}
 	}
-}
-
-// Unmap removes the translation covering v and returns it. Interior
-// table pages are kept (Linux behaves the same way); the caller owns
-// freeing the data frames and shooting down TLBs.
-func (pt *PageTable) Unmap(v mem.VAddr) (Translation, bool) {
-	pt.dropMemo()
-	n := pt.root.page
-	for lvl := mem.Levels; lvl >= 1; lvl-- {
-		e := &n[v.Index(lvl)]
-		if *e&ptePresent == 0 {
-			return Translation{}, false
-		}
-		if *e&pteLeaf != 0 {
-			c, ok := classForLeafLevel(lvl)
-			if !ok {
-				return Translation{}, false
-			}
-			tr := Translation{VBase: v.PageBase(c), Frame: pteFrame(*e), Class: c}
-			*e = 0
-			return tr, true
-		}
-		n = pt.page(pteFrame(*e))
-	}
-	return Translation{}, false
 }
 
 // ReadPTE lets the memory controller "read DRAM" at a PTE address: if

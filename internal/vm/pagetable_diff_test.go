@@ -64,16 +64,6 @@ func (d *tableDiff) mapPage(v mem.VAddr, c mem.PageSizeClass, f mem.Frame) {
 	d.check(fmt.Sprintf("Map(%#x, %v, %d)", uint64(v), c, f))
 }
 
-func (d *tableDiff) unmap(v mem.VAddr) {
-	d.t.Helper()
-	tr, ok := d.pt.Unmap(v)
-	rtr, rok := d.ref.Unmap(v)
-	if tr != rtr || ok != rok {
-		d.t.Fatalf("step %d Unmap(%#x) = %+v %v, reference %+v %v", d.step, uint64(v), tr, ok, rtr, rok)
-	}
-	d.check(fmt.Sprintf("Unmap(%#x)", uint64(v)))
-}
-
 func (d *tableDiff) lookup(v mem.VAddr) {
 	d.t.Helper()
 	tr, ok := d.pt.Lookup(v)
@@ -160,9 +150,7 @@ func (d *tableDiff) run(ops []byte) {
 		case 0, 1:
 			c := mem.PageSizeClass(ops[0] / 6 % 3)
 			d.mapPage(v, c, diffFrame(x, c))
-		case 2:
-			d.unmap(v)
-		case 3:
+		case 2, 3:
 			d.lookup(v)
 		case 4:
 			d.walk(v)

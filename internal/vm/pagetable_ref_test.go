@@ -188,31 +188,6 @@ func (pt *refPageTable) dropMemo() {
 	}
 }
 
-// Unmap removes the translation covering v and returns it. Interior
-// table pages are kept (Linux behaves the same way); the caller owns
-// freeing the data frames and shooting down TLBs.
-func (pt *refPageTable) Unmap(v mem.VAddr) (Translation, bool) {
-	pt.dropMemo()
-	n := pt.root
-	for lvl := mem.Levels; lvl >= 1; lvl-- {
-		e := &n.entries[v.Index(lvl)]
-		if !e.Present {
-			return Translation{}, false
-		}
-		if e.Leaf {
-			c, ok := classForLeafLevel(lvl)
-			if !ok {
-				return Translation{}, false
-			}
-			tr := Translation{VBase: v.PageBase(c), Frame: e.Frame, Class: c}
-			*e = PTE{}
-			return tr, true
-		}
-		n = pt.byFrame.get(e.Frame)
-	}
-	return Translation{}, false
-}
-
 // ReadPTE lets the memory controller "read DRAM" at a PTE address: if
 // p falls inside a page-table page, it returns the entry, the level of
 // the table, and true. This is the information TEMPO's Prefetch Engine

@@ -12,11 +12,12 @@
 // rename cannot silently leave a stale cousin covering for it.
 //
 // The same spec-first discipline covers the translation-mechanism zoo:
-// every mechanism registered in internal/translation (the string
-// literal passed to Register) must be mentioned in MECHANISMS.md, the
+// every mechanism name internal/translation lists (the string literals
+// its Names function returns) must be mentioned in MECHANISMS.md, the
 // zoo's normative spec — boundary-aware like the flag check, so
-// "victimax" cannot cover for "victima". Registering a mechanism
-// without writing its spec is fatal.
+// "victimax" cannot cover for "victima". Adding a mechanism without
+// writing its spec is fatal, and so is a translation package whose
+// Names lists no literal (the gate would otherwise check nothing).
 //
 // Metric names get the same treatment: every canonical instrument name
 // — the Metric* string constants in internal/obsv plus every string
@@ -188,10 +189,10 @@ func isFlagChar(c byte) bool {
 }
 
 // mechanismDocGaps enforces the MECHANISMS.md gate: every mechanism
-// registered in internal/translation must appear in MECHANISMS.md.
-// Returns one fatal message per gap; a repo without a translation
-// package (or without registered mechanisms) trivially passes, but a
-// registered mechanism with a missing spec file does not.
+// internal/translation lists must appear in MECHANISMS.md. Returns one
+// fatal message per gap; a repo without a translation package
+// trivially passes, but a listed mechanism with a missing spec file
+// does not.
 func mechanismDocGaps(root string) []string {
 	names, err := registeredMechanisms(filepath.Join(root, "internal", "translation"))
 	if err != nil {
@@ -203,22 +204,23 @@ func mechanismDocGaps(root string) []string {
 	specPath := filepath.Join(root, "MECHANISMS.md")
 	spec, err := os.ReadFile(specPath)
 	if err != nil {
-		return []string{fmt.Sprintf("%d mechanisms registered but MECHANISMS.md is unreadable: %v", len(names), err)}
+		return []string{fmt.Sprintf("%d mechanisms listed but MECHANISMS.md is unreadable: %v", len(names), err)}
 	}
 	var gaps []string
 	for _, name := range names {
 		if !docMentionsWord(string(spec), name) {
 			gaps = append(gaps, fmt.Sprintf(
-				"MECHANISMS.md: registered mechanism %q is never mentioned (write its spec)", name))
+				"MECHANISMS.md: mechanism %q is never mentioned (write its spec)", name))
 		}
 	}
 	return gaps
 }
 
-// registeredMechanisms returns the sorted names passed as the first
-// string-literal argument to Register / translation.Register calls in
-// the package at dir. A missing directory yields no names (repos
-// without the zoo pass the gate trivially).
+// registeredMechanisms returns the sorted string literals of the
+// function Names in the package at dir, whose return is the one place
+// the code lists every mechanism name. A missing directory yields no
+// names (repos without the zoo pass the gate trivially); a package
+// whose Names holds no literal is an error.
 func registeredMechanisms(dir string) ([]string, error) {
 	if _, err := os.Stat(dir); os.IsNotExist(err) {
 		return nil, nil
@@ -233,33 +235,25 @@ func registeredMechanisms(dir string) ([]string, error) {
 	seen := map[string]bool{}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) < 2 {
-					return true
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv != nil || fn.Name.Name != "Names" || fn.Body == nil {
+					continue
 				}
-				switch fun := call.Fun.(type) {
-				case *ast.Ident:
-					if fun.Name != "Register" {
-						return true
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					lit, ok := n.(*ast.BasicLit)
+					if ok && lit.Kind == token.STRING {
+						if name := strings.Trim(lit.Value, "`\""); name != "" {
+							seen[name] = true
+						}
 					}
-				case *ast.SelectorExpr:
-					if fun.Sel.Name != "Register" {
-						return true
-					}
-				default:
 					return true
-				}
-				lit, ok := call.Args[0].(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					return true
-				}
-				if name := strings.Trim(lit.Value, "`\""); name != "" {
-					seen[name] = true
-				}
-				return true
-			})
+				})
+			}
 		}
+	}
+	if len(seen) == 0 {
+		return nil, fmt.Errorf("no mechanism names: Names holds no string literal")
 	}
 	names := make([]string, 0, len(seen))
 	for n := range seen {

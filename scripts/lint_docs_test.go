@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -26,34 +27,52 @@ func writeTree(t *testing.T, files map[string]string) string {
 const zooSource = `// Package translation is a fixture.
 package translation
 
-func init() {
-	Register("tempo", nil)
-	Register("victima", nil)
+func Names() []string {
+	return []string{"revelator", "tempo", "victima"}
 }
 
-func more() {
-	translation.Register("revelator", nil)
+func New(name string) (any, error) {
+	switch name {
+	case "notlisted":
+	}
+	return []string{"notreturnedbynames"}, nil
 }
 `
 
-func TestRegisteredMechanismsParsesRegisterCalls(t *testing.T) {
+func TestRegisteredMechanismsParsesNames(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/translation/zoo.go": zooSource,
 		// Test files must not contribute names.
-		"internal/translation/zoo_test.go": "package translation\n\nfunc init() { Register(\"testonly\", nil) }\n",
+		"internal/translation/zoo_test.go": "package translation\n\nfunc Names() []string { return []string{\"testonly\"} }\n",
 	})
 	names, err := registeredMechanisms(filepath.Join(root, "internal", "translation"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"revelator", "tempo", "victima"}
-	if len(names) != len(want) {
+	if want := []string{"revelator", "tempo", "victima"}; !slices.Equal(names, want) {
 		t.Fatalf("registeredMechanisms = %v, want %v", names, want)
 	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("registeredMechanisms = %v, want %v", names, want)
-		}
+}
+
+// TestRegisteredMechanismsReadsTranslation runs the collector on the
+// real package, so the MECHANISMS.md gate cannot pass by finding no
+// names.
+func TestRegisteredMechanismsReadsTranslation(t *testing.T) {
+	names, err := registeredMechanisms(filepath.Join("..", "internal", "translation"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"revelator", "tempo", "victima"}; !slices.Equal(names, want) {
+		t.Fatalf("registeredMechanisms(internal/translation) = %v, want %v", names, want)
+	}
+}
+
+func TestRegisteredMechanismsWithoutNamesIsError(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/translation/zoo.go": "// Package translation is a fixture.\npackage translation\n\nfunc New(name string) {}\n",
+	})
+	if names, err := registeredMechanisms(filepath.Join(root, "internal", "translation")); err == nil {
+		t.Fatalf("registeredMechanisms without Names = %v, want an error", names)
 	}
 }
 
