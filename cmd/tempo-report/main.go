@@ -14,12 +14,22 @@
 //	tempo-report cpi -runs runs.jsonl -cache-dir .tempo -format csv -o cpi.csv
 //	tempo-report audit -runs runs.jsonl -cache-dir .tempo
 //
-// tables renders speedup / weighted-speedup, CPI-stack, DRAM
-// row-buffer hit rate, and walk-latency quantile tables as markdown
-// (-format md, default), CSV (-format csv) or both concatenated
-// (-format all), to stdout or -o. -runs names the runs.jsonl log,
-// -cache-dir the result cache root, -obs-dir the interval-stats
-// directory ("" skips series-backed tables).
+// tables renders the pairs, CPI-stack, DRAM row-buffer hit rate, and
+// walk-latency quantile tables as markdown (-format md, default), CSV
+// (-format csv) or both concatenated (-format all), to stdout or -o.
+// -runs names the runs.jsonl log, -cache-dir the result cache root,
+// -obs-dir the interval-stats directory ("" skips series-backed
+// tables).
+//
+// The pairs table has one row per run that declares a baseline: the
+// figures name each variant's baseline, and the variant's runs.jsonl
+// line carries that baseline's config hash as its "base" field. A row
+// gives speedup and per-core speedup over the baseline, both IPCs, the
+// energy gain, the page-walk DRAM latency p50 and the engagement
+// counter of the run's mechanism. A log written before pairs were
+// declared has no base fields and renders no pairs table; re-running
+// its sweep against the same cache, every job a cache hit, records
+// them.
 //
 // cpi renders just the cycle-attribution view: the CPI-stack table
 // (per-run bucket fractions; OBSERVABILITY.md "CPI stacks") followed,

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 // Extras returns the ablation studies that go beyond the paper's
@@ -31,20 +30,17 @@ func (r *Runner) Abl01Components() (*Report, error) {
 		Columns: []string{"rowbuf-only", "full"},
 	}
 	for _, wl := range r.Scale.Big {
-		base, err := r.run("base/"+wl, r.singleCfg(wl))
+		base, err := r.run("base/"+wl, r.singleCfg(wl), "")
 		if err != nil {
 			return nil, err
 		}
-		cfgR := r.singleCfg(wl)
-		cfgR.Tempo = sim.DefaultTempo()
+		cfgR := tempoVariant(r.singleCfg(wl))
 		cfgR.Tempo.LLCPrefetch = false
-		rowOnly, err := r.run("abl01/"+wl+"/row", cfgR)
+		rowOnly, err := r.run("abl01/"+wl+"/row", cfgR, "base/"+wl)
 		if err != nil {
 			return nil, err
 		}
-		cfgF := r.singleCfg(wl)
-		cfgF.Tempo = sim.DefaultTempo()
-		full, err := r.run("tempo/"+wl, cfgF)
+		full, err := r.run("tempo/"+wl, tempoVariant(r.singleCfg(wl)), "base/"+wl)
 		if err != nil {
 			return nil, err
 		}
@@ -93,20 +89,13 @@ func (r *Runner) Abl03SchedulerAware() (*Report, error) {
 		Columns: []string{"aware", "prefetch-only"},
 	}
 	for _, wl := range r.Scale.Big {
-		base, err := r.run("f15/"+wl+"/base", r.homoCfg(wl))
+		base, aware, err := r.baseTempoPair("f15/"+wl+"/base", "abl03/"+wl+"/aware", r.homoCfg(wl))
 		if err != nil {
 			return nil, err
 		}
-		cfgA := r.homoCfg(wl)
-		cfgA.Tempo = sim.DefaultTempo()
-		aware, err := r.run("abl03/"+wl+"/aware", cfgA)
-		if err != nil {
-			return nil, err
-		}
-		cfgP := r.homoCfg(wl)
-		cfgP.Tempo = sim.DefaultTempo()
+		cfgP := tempoVariant(r.homoCfg(wl))
 		cfgP.Tempo.SchedulerAware = false
-		plain, err := r.run("abl03/"+wl+"/plain", cfgP)
+		plain, err := r.run("abl03/"+wl+"/plain", cfgP, "f15/"+wl+"/base")
 		if err != nil {
 			return nil, err
 		}

@@ -242,8 +242,6 @@ type Engine interface {
 	// Run executes a batch, returning one JobResult per unique key in
 	// first-occurrence order (the runner.Pool contract).
 	Run(ctx context.Context, jobs []runner.Job) []runner.JobResult
-	// RunOne executes (or recalls) a single keyed configuration.
-	RunOne(ctx context.Context, key string, cfg sim.Config) (*sim.Result, error)
 }
 
 // Runner executes figures at one scale, memoising simulation results
@@ -387,10 +385,17 @@ func placeholderResult(cfg sim.Config) *sim.Result {
 
 // run executes (or recalls) one simulation. The key must uniquely
 // describe cfg among this runner's uses: it is hashed once, on first
-// use, and the memo is looked up by that hash. In enumeration mode it
-// records the job and returns a placeholder instead.
-func (r *Runner) run(key string, cfg sim.Config) (*sim.Result, error) {
+// use, and the memo is looked up by that hash. base is the key of the
+// run cfg is measured against, one this runner has already run ("" for
+// none); its hash goes on the job as runner.Job.Base. In enumeration
+// mode it records the job and returns a placeholder instead.
+func (r *Runner) run(key string, cfg sim.Config, base string) (*sim.Result, error) {
 	r.mu.Lock()
+	job := runner.Job{Key: key, Config: cfg, Base: r.hashes[base]}
+	if base != "" && job.Base == "" {
+		r.mu.Unlock()
+		return nil, fmt.Errorf("experiments: %s: baseline %s has not run", key, base)
+	}
 	h, ok := r.hashes[key]
 	if !ok {
 		var err error
@@ -407,7 +412,7 @@ func (r *Runner) run(key string, cfg sim.Config) (*sim.Result, error) {
 	if r.enumerating {
 		if !r.pendingSeen[h] {
 			r.pendingSeen[h] = true
-			r.pending = append(r.pending, runner.Job{Key: key, Config: cfg})
+			r.pending = append(r.pending, job)
 		}
 		r.mu.Unlock()
 		return placeholderResult(cfg), nil
@@ -418,8 +423,9 @@ func (r *Runner) run(key string, cfg sim.Config) (*sim.Result, error) {
 	var err error
 	if r.Engine != nil {
 		// Stragglers outside a batch still get the engine's persistent
-		// cache and panic containment.
-		res, err = r.Engine.RunOne(r.ctx(), key, cfg)
+		// cache, panic containment and runs.jsonl line.
+		jr := r.Engine.Run(r.ctx(), []runner.Job{job})[0]
+		res, err = jr.Result, jr.Err
 	} else {
 		res, err = sim.Run(cfg)
 	}

@@ -20,10 +20,10 @@ func tempoVariant(cfg sim.Config) sim.Config {
 // baseTempoPair runs (or recalls) the baseline configuration and its
 // TEMPO-enabled variant — the comparison at the heart of most figures.
 func (r *Runner) baseTempoPair(baseKey, tempoKey string, cfg sim.Config) (base, tempo *sim.Result, err error) {
-	if base, err = r.run(baseKey, cfg); err != nil {
+	if base, err = r.run(baseKey, cfg, ""); err != nil {
 		return nil, nil, err
 	}
-	tempo, err = r.run(tempoKey, tempoVariant(cfg))
+	tempo, err = r.run(tempoKey, tempoVariant(cfg), baseKey)
 	return base, tempo, err
 }
 
@@ -36,7 +36,7 @@ func (r *Runner) Fig01() (*Report, error) {
 		Columns: []string{"DRAM-PTW", "DRAM-Replay", "DRAM-Other"},
 	}
 	for _, wl := range r.Scale.Big {
-		res, err := r.run("base/"+wl, r.singleCfg(wl))
+		res, err := r.run("base/"+wl, r.singleCfg(wl), "")
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +60,7 @@ func (r *Runner) Fig04() (*Report, error) {
 		Columns: []string{"DRAM-PTW", "DRAM-Replay", "DRAM-Other", "leaf-share", "replay-follows"},
 	}
 	for _, wl := range r.Scale.Big {
-		res, err := r.run("base/"+wl, r.singleCfg(wl))
+		res, err := r.run("base/"+wl, r.singleCfg(wl), "")
 		if err != nil {
 			return nil, err
 		}
@@ -158,25 +158,13 @@ func (r *Runner) Fig12() (*Report, error) {
 	}
 	energy := dram.DefaultEnergyModel()
 	for _, wl := range r.Scale.Big {
-		base, err := r.run("base/"+wl, r.singleCfg(wl))
-		if err != nil {
-			return nil, err
-		}
-		cfgT := r.singleCfg(wl)
-		cfgT.Tempo = sim.DefaultTempo()
-		tempo, err := r.run("tempo/"+wl, cfgT)
+		base, tempo, err := r.baseTempoPair("base/"+wl, "tempo/"+wl, r.singleCfg(wl))
 		if err != nil {
 			return nil, err
 		}
 		cfgI := r.singleCfg(wl)
 		cfgI.IMP = true
-		imp, err := r.run("imp/"+wl, cfgI)
-		if err != nil {
-			return nil, err
-		}
-		cfgIT := cfgI
-		cfgIT.Tempo = sim.DefaultTempo()
-		impTempo, err := r.run("imp+tempo/"+wl, cfgIT)
+		imp, impTempo, err := r.baseTempoPair("imp/"+wl, "imp+tempo/"+wl, cfgI)
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +275,8 @@ func (r *Runner) Fig15() (*Report, error) {
 		Columns: []string{"wait0", "wait5", "wait10", "wait15"},
 	}
 	for _, wl := range r.Scale.Big {
-		base, err := r.run("f15/"+wl+"/base", r.homoCfg(wl))
+		baseKey := "f15/" + wl + "/base"
+		base, err := r.run(baseKey, r.homoCfg(wl), "")
 		if err != nil {
 			return nil, err
 		}
@@ -296,7 +285,7 @@ func (r *Runner) Fig15() (*Report, error) {
 			cfgT := r.homoCfg(wl)
 			cfgT.Tempo = sim.DefaultTempo()
 			cfgT.Tempo.PTRowWait = w
-			tempo, err := r.run(fmt.Sprintf("f15/%s/wait%d", wl, w), cfgT)
+			tempo, err := r.run(fmt.Sprintf("f15/%s/wait%d", wl, w), cfgT, baseKey)
 			if err != nil {
 				return nil, err
 			}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/translation"
 )
@@ -17,10 +16,11 @@ var mechWorkloads = []string{"xsbench", "graph500"}
 // Mech01 is the mechanism-zoo head-to-head (not a paper figure; the
 // methodology is MECHANISMS.md). Each workload runs once as the shared
 // no-mechanism baseline and once per translation mechanism — tempo with
-// the paper's full configuration, rivals on their own — under run keys
-// ("base/<wl>", "mech/<name>/<wl>") that tempo-report's MechTable pairs
-// back up. Only the tempo rows are paper-comparable (the "Mechanism
-// zoo" section of paper_vs_measured.md explains how to read the rest).
+// the paper's full configuration, which is fig10's TEMPO run, rivals on
+// their own — each declaring "base/<wl>" as its baseline, so
+// tempo-report's pairs table lists them. Only the tempo rows are
+// paper-comparable (the "Mechanism zoo" section of paper_vs_measured.md
+// explains how to read the rest).
 func (r *Runner) Mech01() (*Report, error) {
 	mechs := r.Mechs
 	if len(mechs) == 0 {
@@ -36,20 +36,20 @@ func (r *Runner) Mech01() (*Report, error) {
 		},
 	}
 	for _, wl := range mechWorkloads {
-		base, err := r.run("base/"+wl, r.singleCfg(wl))
+		base, err := r.run("base/"+wl, r.singleCfg(wl), "")
 		if err != nil {
 			return nil, err
 		}
 		for _, m := range mechs {
 			cfg := r.singleCfg(wl)
-			cfg.Mech = m
 			if m == "tempo" {
-				// "tempo" names the default machine; give it the
-				// paper's full TEMPO configuration so the row restates
-				// the fig10 comparison.
-				cfg.Tempo = sim.DefaultTempo()
+				// "tempo" names the default machine with the paper's
+				// full TEMPO configuration: fig10's run.
+				cfg = tempoVariant(cfg)
+			} else {
+				cfg.Mech = m
 			}
-			res, err := r.run("mech/"+m+"/"+wl, cfg)
+			res, err := r.run("mech/"+m+"/"+wl, cfg, "base/"+wl)
 			if err != nil {
 				return nil, err
 			}

@@ -16,7 +16,7 @@ func (r *Runner) aloneIPC(specs []sim.WorkloadSpec) ([]float64, error) {
 		cfg.Records = r.Scale.MixRecords
 		cfg.Workloads = []sim.WorkloadSpec{spec}
 		key := fmt.Sprintf("alone/%s/%d/%d", spec.Name, spec.Footprint, spec.Seed)
-		res, err := r.run(key, cfg)
+		res, err := r.run(key, cfg, "")
 		if err != nil {
 			return nil, err
 		}
@@ -39,10 +39,11 @@ func (r *Runner) mixCfg(mix int) sim.Config {
 	return cfg
 }
 
-// mixMetrics runs one mix configuration and returns (weighted speedup,
-// maximum slowdown) against the alone-IPC baselines.
-func (r *Runner) mixMetrics(key string, cfg sim.Config, alone []float64) (ws, ms float64, err error) {
-	res, err := r.run(key, cfg)
+// mixMetrics runs one mix configuration, measured against the run
+// keyed base ("" for a baseline itself), and returns (weighted
+// speedup, maximum slowdown) against the alone-IPC baselines.
+func (r *Runner) mixMetrics(key string, cfg sim.Config, base string, alone []float64) (ws, ms float64, err error) {
+	res, err := r.run(key, cfg, base)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -82,7 +83,8 @@ func (r *Runner) Fig16() (*Report, error) {
 		}
 		baseCfg := r.mixCfg(mix)
 		baseCfg.Scheduler = sim.SchedBLISS
-		wsB, msB, err := r.mixMetrics(fmt.Sprintf("f16/mix%d/base", mix), baseCfg, alone)
+		baseKey := fmt.Sprintf("f16/mix%d/base", mix)
+		wsB, msB, err := r.mixMetrics(baseKey, baseCfg, "", alone)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +94,7 @@ func (r *Runner) Fig16() (*Report, error) {
 			cfg.Tempo = sim.DefaultTempo()
 			cfg.BLISSPrefetchWeight = w
 			cfg.BLISSGracePeriod = 15
-			ws, ms, err := r.mixMetrics(fmt.Sprintf("f16/mix%d/w%d", mix, w), cfg, alone)
+			ws, ms, err := r.mixMetrics(fmt.Sprintf("f16/mix%d/w%d", mix, w), cfg, baseKey, alone)
 			if err != nil {
 				return nil, err
 			}
@@ -105,7 +107,7 @@ func (r *Runner) Fig16() (*Report, error) {
 			cfg.Tempo = sim.DefaultTempo()
 			cfg.BLISSPrefetchWeight = 1
 			cfg.BLISSGracePeriod = g
-			ws, ms, err := r.mixMetrics(fmt.Sprintf("f16/mix%d/g%d", mix, g), cfg, alone)
+			ws, ms, err := r.mixMetrics(fmt.Sprintf("f16/mix%d/g%d", mix, g), cfg, baseKey, alone)
 			if err != nil {
 				return nil, err
 			}
@@ -158,7 +160,8 @@ func (r *Runner) Fig17() (*Report, error) {
 			baseCfg := r.mixCfg(mix)
 			baseCfg.SubRows = 8
 			baseCfg.SubRowPolicy = pol.kind
-			wsB, msB, err := r.mixMetrics(fmt.Sprintf("f17/mix%d/%s/base", mix, pol.name), baseCfg, alone)
+			baseKey := fmt.Sprintf("f17/mix%d/%s/base", mix, pol.name)
+			wsB, msB, err := r.mixMetrics(baseKey, baseCfg, "", alone)
 			if err != nil {
 				return nil, err
 			}
@@ -168,7 +171,7 @@ func (r *Runner) Fig17() (*Report, error) {
 				cfg.SubRowPolicy = pol.kind
 				cfg.PrefetchSubRows = d
 				cfg.Tempo = sim.DefaultTempo()
-				ws, ms, err := r.mixMetrics(fmt.Sprintf("f17/mix%d/%s/d%d", mix, pol.name, d), cfg, alone)
+				ws, ms, err := r.mixMetrics(fmt.Sprintf("f17/mix%d/%s/d%d", mix, pol.name, d), cfg, baseKey, alone)
 				if err != nil {
 					return nil, err
 				}

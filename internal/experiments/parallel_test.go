@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -88,14 +89,15 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 }
 
 // Figure keys that name one configuration share one run: fig13's THP
-// point repeats fig10's baseline and TEMPO runs under other keys. A
-// pool engine without a persistent cache executes exactly the distinct
-// ConfigKeys of the two figures, as many as a cold DiskCache pool, and
-// both reproduce the serial runner's reports.
+// point repeats fig10's baseline and TEMPO runs under other keys, and
+// mech01's tempo row is fig10's TEMPO run. A pool engine without a
+// persistent cache executes exactly the distinct ConfigKeys of the
+// three figures, as many as a cold DiskCache pool, and both reproduce
+// the serial runner's reports.
 func TestEngineRunsEachConfigurationOnce(t *testing.T) {
 	s := tinyScale()
 	var figs []Figure
-	for _, id := range []string{"fig10", "fig13"} {
+	for _, id := range []string{"fig10", "fig13", "mech01"} {
 		f, ok := ByID(id)
 		if !ok {
 			t.Fatalf("unknown figure %s", id)
@@ -104,6 +106,7 @@ func TestEngineRunsEachConfigurationOnce(t *testing.T) {
 	}
 	reports := func(r *Runner) []string {
 		t.Helper()
+		r.Mechs = []string{"tempo"}
 		var out []string
 		for _, f := range figs {
 			rep, err := r.RunFigure(f)
@@ -126,6 +129,9 @@ func TestEngineRunsEachConfigurationOnce(t *testing.T) {
 	if serial.cacheLen() != len(distinct) {
 		t.Errorf("serial runner holds %d results for %d configurations", serial.cacheLen(), len(distinct))
 	}
+	if h := serial.hashes["mech/tempo/xsbench"]; h == "" || h != serial.hashes["tempo/xsbench"] {
+		t.Error("mech/tempo/xsbench and tempo/xsbench name two configurations")
+	}
 
 	pooled := NewRunner(s)
 	pool := runner.New(runner.Options{Parallelism: 2})
@@ -145,6 +151,58 @@ func TestEngineRunsEachConfigurationOnce(t *testing.T) {
 		if n := c.pool.Executed(); n != uint64(len(distinct)) {
 			t.Errorf("%s executed %d simulations for %d distinct configurations", c.name, n, len(distinct))
 		}
+	}
+}
+
+// A figure evaluated straight through f.Run, without RunFigure's
+// enumeration pass, sends every run to the engine as a straggler: the
+// report is still the serial one, and each variant's runs.jsonl line
+// names its baseline's hash.
+func TestStragglersCarryTheirBase(t *testing.T) {
+	s := tinyScale()
+	fig, _ := ByID("fig10")
+	want, err := fig.Run(NewRunner(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+	r := NewRunner(s)
+	r.Engine = runner.New(runner.Options{Parallelism: 2, Telemetry: &runner.Telemetry{JSONL: &log}})
+	got, err := fig.Run(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("straggler report diverges from serial:\n--- serial\n%s\n--- stragglers\n%s", want, got)
+	}
+	type line struct{ Key, Hash, Base string }
+	lines := map[string]line{}
+	for _, l := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+		var rec line
+		if err := json.Unmarshal([]byte(l), &rec); err != nil {
+			t.Fatal(err)
+		}
+		lines[rec.Key] = rec
+	}
+	if len(lines) != 2*len(s.Big) {
+		t.Fatalf("%d runs.jsonl lines, want %d: %v", len(lines), 2*len(s.Big), lines)
+	}
+	for _, wl := range s.Big {
+		base, tempo := lines["base/"+wl], lines["tempo/"+wl]
+		if base.Base != "" {
+			t.Errorf("baseline base/%s declares base %s", wl, base.Base)
+		}
+		if tempo.Base == "" || tempo.Base != base.Hash {
+			t.Errorf("tempo/%s: base %q, want base/%s's hash %q", wl, tempo.Base, wl, base.Hash)
+		}
+	}
+}
+
+// A variant may name only a baseline the runner has already run.
+func TestRunRejectsUnrunBaseline(t *testing.T) {
+	r := NewRunner(tinyScale())
+	if _, err := r.run("tempo/xsbench", tempoVariant(r.singleCfg("xsbench")), "base/xsbench"); err == nil {
+		t.Fatal("a variant named a baseline the runner has not run")
 	}
 }
 

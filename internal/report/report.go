@@ -30,6 +30,10 @@ type Run struct {
 	// Hash is the runner.ConfigKey content hash joining the artifacts;
 	// empty when the sweep predates hash logging.
 	Hash string
+	// Base is the hash of the run this one is measured against, the
+	// pair its figure declared; empty for a baseline, a run no figure
+	// compares, and a log that predates declared pairs.
+	Base string
 	// Cached reports whether the job was served from the persistent
 	// cache on its most recent appearance in runs.jsonl.
 	Cached bool
@@ -57,6 +61,9 @@ type Series struct {
 // Data is a loaded sweep.
 type Data struct {
 	runs map[string]*Run
+	// byHash indexes the runs by Hash, so a declared Base finds its
+	// run whatever key the log named it under.
+	byHash map[string]*Run
 }
 
 // Keys returns every run key in sorted order — the iteration order all
@@ -80,6 +87,7 @@ func (d *Data) Len() int { return len(d.runs) }
 type runRecord struct {
 	Key    string  `json:"key"`
 	Hash   string  `json:"hash"`
+	Base   string  `json:"base"`
 	Cached bool    `json:"cached"`
 	WallMS float64 `json:"wall_ms"`
 	Err    string  `json:"err"`
@@ -98,7 +106,7 @@ func Load(runsPath, cacheDir, obsDir string) (*Data, error) {
 	}
 	defer f.Close()
 
-	d := &Data{runs: make(map[string]*Run)}
+	d := &Data{runs: make(map[string]*Run), byHash: make(map[string]*Run)}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	line := 0
@@ -115,7 +123,7 @@ func Load(runsPath, cacheDir, obsDir string) (*Data, error) {
 			continue
 		}
 		d.runs[rec.Key] = &Run{
-			Key: rec.Key, Hash: rec.Hash, Cached: rec.Cached,
+			Key: rec.Key, Hash: rec.Hash, Base: rec.Base, Cached: rec.Cached,
 			WallMS: rec.WallMS, Err: rec.Err,
 		}
 	}
@@ -134,6 +142,8 @@ func Load(runsPath, cacheDir, obsDir string) (*Data, error) {
 		if r.Hash == "" {
 			continue
 		}
+		// Every run under one hash joins the same result and series.
+		d.byHash[r.Hash] = r
 		if cache != nil {
 			if res, ok := cache.Get(r.Hash); ok {
 				r.Result = res
@@ -232,14 +242,10 @@ func (s *Series) SumHists(suffix string) (obsv.HistSnapshot, bool) {
 	return out, found
 }
 
-// AuditAll runs the obsv counter-conservation audit over every run
-// that has a cached result, returning violations keyed by run key
-// (sorted). Runs without results are skipped (and reported via the
-// returned skipped count) rather than failing the audit. Beyond the
-// merged-total snapshot audit, each attributed per-core Stats is
-// checked against the cpi-stack-sums-to-cycles law individually —
-// merging could mask a core that over-attributes exactly what a
-// sibling under-attributes.
+// AuditAll runs sim.Result.Audit over every run that has a cached
+// result, returning violations keyed by run key (sorted). Runs without
+// results are skipped (and reported via the returned skipped count)
+// rather than failing the audit.
 func AuditAll(d *Data) (violations map[string][]obsv.AuditViolation, audited, skipped int) {
 	violations = make(map[string][]obsv.AuditViolation)
 	for _, key := range d.Keys() {
@@ -249,28 +255,7 @@ func AuditAll(d *Data) (violations map[string][]obsv.AuditViolation, audited, sk
 			continue
 		}
 		audited++
-		snap := obsv.StatsSnapshot(&r.Result.Total)
-		// Explicit -mech runs carry their mechanism's counters; merging
-		// them into the snapshot arms the audit's mech/* laws (and the
-		// revelator term of prefetch-dram-subset) for this run.
-		for name, v := range r.Result.MechCounters {
-			snap.Counters[name] = v
-		}
-		v := obsv.Audit(snap)
-		for i := range r.Result.Cores {
-			c := &r.Result.Cores[i]
-			if c.CPICycles == 0 {
-				continue // unattributed legacy result
-			}
-			if attr := c.CPIAttributed(); attr != c.CPICycles {
-				v = append(v, obsv.AuditViolation{
-					Check: "cpi-stack-sums-to-cycles",
-					Detail: fmt.Sprintf("core %d: %d attributed cycles != %d core cycles (diff %+d)",
-						i, attr, c.CPICycles, int64(attr)-int64(c.CPICycles)),
-				})
-			}
-		}
-		if len(v) > 0 {
+		if v := r.Result.Audit(); len(v) > 0 {
 			violations[key] = v
 		}
 	}

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -49,22 +52,29 @@ func writeSweep(t *testing.T) (runsPath, cacheDir, obsDir string) {
 		t.Fatal(err)
 	}
 
-	// base runs twice as long as tempo: speedup 2.0.
-	results := map[string]*sim.Result{
-		"base/xsbench":  fakeResult(2000, 1000),
-		"tempo/xsbench": fakeResult(1000, 1000),
-		"base/gups":     fakeResult(3000, 1000),
-	}
-	var runs string
-	i := 0
-	for key, res := range results {
+	// base runs twice as long as tempo: speedup 2.0. tempo/xsbench
+	// declares base/xsbench its baseline; base/gups's line carries no
+	// base field, the shape of a log that predates declared pairs.
+	runs, hashes := "", map[string]string{}
+	for i, r := range []struct {
+		key, base string
+		res       *sim.Result
+	}{
+		{"base/xsbench", "", fakeResult(2000, 1000)},
+		{"tempo/xsbench", "base/xsbench", fakeResult(1000, 1000)},
+		{"base/gups", "", fakeResult(3000, 1000)},
+	} {
 		hash := fmt.Sprintf("%064d", i)
-		i++
-		if err := cache.Put(hash, res); err != nil {
+		hashes[r.key] = hash
+		if err := cache.Put(hash, r.res); err != nil {
 			t.Fatal(err)
 		}
-		runs += fmt.Sprintf(`{"key":%q,"hash":%q,"cached":false,"wall_ms":5}`+"\n", key, hash)
-		if key == "tempo/xsbench" {
+		base := ""
+		if r.base != "" {
+			base = fmt.Sprintf(`"base":%q,`, hashes[r.base])
+		}
+		runs += fmt.Sprintf(`{"key":%q,"hash":%q,%s"cached":false,"wall_ms":5}`+"\n", r.key, hash, base)
+		if r.key == "tempo/xsbench" {
 			series := `{"epoch":0,"hists":{"core0/walk/latency":{"count":3,"buckets":{"15":2,"127":1}}}}` + "\n" +
 				`{"epoch":1,"hists":{"core0/walk/latency":{"count":1,"buckets":{"15":1}}}}` + "\n"
 			if err := os.WriteFile(filepath.Join(obsDir, hash+".jsonl"), []byte(series), 0o644); err != nil {
@@ -124,26 +134,50 @@ func TestLoadJoinsArtifacts(t *testing.T) {
 	}
 }
 
-func TestSpeedupTable(t *testing.T) {
+func TestPairTable(t *testing.T) {
 	runsPath, cacheDir, _ := writeSweep(t)
 	d, err := Load(runsPath, cacheDir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := SpeedupTable(d)
+	if got := d.Get("tempo/xsbench").Base; got == "" || got != d.Get("base/xsbench").Hash {
+		t.Fatalf("tempo/xsbench base = %q, want base/xsbench's hash", got)
+	}
+	tab := PairTable(d)
 	if len(tab.Rows) != 1 {
-		t.Fatalf("got %d speedup rows, want 1 (only xsbench has a pair): %+v", len(tab.Rows), tab.Rows)
+		t.Fatalf("got %d pair rows, want 1 (only tempo/xsbench declares a base): %+v", len(tab.Rows), tab.Rows)
 	}
 	row := tab.Rows[0]
-	if row.Label != "xsbench" {
+	if row.Label != "tempo/xsbench" {
 		t.Fatalf("row label %q", row.Label)
 	}
-	if got := row.Values[0]; got != 2.0 {
-		t.Fatalf("speedup = %v, want 2.0", got)
+	// Speedup 2.0 by cycles; one core at IPC 1.0 against 0.5, so the
+	// core speedup is 2.0 too.
+	for col, want := range map[string]float64{"speedup": 2, "core_speedup": 2, "base_ipc": 0.5, "ipc": 1} {
+		if got, _ := tab.Value("tempo/xsbench", col); got != want {
+			t.Errorf("%s = %v, want %v", col, got, want)
+		}
 	}
-	// Weighted speedup: one core, IPC 1.0 vs 0.5 → ratio 2.0.
-	if got := row.Values[1]; got != 2.0 {
-		t.Fatalf("weighted speedup = %v, want 2.0", got)
+
+	// A log without base fields still loads, with no pairs table.
+	old, err := os.ReadFile(runsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped := regexp.MustCompile(`"base":"[0-9]*",`).ReplaceAll(old, nil)
+	if err := os.WriteFile(runsPath, stripped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = Load(runsPath, cacheDir, ""); err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != 3 {
+		t.Fatalf("old log: got %d runs, want 3", d.Len())
+	}
+	for _, tab := range Tables(d) {
+		if tab.ID == "pairs" {
+			t.Fatalf("old log rendered a pairs table: %+v", tab.Rows)
+		}
 	}
 }
 
@@ -228,5 +262,70 @@ func TestAuditAllFlagsCorruption(t *testing.T) {
 	}
 	if len(v) != 1 {
 		t.Fatalf("uncorrupted runs flagged too: %v", v)
+	}
+}
+
+// A sweep's figures declare their pairs in runs.jsonl: fig10, fig14 and
+// mech01 run through a pool with a result cache and a telemetry log,
+// and the loaded log lists one pairs row per declared pair. mech01's
+// tempo runs are fig10's, so none is keyed mech/tempo/.
+func TestSweepDeclaresPairs(t *testing.T) {
+	s := experiments.QuickScale()
+	s.Records = 4_000
+	s.Footprint = 128 << 20
+	s.Big = []string{"xsbench", "graph500"}
+	dir := t.TempDir()
+	cache, err := runner.NewDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runsPath := filepath.Join(dir, "runs.jsonl")
+	log, err := os.Create(runsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	r := experiments.NewRunner(s)
+	r.Engine = runner.New(runner.Options{Parallelism: 2, Cache: cache, Telemetry: &runner.Telemetry{JSONL: log}})
+	for _, id := range []string{"fig10", "fig14", "mech01"} {
+		f, _ := experiments.ByID(id)
+		if _, err := r.RunFigure(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := Load(runsPath, dir, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := 0
+	for _, key := range d.Keys() {
+		if b := d.Get(key).Base; b != "" {
+			declared++
+			if d.byHash[b] == nil {
+				t.Errorf("%s: base %s names no run in the log", key, b)
+			}
+		}
+	}
+	tab := PairTable(d)
+	if len(tab.Rows) != declared {
+		t.Errorf("%d pairs rows for %d declared pairs", len(tab.Rows), declared)
+	}
+	f14 := 0
+	for _, row := range tab.Rows {
+		switch {
+		case strings.HasPrefix(row.Label, "mech/tempo/"):
+			t.Errorf("mech01's tempo run %s is not fig10's", row.Label)
+		case strings.HasPrefix(row.Label, "f14/"):
+			f14++
+		case strings.HasPrefix(row.Label, "tempo/"):
+			if v, _ := tab.Value(row.Label, "engaged"); v == 0 {
+				t.Errorf("%s: TEMPO issued no prefetches", row.Label)
+			}
+		}
+	}
+	// fig10: 2 workloads; fig14: 2 × 3 row policies; mech01's rivals:
+	// 2 workloads × victima and revelator.
+	if f14 != 6 || declared != 12 {
+		t.Errorf("%d f14 rows of %d declared pairs, want 6 of 12", f14, declared)
 	}
 }

@@ -27,9 +27,12 @@ import (
 // Job is one simulation to execute. Key must uniquely describe Config
 // within a batch: it names the result in logs and memo tables, while
 // the persistent cache is keyed by a content hash of Config itself.
+// Base, when set, is the ConfigKey of the run this one is measured
+// against; it is carried to the JobResult and the runs.jsonl log.
 type Job struct {
 	Key    string
 	Config sim.Config
+	Base   string
 }
 
 // JobResult is the outcome of one job. Exactly one of Result and Err
@@ -43,6 +46,8 @@ type JobResult struct {
 	// artifacts (interval-stats series). Empty when the config could
 	// not be hashed.
 	Hash string
+	// Base is the job's Base: the hash of its baseline run, if any.
+	Base string
 	// Wall is the job's execution wall-clock (zero for cache hits).
 	Wall time.Duration
 	// FromCache reports that the persistent cache supplied the result.
@@ -221,12 +226,6 @@ feed:
 	return results
 }
 
-// RunOne executes (or recalls) a single job.
-func (p *Pool) RunOne(ctx context.Context, key string, cfg sim.Config) (*sim.Result, error) {
-	r := p.RunJob(ctx, Job{Key: key, Config: cfg})
-	return r.Result, r.Err
-}
-
 // RunJob executes (or recalls) a single job, returning the full
 // JobResult — cache attribution, config hash and wall-clock included.
 // It is the single-job entry point the service coordinator's workers
@@ -247,25 +246,28 @@ func (p *Pool) RunJob(ctx context.Context, j Job) JobResult {
 // runOne serves one deduplicated job: persistent cache first, then a
 // guarded execution.
 func (p *Pool) runOne(ctx context.Context, j Job, hash string) JobResult {
-	if err := ctx.Err(); err != nil {
+	r := JobResult{Key: j.Key, Hash: hash, Base: j.Base}
+	if r.Err = ctx.Err(); r.Err != nil {
 		p.failed.Add(1)
-		return JobResult{Key: j.Key, Hash: hash, Err: err}
+		return r
 	}
 	if c := p.opts.Cache; c != nil {
 		if res, ok := c.Get(hash); ok {
 			p.hits.Add(1)
-			return JobResult{Key: j.Key, Hash: hash, Result: res, FromCache: true}
+			r.Result, r.FromCache = res, true
+			return r
 		}
 		p.noteSchemaMismatch(c)
 	}
 	p.misses.Add(1)
 	start := time.Now()
 	res, err := p.execute(ctx, j.Config)
-	wall := time.Since(start)
-	p.wallTotal.Add(int64(wall))
+	r.Wall = time.Since(start)
+	p.wallTotal.Add(int64(r.Wall))
 	if err != nil {
 		p.failed.Add(1)
-		return JobResult{Key: j.Key, Hash: hash, Err: fmt.Errorf("runner: %s: %w", j.Key, err), Wall: wall}
+		r.Err = fmt.Errorf("runner: %s: %w", j.Key, err)
+		return r
 	}
 	p.executed.Add(1)
 	if c := p.opts.Cache; c != nil {
@@ -277,7 +279,8 @@ func (p *Pool) runOne(ctx context.Context, j Job, hash string) JobResult {
 			}
 		}
 	}
-	return JobResult{Key: j.Key, Hash: hash, Result: res, Wall: wall}
+	r.Result = res
+	return r
 }
 
 // noteSchemaMismatch runs after a cache miss: if the cache holds

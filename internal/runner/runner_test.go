@@ -224,17 +224,6 @@ func TestPoolUsesDiskCache(t *testing.T) {
 	}
 }
 
-func TestRunOne(t *testing.T) {
-	p := New(Options{Exec: func(cfg sim.Config) (*sim.Result, error) { return stubResult(cfg), nil }})
-	res, err := p.RunOne(context.Background(), "solo", cfgWithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total.Cycles != 7 {
-		t.Errorf("cycles = %d", res.Total.Cycles)
-	}
-}
-
 func TestTelemetryProgressAndJSONL(t *testing.T) {
 	var out, jsonl strings.Builder
 	tel := &Telemetry{Out: &out, JSONL: &jsonl}

@@ -33,10 +33,12 @@ type Telemetry struct {
 // runRecord is one runs.jsonl line. Hash is the ConfigKey content
 // hash that also names the job's cache entry and any interval-stats
 // series file (OBSERVABILITY.md), so external tools can join the
-// three on it.
+// three on it. Base is the hash of the run this one is measured
+// against, for a variant of a figure's pair.
 type runRecord struct {
 	Key       string  `json:"key"`
 	Hash      string  `json:"hash,omitempty"`
+	Base      string  `json:"base,omitempty"`
 	Cached    bool    `json:"cached"`
 	WallMS    float64 `json:"wall_ms"`
 	Err       string  `json:"err,omitempty"`
@@ -74,7 +76,7 @@ func (t *Telemetry) note(r JobResult) {
 	}
 	t.done++
 	if t.done > t.total {
-		t.total = t.done // RunOne outside a batch
+		t.total = t.done // RunJob outside a batch
 	}
 	switch {
 	case r.Err != nil:
@@ -101,7 +103,7 @@ func (t *Telemetry) note(r JobResult) {
 	}
 	if t.JSONL != nil {
 		rec := runRecord{
-			Key: r.Key, Hash: r.Hash, Cached: r.FromCache,
+			Key: r.Key, Hash: r.Hash, Base: r.Base, Cached: r.FromCache,
 			WallMS:    float64(r.Wall) / float64(time.Millisecond),
 			Completed: t.done, Total: t.total,
 			ElapsedMS: float64(elapsed) / float64(time.Millisecond),

@@ -215,22 +215,6 @@ func (c *Client) Run(ctx context.Context, jobs []runner.Job) []runner.JobResult 
 	return results
 }
 
-// RunOne implements experiments.Engine for a single keyed config.
-func (c *Client) RunOne(ctx context.Context, key string, cfg sim.Config) (*sim.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	resp, err := c.Submit(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Job == nil {
-		return nil, fmt.Errorf("client: submit %s: no job in response", key)
-	}
-	r := c.wait(ctx, key, resp.Job.ID)
-	return r.Result, r.Err
-}
-
 // wait blocks until the job finishes and shapes the outcome as a
 // runner.JobResult.
 func (c *Client) wait(ctx context.Context, key, id string) runner.JobResult {

@@ -343,8 +343,4 @@ func TestClientEngineRun(t *testing.T) {
 			t.Errorf("%s: cycles = %d", r.Key, r.Result.Total.Cycles)
 		}
 	}
-	res, err := c.RunOne(context.Background(), "solo", cfgSeed(7))
-	if err != nil || res.Total.Cycles != 7 {
-		t.Fatalf("RunOne: %+v, %v", res, err)
-	}
 }

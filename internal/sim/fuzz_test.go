@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/dram"
-	"repro/internal/obsv"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -152,16 +151,12 @@ func checkInvariants(t *testing.T, cfg Config, res *Result) {
 	checkAudit(t, cfg, res)
 }
 
-// checkAudit asserts the per-core CPI stack law and the obsv
-// conservation audit over the totals merged with the mechanism's
-// counters.
+// checkAudit asserts the per-core CPI stack laws and the result's
+// conservation audit.
 func checkAudit(t *testing.T, cfg Config, res *Result) {
 	t.Helper()
-	snap := obsv.StatsSnapshot(checkCPI(t, "mech="+cfg.Mech, res))
-	for name, v := range res.MechCounters {
-		snap.Counters[name] = v
-	}
-	if v := obsv.Audit(snap); len(v) > 0 {
+	checkCPI(t, "mech="+cfg.Mech, res)
+	if v := res.Audit(); len(v) > 0 {
 		t.Errorf("audit violations: %v", v)
 	}
 }

@@ -107,6 +107,32 @@ func (r *Result) IPC() float64 { return r.Total.IPC() }
 // CoreIPC returns one core's IPC (cycles = that core's runtime).
 func (r *Result) CoreIPC(i int) float64 { return r.Cores[i].IPC() }
 
+// Audit checks the result against the counter conservation laws: the
+// obsv audit over the totals merged with the mechanism's counters
+// (which arm the mech/* laws), and the cpi-stack-sums-to-cycles law on
+// each core on its own, since in the merged totals one core's surplus
+// can hide another's deficit. A core with no CPICycles is unattributed
+// (a result cached before attribution) and self-skips, as the merged
+// law does. It returns every violation, nil when all hold.
+func (r *Result) Audit() []obsv.AuditViolation {
+	snap := obsv.StatsSnapshot(&r.Total)
+	for name, v := range r.MechCounters {
+		snap.Counters[name] = v
+	}
+	out := obsv.Audit(snap)
+	for i := range r.Cores {
+		c := &r.Cores[i]
+		if attr := c.CPIAttributed(); c.CPICycles > 0 && attr != c.CPICycles {
+			out = append(out, obsv.AuditViolation{
+				Check: "cpi-stack-sums-to-cycles",
+				Detail: fmt.Sprintf("core %d: %d attributed cycles != %d core cycles (diff %+d)",
+					i, attr, c.CPICycles, int64(attr)-int64(c.CPICycles)),
+			})
+		}
+	}
+	return out
+}
+
 // System is one assembled machine ready to run.
 type System struct {
 	cfg     Config

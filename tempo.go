@@ -151,9 +151,11 @@ type AuditViolation = obsv.AuditViolation
 // Audit evaluates the cross-subsystem counter conservation laws (TLB
 // misses bound walks, TEMPO triggers equal prefetches plus
 // suppressions, DRAM reads are conserved across reference categories,
-// ...) against a result's totals, returning every violation (nil when
-// all hold). It is the library form of `tempo-report audit`.
-func Audit(st *Stats) []AuditViolation { return obsv.Audit(obsv.StatsSnapshot(st)) }
+// a rival mechanism's mech/* counters agree, ...) against a result's
+// totals, and each core's CPI stack against its cycles, returning
+// every violation (nil when all hold). It is the library form of
+// `tempo-report audit`.
+func Audit(res *Result) []AuditViolation { return res.Audit() }
 
 // NewSystem assembles a machine without running it, so an Observer can
 // be attached first.

@@ -3,6 +3,8 @@ package tempo
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -23,6 +25,39 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	if base.IPC() <= 0 || tempo.Energy.Total() <= 0 {
 		t.Error("metrics missing")
+	}
+}
+
+// Audit arms a rival mechanism's laws and checks every core on its
+// own: it flags a corrupted victima counter, and a pair of cores whose
+// CPI-stack errors cancel in the merged totals.
+func TestAuditFlagsMechAndPerCoreFaults(t *testing.T) {
+	cfg := DefaultConfig("xsbench")
+	cfg.Records = 4_000
+	cfg.Workloads[0].Footprint = 128 << 20
+	second := cfg.Workloads[0]
+	second.Seed = 2
+	cfg.Workloads = append(cfg.Workloads, second)
+	cfg.Mech = "victima"
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := Audit(res); len(v) != 0 {
+		t.Fatalf("clean run flagged: %v", v)
+	}
+	res.MechCounters["mech/victima/pte_hits"]++
+	res.Cores[0].CPIStack[stats.CPICompute] += 5
+	res.Cores[1].CPIStack[stats.CPICompute] -= 5
+	var checks []string
+	for _, v := range Audit(res) {
+		checks = append(checks, v.Check+": "+v.Detail)
+	}
+	got := strings.Join(checks, "\n")
+	for _, want := range []string{"victima-lookup-partition", "cpi-stack-sums-to-cycles: core 0", "cpi-stack-sums-to-cycles: core 1"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("no %q among the violations:\n%s", want, got)
+		}
 	}
 }
 
