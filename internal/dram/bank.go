@@ -140,14 +140,6 @@ type Bank struct {
 	// Refresh leaves it alone, as a victim is an invalid sub-row first.
 	order assoc.Stack
 
-	// version counts mutations of the bank's observable row state
-	// (Access, Refresh, effective Pin). Cached WouldHit answers —
-	// Request.hitVersion/wouldHit — are valid exactly while the version
-	// is unchanged: between mutations ReadyAt is constant, so
-	// WouldHit(row, seg, ReadyAt()) is a pure function of (row, seg).
-	// Versions start at 1 so a zeroed request never matches.
-	version uint64
-
 	// pred is the adaptive policy's chunk table, last so the fields
 	// every access reads share cache lines.
 	pred openPredictor
@@ -160,7 +152,7 @@ func NewBank(geo Geometry, timing Timing, policy RowPolicy) *Bank {
 		n = 1
 	}
 	return &Bank{timing: timing, policy: policy, subs: make([]subRow, n),
-		order: assoc.NewStacks(1, n)[0], version: 1}
+		order: assoc.NewStacks(1, n)[0]}
 }
 
 // setUntil recomputes s.until after lastTouch, pinnedUntil or win
@@ -238,7 +230,6 @@ func (p rowPlan) outcome(issue uint64) stats.RowOutcome {
 // returns the row-buffer outcome and the completion cycle, and updates
 // bank state, the adaptive predictor and the ACT/PRE counters in st.
 func (b *Bank) Access(row uint64, seg int, issue uint64, allowed []int, st *stats.Stats) (stats.RowOutcome, uint64) {
-	b.version++
 	// Serving sub-row already holding the segment?
 	for i := range b.subs {
 		s := &b.subs[i]
@@ -311,7 +302,6 @@ func (b *Bank) retune(row uint64, grow bool) {
 // every (sub-)row buffer is precharged — pins notwithstanding, the
 // cells must be refreshed — and the bank is busy for trfc cycles.
 func (b *Bank) Refresh(start, trfc uint64, st *stats.Stats) {
-	b.version++
 	for i := range b.subs {
 		if b.subs[i].valid {
 			st.PreCount++
@@ -337,7 +327,6 @@ func (b *Bank) Pin(row uint64, seg int, now, until uint64) {
 			if until > s.pinnedUntil {
 				s.pinnedUntil = until
 				b.setUntil(s)
-				b.version++
 			}
 			return
 		}

@@ -16,9 +16,9 @@ import (
 
 // bankDiff drives Bank and the reference (refBank, bank_ref_test.go)
 // through the same operations and fails on the first observable
-// difference: a return value, a stats counter, the bank version, the
-// ready time, a sub-row's latched state, the sub-rows' recency order
-// or a predicted window.
+// difference: a return value, a stats counter, the ready time, a
+// sub-row's latched state, the sub-rows' recency order or a predicted
+// window.
 type bankDiff struct {
 	t       testing.TB
 	b       *Bank
@@ -138,9 +138,8 @@ func (d *bankDiff) compareState(op string) {
 	if d.st != d.rst {
 		d.t.Fatalf("step %d %s: stats diverged:\n got %+v\nwant %+v", d.step, op, d.st, d.rst)
 	}
-	if d.b.version != d.r.version || d.b.readyAt != d.r.readyAt {
-		d.t.Fatalf("step %d %s: version/readyAt %d/%d, reference %d/%d", d.step, op,
-			d.b.version, d.b.readyAt, d.r.version, d.r.readyAt)
+	if d.b.readyAt != d.r.readyAt {
+		d.t.Fatalf("step %d %s: readyAt %d, reference %d", d.step, op, d.b.readyAt, d.r.readyAt)
 	}
 	for i := range d.b.subs {
 		s, rs := d.b.subs[i], d.r.subs[i]
@@ -185,7 +184,7 @@ var diffPolicies = []RowPolicy{PolicyAdaptive, PolicyOpen, PolicyClosed}
 var diffPools = [][]uint64{diffRows(1 << 20), {0, predSets, 2 * predSets, 3 * predSets, 4 * predSets}}
 
 // Every row policy with 1-16 sub-rows must match the reference on
-// every answer, counter and version over seeded op streams that mix
+// every answer and counter over seeded op streams that mix
 // unrestricted and restricted fills.
 func TestBankMatchesReferenceRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

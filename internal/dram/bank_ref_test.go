@@ -6,8 +6,9 @@ package dram
 // re-derives the policy on every check, Peek for outcome-at-cycle
 // queries, and a predictor on assoc.Assoc keyed by (bank id, row). The
 // code below the imports is that implementation verbatim apart from the
-// renamed identifiers. bank_diff_test.go drives both and requires
-// identical answers, counters and bank versions.
+// renamed identifiers and without the mutation version that keyed the
+// schedulers' row-hit memo. bank_diff_test.go drives both and requires
+// identical answers and counters.
 
 import (
 	"math"
@@ -102,14 +103,6 @@ type refBank struct {
 	readyAt uint64
 	tick    uint64
 	subs    []refSubRow
-
-	// version counts mutations of the bank's observable row state
-	// (Access, Refresh, effective Pin). Cached WouldHit answers —
-	// Request.hitVersion/wouldHit — are valid exactly while the version
-	// is unchanged: between mutations ReadyAt is constant, so
-	// WouldHit(row, seg, ReadyAt()) is a pure function of (row, seg).
-	// Versions start at 1 so a zeroed request never matches.
-	version uint64
 }
 
 // newRefBank builds a bank with the geometry's sub-row organisation.
@@ -118,7 +111,7 @@ func newRefBank(id int, geo Geometry, timing Timing, policy RowPolicy) *refBank 
 	if n < 1 {
 		n = 1
 	}
-	b := &refBank{geo: geo, timing: timing, policy: policy, id: id, subs: make([]refSubRow, n), version: 1}
+	b := &refBank{geo: geo, timing: timing, policy: policy, id: id, subs: make([]refSubRow, n)}
 	if policy == PolicyAdaptive {
 		b.pred = newRefOpenPredictor()
 	}
@@ -203,7 +196,6 @@ func (b *refBank) Peek(row uint64, seg int, issue uint64) (stats.RowOutcome, uin
 // bank state, the adaptive predictor and the ACT/PRE counters in st.
 func (b *refBank) Access(row uint64, seg int, issue uint64, allowed []int, st *stats.Stats) (stats.RowOutcome, uint64) {
 	b.tick++
-	b.version++
 	// Serving sub-row already holding the segment?
 	for i := range b.subs {
 		s := &b.subs[i]
@@ -275,7 +267,6 @@ func (b *refBank) predPush(key, win, evicted uint64, evictedOK bool) {
 // every (sub-)row buffer is precharged — pins notwithstanding, the
 // cells must be refreshed — and the bank is busy for trfc cycles.
 func (b *refBank) Refresh(start, trfc uint64, st *stats.Stats) {
-	b.version++
 	for i := range b.subs {
 		if b.subs[i].valid {
 			st.PreCount++
@@ -300,7 +291,6 @@ func (b *refBank) Pin(row uint64, seg int, now, until uint64) {
 			(now <= s.lastTouch || now <= s.pinnedUntil || b.isOpen(s, now)) {
 			if until > s.pinnedUntil {
 				s.pinnedUntil = until
-				b.version++
 			}
 			return
 		}

@@ -79,7 +79,6 @@ type Controller struct {
 	Rec    *obsv.Recorder
 	QDepth *obsv.Histogram
 
-	served uint64
 	// servedWaiters counts completed transactions that a core was
 	// parked on (Request.MarkWaiter). The simulation coordinator
 	// compares it across a run-ahead batch: an unchanged count proves
@@ -191,9 +190,6 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 // so steady-state accesses allocate nothing.
 func (c *Controller) Pool() *Pool { return &c.pool }
 
-// Served returns the number of completed transactions.
-func (c *Controller) Served() uint64 { return c.served }
-
 // ServedWaiters returns the number of completed transactions that were
 // marked with MarkWaiter — i.e. how many parked cores the controller
 // has unblocked so far.
@@ -207,30 +203,16 @@ func (c *Controller) Submit(r *Request) {
 	}
 	r.loc = c.cfg.Geometry.Decode(r.Addr)
 	r.seg = r.loc.Segment(c.cfg.Geometry)
-	r.hitVersion = 0
 	c.QDepth.Observe(uint64(len(c.queue)))
 	c.queue = append(c.queue, r)
 }
 
-// WouldRowHit implements RowPeeker for schedulers.
-func (c *Controller) WouldRowHit(addr mem.PAddr) bool {
-	loc := c.cfg.Geometry.Decode(addr)
-	bank := c.chans[loc.Channel].banks[loc.Bank]
-	return bank.WouldHit(loc.Row, loc.Segment(c.cfg.Geometry), bank.ReadyAt())
-}
-
-// WouldRowHitReq implements RowPeeker's indexed row-hit query: the
-// answer for a submitted request is memoised on the request and
-// invalidated by the owning bank's version counter, which bumps on
-// every row open/close/refresh/pin. Identical to
-// WouldRowHit(r.Addr), amortised O(1) per scan step.
+// WouldRowHitReq implements RowPeeker: whether the submitted request r
+// would hit an open (sub-)row buffer if its bank issued it now, read
+// from the location Submit decoded.
 func (c *Controller) WouldRowHitReq(r *Request) bool {
 	bank := c.chans[r.loc.Channel].banks[r.loc.Bank]
-	if r.hitVersion != bank.version {
-		r.wouldHit = bank.WouldHit(r.loc.Row, r.seg, bank.readyAt)
-		r.hitVersion = bank.version
-	}
-	return r.wouldHit
+	return bank.WouldHit(r.loc.Row, r.seg, bank.readyAt)
 }
 
 // ServeOne executes one scheduler-chosen transaction and returns it.
@@ -291,7 +273,6 @@ func (c *Controller) serve(idx int) *Request {
 		c.frontier = issue
 	}
 	r.Done, r.Issue, r.Complete, r.Outcome = true, issue, complete, outcome
-	c.served++
 	if r.waiter {
 		c.servedWaiters++
 	}

@@ -502,7 +502,8 @@ func TestEnergyModelAccounting(t *testing.T) {
 	// A 20% faster run with the same ops saves energy overall.
 	faster := *st
 	faster.Cycles = 2_560_000
-	if imp := m.Improvement(st, &faster, true); imp <= 0 || imp >= 0.2 {
+	b, r := m.Account(st, false).Total(), m.Account(&faster, true).Total()
+	if imp := (b - r) / b; imp <= 0 || imp >= 0.2 {
 		t.Errorf("improvement = %v, want in (0, 0.2)", imp)
 	}
 }

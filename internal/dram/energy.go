@@ -81,14 +81,3 @@ func (m EnergyModel) Account(st *stats.Stats, tempoOn bool) Energy {
 	}
 	return e
 }
-
-// Improvement returns the fractional energy saving of a run versus a
-// baseline: positive means the run consumed less energy.
-func (m EnergyModel) Improvement(baseline, run *stats.Stats, runTempo bool) float64 {
-	b := m.Account(baseline, false).Total()
-	r := m.Account(run, runTempo).Total()
-	if b == 0 {
-		return 0
-	}
-	return (b - r) / b
-}

@@ -22,20 +22,14 @@ package dram
 //     serve completes and every hook has run.
 type Pool struct {
 	free []*Request
-
-	// Gets counts pool requests handed out; Reuses counts how many of
-	// those came from the freelist rather than a fresh allocation.
-	Gets, Reuses uint64
 }
 
 // Get returns a zeroed pool-managed request with one reference.
 func (p *Pool) Get() *Request {
-	p.Gets++
 	if n := len(p.free); n > 0 {
 		r := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		p.Reuses++
 		*r = Request{pooled: true, refs: 1}
 		return r
 	}

@@ -59,15 +59,6 @@ type Request struct {
 	loc Location
 	seg int
 
-	// hitVersion/wouldHit memoise this request's row-hit status against
-	// the owning bank's mutation version (see Bank.Version): the cached
-	// bit stays valid until the bank's row state changes, so a Pick scan
-	// over a long queue recomputes only the requests whose bank was
-	// touched since the last scan. hitVersion 0 means "not cached yet"
-	// (bank versions start at 1).
-	hitVersion uint64
-	wouldHit   bool
-
 	// waiter marks a request some core is parked on; the controller
 	// counts completed waiters so the coordinator's run-ahead batches
 	// know when a parked core may have become runnable.
@@ -87,13 +78,9 @@ func (r *Request) MarkWaiter() { r.waiter = true }
 // RowPeeker lets schedulers ask about row-buffer state without
 // mutating it.
 type RowPeeker interface {
-	// WouldRowHit reports whether a request to addr would currently
-	// hit an open row (or sub-row) buffer. It decodes the address on
-	// every call; scheduler scans should prefer WouldRowHitReq.
-	WouldRowHit(addr mem.PAddr) bool
-	// WouldRowHitReq reports WouldRowHit for a submitted request using
-	// its cached location, memoised against the owning bank's version —
-	// O(1) per scan step while the bank is untouched. r must have been
+	// WouldRowHitReq reports whether r would currently hit an open row
+	// (or sub-row) buffer, from the location decoded when r was
+	// submitted: one compare per sub-row of its bank. r must have been
 	// submitted to the controller backing the peeker.
 	WouldRowHitReq(r *Request) bool
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/metrics"
 )
 
 // Extras returns the ablation studies that go beyond the paper's
@@ -45,8 +44,8 @@ func (r *Runner) Abl01Components() (*Report, error) {
 			return nil, err
 		}
 		rep.Rows = append(rep.Rows, Row{Label: wl, Values: []float64{
-			metrics.Improvement(float64(base.Total.Cycles), float64(rowOnly.Total.Cycles)),
-			metrics.Improvement(float64(base.Total.Cycles), float64(full.Total.Cycles)),
+			perf(base, rowOnly),
+			perf(base, full),
 		}})
 	}
 	rep.Notes = append(rep.Notes, "both halves versus the same no-TEMPO baseline")
@@ -73,8 +72,7 @@ func (r *Runner) Abl02RowSize() (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			row.Values = append(row.Values,
-				metrics.Improvement(float64(base.Total.Cycles), float64(tempo.Total.Cycles)))
+			row.Values = append(row.Values, perf(base, tempo))
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -100,8 +98,8 @@ func (r *Runner) Abl03SchedulerAware() (*Report, error) {
 			return nil, err
 		}
 		rep.Rows = append(rep.Rows, Row{Label: wl, Values: []float64{
-			metrics.Improvement(float64(base.Total.Cycles), float64(aware.Total.Cycles)),
-			metrics.Improvement(float64(base.Total.Cycles), float64(plain.Total.Cycles)),
+			perf(base, aware),
+			perf(base, plain),
 		}})
 	}
 	return rep, nil
@@ -131,8 +129,7 @@ func (r *Runner) Abl04LLCReplacement() (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			row.Values = append(row.Values,
-				metrics.Improvement(float64(base.Total.Cycles), float64(tempo.Total.Cycles)))
+			row.Values = append(row.Values, perf(base, tempo))
 		}
 		rep.Rows = append(rep.Rows, row)
 	}

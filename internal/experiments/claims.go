@@ -271,27 +271,17 @@ func Claims() []Claim {
 }
 
 // EvaluateClaims regenerates the needed figures (reusing the runner's
-// cache — and its parallel engine when attached) and checks every
+// memo — and its parallel engine when attached) and checks every
 // claim.
 func EvaluateClaims(r *Runner) ([]ClaimResult, error) {
-	reports := map[string]*Report{}
 	var out []ClaimResult
 	for _, c := range Claims() {
-		rep, ok := reports[c.Figure]
-		if !ok {
-			fig, found := ByID(c.Figure)
-			if !found {
-				return nil, fmt.Errorf("experiments: claim %s references unknown figure %s", c.ID, c.Figure)
-			}
-			var err error
-			rep, err = r.RunFigure(fig)
-			if err != nil {
-				return nil, err
-			}
-			reports[c.Figure] = rep
+		rep, err := r.figure(c.Figure)
+		if err != nil {
+			return nil, err
 		}
-		got, ok2 := c.Check(rep)
-		out = append(out, ClaimResult{Claim: c, Got: got, OK: ok2})
+		got, ok := c.Check(rep)
+		out = append(out, ClaimResult{Claim: c, Got: got, OK: ok})
 	}
 	return out, nil
 }

@@ -333,6 +333,17 @@ func (r *Runner) RunFigure(f Figure) (*Report, error) {
 	return f.Run(r)
 }
 
+// figure runs the figure or ablation named id through RunFigure. Each
+// call re-evaluates the figure body; every simulation it needs after
+// the first call is answered from the memo.
+func (r *Runner) figure(id string) (*Report, error) {
+	f, ok := ByID(id)
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown figure %s", id)
+	}
+	return r.RunFigure(f)
+}
+
 // enumerate replays the figure body collecting the (key, config) set
 // it would run: one job per configuration neither memoised nor already
 // collected, under the first key that names it. Config enumeration

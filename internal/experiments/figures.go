@@ -27,6 +27,18 @@ func (r *Runner) baseTempoPair(baseKey, tempoKey string, cfg sim.Config) (base, 
 	return base, tempo, err
 }
 
+// perf is v's runtime improvement over base: the fraction of base's
+// cycles v saves.
+func perf(base, v *sim.Result) float64 {
+	return metrics.Improvement(float64(base.Total.Cycles), float64(v.Total.Cycles))
+}
+
+// energy is v's energy improvement over base, each run's energy as its
+// own machine model accounted it (Result.Energy).
+func energy(base, v *sim.Result) float64 {
+	return metrics.Improvement(base.Energy.Total(), v.Energy.Total())
+}
+
 // Fig01 reproduces Figure 1: the fraction of application runtime spent
 // in DRAM page-table-walk accesses, DRAM replay accesses, and other
 // DRAM accesses, per big-data workload, on the baseline system.
@@ -84,15 +96,14 @@ func (r *Runner) Fig10() (*Report, error) {
 		ID: "fig10", Title: "TEMPO improvement and superpage coverage",
 		Columns: []string{"perf", "energy", "superpage"},
 	}
-	energy := dram.DefaultEnergyModel()
 	for _, wl := range r.Scale.Big {
 		base, tempo, err := r.baseTempoPair("base/"+wl, "tempo/"+wl, r.singleCfg(wl))
 		if err != nil {
 			return nil, err
 		}
 		rep.Rows = append(rep.Rows, Row{Label: wl, Values: []float64{
-			metrics.Improvement(float64(base.Total.Cycles), float64(tempo.Total.Cycles)),
-			energy.Improvement(&base.Total, &tempo.Total, true),
+			perf(base, tempo),
+			energy(base, tempo),
 			tempo.Superpage[0],
 		}})
 	}
@@ -107,7 +118,6 @@ func (r *Runner) Fig11() (*Report, error) {
 		ID: "fig11", Title: "Replay service point under TEMPO; small-workload safety",
 		Columns: []string{"LLC", "row-buffer", "DRAM-array", "perf", "energy"},
 	}
-	energy := dram.DefaultEnergyModel()
 	groupPerf := map[bool][]float64{}
 	groupEnergy := map[bool][]float64{}
 	addGroup := func(big bool, wl string, cfgFn func(string) sim.Config) error {
@@ -115,16 +125,15 @@ func (r *Runner) Fig11() (*Report, error) {
 		if err != nil {
 			return err
 		}
-		perf := metrics.Improvement(float64(base.Total.Cycles), float64(tempo.Total.Cycles))
-		en := energy.Improvement(&base.Total, &tempo.Total, true)
-		groupPerf[big] = append(groupPerf[big], perf)
+		p, en := perf(base, tempo), energy(base, tempo)
+		groupPerf[big] = append(groupPerf[big], p)
 		groupEnergy[big] = append(groupEnergy[big], en)
 		st := &tempo.Total
 		rep.Rows = append(rep.Rows, Row{Label: wl, Values: []float64{
 			st.ReplayServiceFraction(stats.ReplayLLC),
 			st.ReplayServiceFraction(stats.ReplayRowBuffer),
 			st.ReplayServiceFraction(stats.ReplayDRAMArray),
-			perf, en,
+			p, en,
 		}})
 		return nil
 	}
@@ -156,7 +165,6 @@ func (r *Runner) Fig12() (*Report, error) {
 		ID: "fig12", Title: "TEMPO ± IMP indirect prefetcher",
 		Columns: []string{"perf", "energy", "perf+IMP", "energy+IMP"},
 	}
-	energy := dram.DefaultEnergyModel()
 	for _, wl := range r.Scale.Big {
 		base, tempo, err := r.baseTempoPair("base/"+wl, "tempo/"+wl, r.singleCfg(wl))
 		if err != nil {
@@ -169,10 +177,10 @@ func (r *Runner) Fig12() (*Report, error) {
 			return nil, err
 		}
 		rep.Rows = append(rep.Rows, Row{Label: wl, Values: []float64{
-			metrics.Improvement(float64(base.Total.Cycles), float64(tempo.Total.Cycles)),
-			energy.Improvement(&base.Total, &tempo.Total, true),
-			metrics.Improvement(float64(imp.Total.Cycles), float64(impTempo.Total.Cycles)),
-			energy.Improvement(&imp.Total, &impTempo.Total, true),
+			perf(base, tempo),
+			energy(base, tempo),
+			perf(imp, impTempo),
+			energy(imp, impTempo),
 		}})
 	}
 	return rep, nil
@@ -229,7 +237,7 @@ func (r *Runner) Fig13() (*Report, error) {
 				Label: wl + "/" + pc.Label,
 				Values: []float64{
 					tempo.Superpage[0],
-					metrics.Improvement(float64(base.Total.Cycles), float64(tempo.Total.Cycles)),
+					perf(base, tempo),
 				},
 			})
 		}
@@ -258,8 +266,7 @@ func (r *Runner) Fig14() (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			row.Values = append(row.Values,
-				metrics.Improvement(float64(base.Total.Cycles), float64(tempo.Total.Cycles)))
+			row.Values = append(row.Values, perf(base, tempo))
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -289,8 +296,7 @@ func (r *Runner) Fig15() (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			row.Values = append(row.Values,
-				metrics.Improvement(float64(base.Total.Cycles), float64(tempo.Total.Cycles)))
+			row.Values = append(row.Values, perf(base, tempo))
 		}
 		rep.Rows = append(rep.Rows, row)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/translation"
 )
@@ -54,7 +55,7 @@ func (r *Runner) Mech01() (*Report, error) {
 				return nil, err
 			}
 			rep.Rows = append(rep.Rows, Row{Label: m + "/" + wl, Values: []float64{
-				float64(base.Total.Cycles) / float64(res.Total.Cycles),
+				metrics.Speedup(float64(base.Total.Cycles), float64(res.Total.Cycles)),
 				res.Total.IPC(),
 				float64(res.Total.DRAMLatencyPercentile(stats.DRAMPTW, 0.50)),
 				float64(res.Total.DRAMLatencyPercentile(stats.DRAMPTW, 0.95)),

@@ -184,26 +184,16 @@ func PaperPoints() []PaperPoint {
 }
 
 // ComparePaper evaluates every comparison point, regenerating figures
-// through the runner's cache (and parallel engine, when attached) as
+// through the runner's memo (and parallel engine, when attached) as
 // needed.
 func ComparePaper(r *Runner) (string, error) {
-	reports := map[string]*Report{}
 	var b strings.Builder
 	b.WriteString("| Figure | Metric | Paper | Measured | In band |\n")
 	b.WriteString("|---|---|---|---|---|\n")
 	for _, p := range PaperPoints() {
-		rep, ok := reports[p.Figure]
-		if !ok {
-			fig, found := ByID(p.Figure)
-			if !found {
-				return "", fmt.Errorf("experiments: comparison references unknown figure %s", p.Figure)
-			}
-			var err error
-			rep, err = r.RunFigure(fig)
-			if err != nil {
-				return "", err
-			}
-			reports[p.Figure] = rep
+		rep, err := r.figure(p.Figure)
+		if err != nil {
+			return "", err
 		}
 		v := p.Extract(rep)
 		in := "yes"

@@ -48,7 +48,9 @@ const (
 // credit metrics are event counts, not cycles: DRAM round trips a
 // prefetch hid from a post-walk replay, and hardware walks a
 // translation mechanism elided — each bounded by the TLB misses that
-// could have triggered them.
+// could have triggered them. sys/replay_dram_cycles is the share of the
+// three data-DRAM buckets that post-walk replays stalled on, the one
+// split Figure 1 reads beside the buckets (stats.DRAMStallCycles).
 const (
 	MetricCPICompute          = "cpi/compute"
 	MetricCPITLBL2            = "cpi/tlb_l2"
@@ -64,6 +66,7 @@ const (
 	MetricCPICycles           = "cpi/cycles"
 	MetricCPIHiddenByPrefetch = "cpi/hidden_by_prefetch"
 	MetricCPIMechElided       = "cpi/mech_elided"
+	MetricReplayDRAMCycles    = "sys/replay_dram_cycles"
 )
 
 // CPIBucketMetrics maps each stats.CPIBucket to its registry name, in
@@ -145,6 +148,7 @@ func statsPairs(st *stats.Stats) []metricPair {
 		metricPair{MetricCPICycles, st.CPICycles},
 		metricPair{MetricCPIHiddenByPrefetch, st.CPIHiddenByPrefetch},
 		metricPair{MetricCPIMechElided, st.CPIMechElided},
+		metricPair{MetricReplayDRAMCycles, st.ReplayDRAMCycles},
 	)
 	return append(pairs, []metricPair{
 		{MetricReads, st.RdCount},
@@ -262,7 +266,10 @@ func (v AuditViolation) String() string { return v.Check + ": " + v.Detail }
 //   - every core cycle was charged to exactly one CPI-stack bucket, so
 //     the cpi/* buckets sum to cpi/cycles, and the hidden-by-prefetch /
 //     mech-elided credits cannot exceed the TLB misses that could have
-//     produced them.
+//     produced them;
+//   - the cycles post-walk replays stalled on DRAM are a share of the
+//     demand-data DRAM buckets, so Figure 1's other-miss share (the
+//     buckets less the replays') cannot wrap.
 //
 // A check whose operands are absent from the snapshot is skipped, so
 // Audit accepts partial snapshots (an interval delta, a registry with
@@ -427,6 +434,16 @@ func Audit(s Snapshot) []AuditViolation {
 			fail("cpi-stack-sums-to-cycles",
 				"%d attributed cycles across %d buckets != %d core cycles (diff %+d)",
 				sum, len(CPIBucketMetrics), cycles, int64(sum)-int64(cycles))
+		}
+	}
+	if replay, ok := get(MetricReplayDRAMCycles); ok {
+		queue, ok1 := get(MetricCPIDataDRAMQueue)
+		service, ok2 := get(MetricCPIDataDRAMService)
+		conflict, ok3 := get(MetricCPIRowConflictExtra)
+		if ok1 && ok2 && ok3 && replay > queue+service+conflict {
+			fail("replay-dram-within-data-dram",
+				"%d replay DRAM stall cycles exceed %d data-DRAM cycles (%d queue + %d service + %d row-conflict)",
+				replay, queue+service+conflict, queue, service, conflict)
 		}
 	}
 	if tlbMisses, ok := get(MetricTLBMisses); ok {

@@ -38,6 +38,8 @@ func consistentStats() stats.Stats {
 	}
 	st.CPIHiddenByPrefetch = 30
 	st.CPIMechElided = 10
+	// Replays stalled on part of the data-DRAM buckets' 30000 cycles.
+	st.ReplayDRAMCycles = 12000
 	return st
 }
 
@@ -80,6 +82,10 @@ func TestAuditCatchesCorruptions(t *testing.T) {
 			"cpi-hidden-by-prefetch-bound"},
 		{"elided credits exceed misses", func(s *stats.Stats) { s.CPIMechElided = s.TLBMisses + 1 },
 			"cpi-mech-elided-bound"},
+		{"replay stalls exceed data DRAM", func(s *stats.Stats) {
+			s.ReplayDRAMCycles = s.CPIStack[stats.CPIDataDRAMQueue] + s.CPIStack[stats.CPIDataDRAMService] +
+				s.CPIStack[stats.CPIRowConflictExtra] + 1
+		}, "replay-dram-within-data-dram"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

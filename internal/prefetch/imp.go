@@ -71,13 +71,10 @@ type IMP struct {
 	ipdN       int
 	ipdOrder   assoc.Stack
 
-	// Prefetches counts emitted prefetch addresses.
-	Prefetches uint64
-
 	// Fanout, when non-nil, histograms how many prefetch targets each
 	// confirmed index-load observation produced (0 when the PC has no
-	// confirmed pattern) — coverage-shape visibility the Prefetches
-	// total hides. Nil-safe obsv hook.
+	// confirmed pattern) — coverage-shape visibility the
+	// stats.IMPPrefetches total hides. Nil-safe obsv hook.
 	Fanout *obsv.Histogram
 }
 
@@ -112,7 +109,6 @@ func (p *IMP) AppendPrefetches(buf []mem.VAddr, pc, value uint64) []mem.VAddr {
 		for _, pat := range p.table[w].ways {
 			target := mem.VAddr(pat.base + pat.coef*value)
 			buf = append(buf, target.Line())
-			p.Prefetches++
 		}
 	}
 	p.Fanout.Observe(uint64(len(buf) - n))

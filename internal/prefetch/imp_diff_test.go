@@ -12,8 +12,8 @@ import (
 
 // impDiff drives IMP and the reference (refIMP, imp_ref_test.go)
 // through the same events and fails on the first difference in a
-// prefetch list, the Prefetches counter, Confirmed for any of its PCs,
-// a table or detector entry, or the recency order of either.
+// prefetch list, Confirmed for any of its PCs, a table or detector
+// entry, or the recency order of either.
 //
 // The reference stamps every table entry confirmed in one Train call
 // with the same tick, and among equally old entries it evicts the
@@ -154,14 +154,11 @@ func tiesToHighest(r *refIMP) *refIMP {
 	return &c
 }
 
-// compare checks the counters, Confirmed for every PC, every table and
-// detector entry, and that each recency stack, read from its LRU end,
-// lists the filled ways in the reference's stamp order (equal stamps
-// in any order).
+// compare checks Confirmed for every PC, every table and detector
+// entry, and that each recency stack, read from its LRU end, lists the
+// filled ways in the reference's stamp order (equal stamps in any
+// order).
 func (d *impDiff) compare() {
-	if d.p.Prefetches != d.r.Prefetches {
-		d.t.Fatalf("step %d %s: Prefetches %d, reference %d", d.step, d.op(), d.p.Prefetches, d.r.Prefetches)
-	}
 	for _, pc := range d.pcs {
 		if got, want := d.p.Confirmed(pc), d.r.Confirmed(pc); got != want {
 			d.t.Fatalf("step %d %s: Confirmed(%#x) = %v, reference %v", d.step, d.op(), pc, got, want)

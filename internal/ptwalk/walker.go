@@ -59,10 +59,6 @@ type Result struct {
 	// LeafPTE is the physical address of the leaf PTE the walk read
 	// (Victima caches the line holding it).
 	LeafPTE mem.PAddr
-	// DRAMRefs counts walk references served by DRAM.
-	DRAMRefs int
-	// Refs counts memory references issued (post MMU-cache skip).
-	Refs int
 }
 
 // Walker is one core's page-table walker.
@@ -151,7 +147,6 @@ func (ws *WalkState) Next() (vm.WalkStep, bool) {
 			ws.i++
 			continue
 		}
-		ws.res.Refs++
 		return step, true
 	}
 	return vm.WalkStep{}, false
@@ -210,11 +205,8 @@ func (ws *WalkState) feed(latency uint64, fromDRAM bool) {
 	if step.IsLeaf {
 		ws.res.LeafPTE = step.PTEAddr
 	}
-	if fromDRAM {
-		ws.res.DRAMRefs++
-		if step.IsLeaf {
-			ws.res.LeafFromDRAM = true
-		}
+	if fromDRAM && step.IsLeaf {
+		ws.res.LeafFromDRAM = true
 	}
 	// Cache the non-leaf entry we just read (levels 4..2 point at
 	// the next table page).

@@ -57,7 +57,7 @@ func TestWalkColdIssuesFourReads(t *testing.T) {
 	if !res.OK {
 		t.Fatal("walk failed")
 	}
-	if len(port.reads) != 4 || res.Refs != 4 {
+	if len(port.reads) != 4 {
 		t.Fatalf("reads = %d, want 4", len(port.reads))
 	}
 	for i, want := range []int{4, 3, 2, 1} {
@@ -134,7 +134,8 @@ func TestWalkLeafFromDRAMSetsTrigger(t *testing.T) {
 	leafAddr := steps[n-1].PTEAddr
 	port := &recordingPort{dram: map[mem.PAddr]bool{leafAddr: true}}
 	res := w.Walk(v, 0, port)
-	if !res.LeafFromDRAM || res.DRAMRefs != 1 {
+	// One of the four 10-cycle reads came from DRAM.
+	if !res.LeafFromDRAM || res.DRAMLatency != 10 || res.CacheLatency != 30 {
 		t.Errorf("result = %+v", res)
 	}
 	if st.WalkDRAMTouched != 1 {
@@ -148,8 +149,8 @@ func TestWalkLeafFromDRAMSetsTrigger(t *testing.T) {
 	if res.LeafFromDRAM {
 		t.Error("upper-level DRAM read must not trigger TEMPO")
 	}
-	if res.DRAMRefs != 1 {
-		t.Errorf("DRAMRefs = %d", res.DRAMRefs)
+	if res.DRAMLatency != 10 {
+		t.Errorf("DRAMLatency = %d, want one 10-cycle DRAM read", res.DRAMLatency)
 	}
 }
 

@@ -69,7 +69,7 @@ func PairTable(d *Data) *experiments.Report {
 			mech = "tempo"
 		}
 		t.Rows = append(t.Rows, experiments.Row{Label: key, Values: []float64{
-			float64(b.Total.Cycles) / float64(v.Total.Cycles),
+			metrics.Speedup(float64(b.Total.Cycles), float64(v.Total.Cycles)),
 			coreSpeedup,
 			b.Total.IPC(),
 			v.Total.IPC(),

@@ -80,7 +80,6 @@ type Pool struct {
 	executed  atomic.Uint64
 	hits      atomic.Uint64
 	misses    atomic.Uint64
-	panicked  atomic.Uint64
 	failed    atomic.Uint64
 	wallTotal atomic.Int64 // nanoseconds spent executing sims
 
@@ -317,7 +316,6 @@ func (p *Pool) execute(ctx context.Context, cfg sim.Config) (*sim.Result, error)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				p.panicked.Add(1)
 				ch <- outcome{err: fmt.Errorf("simulation panicked: %v\n%s", r, debug.Stack())}
 			}
 		}()

@@ -10,25 +10,13 @@ import (
 	"repro/internal/stats"
 )
 
-// The indexed row-hit query (Controller.WouldRowHitReq, memoised on
-// the request and invalidated by the bank version counter) must be
-// indistinguishable from recomputing WouldRowHit(r.Addr) from scratch
-// on every scan step, and a Pick with a drain cutoff over the whole
-// queue must choose what the Pick before the cutoff contract chose
-// over the queue filtered to the due requests. These tests drive a
-// real controller — live bank mutation, adaptive row policy,
-// refreshes, TEMPO request classes, ServeOne and DrainUpTo — with a
-// differ scheduler that answers every Pick twice, once each way, and
-// fails on the first divergence in the pick or the scheduler state.
-
-// addrPeeker degrades the indexed query to full per-call address
-// recomputation: the reference behaviour the memoisation must match.
-type addrPeeker struct{ rows dram.RowPeeker }
-
-func (p addrPeeker) WouldRowHit(a mem.PAddr) bool { return p.rows.WouldRowHit(a) }
-func (p addrPeeker) WouldRowHitReq(r *dram.Request) bool {
-	return p.rows.WouldRowHit(r.Addr)
-}
+// A Pick with a drain cutoff over the whole queue must choose what the
+// Pick before the cutoff contract chose over the queue filtered to the
+// due requests. These tests drive a real controller — live bank
+// mutation, adaptive row policy, refreshes, TEMPO request classes,
+// ServeOne and DrainUpTo — with a differ scheduler that answers every
+// Pick twice, once each way, and fails on the first divergence in the
+// pick or the scheduler state.
 
 // refPickFRFCFS and refPickBLISS are FRFCFS.Pick and BLISS.Pick as
 // they were before Pick took a cutoff, verbatim apart from the
@@ -77,12 +65,11 @@ func refPickBLISS(b *BLISS, q []*dram.Request, now uint64, rows dram.RowPeeker) 
 }
 
 // differ runs two identically-configured schedulers side by side: the
-// inner one picks with the cutoff over the whole queue through the
-// controller's indexed RowPeeker; the reference one picks with the
-// pre-cutoff code over the due requests through the recomputing
-// addrPeeker. Any state the schedulers carry (BLISS blacklists,
-// streaks, bonding, grace) evolves under identical inputs as long as
-// every decision matches, and is compared after every pick.
+// inner one picks with the cutoff over the whole queue; the reference
+// one picks with the pre-cutoff code over the due requests. Both ask
+// the controller's RowPeeker. Any state the schedulers carry (BLISS
+// blacklists, streaks, bonding, grace) evolves under identical inputs
+// as long as every decision matches, and is compared after every pick.
 type differ struct {
 	t     *testing.T
 	name  string
@@ -111,9 +98,9 @@ func (d *differ) Pick(q []*dram.Request, now, cutoff uint64, rows dram.RowPeeker
 	var want int
 	switch ref := d.ref.(type) {
 	case *FRFCFS:
-		want = refPickFRFCFS(ref, d.due, now, addrPeeker{rows})
+		want = refPickFRFCFS(ref, d.due, now, rows)
 	case *BLISS:
-		want = refPickBLISS(ref, d.due, now, addrPeeker{rows})
+		want = refPickBLISS(ref, d.due, now, rows)
 	default:
 		d.t.Fatalf("%s: no reference Pick for %T", d.name, d.ref)
 	}

@@ -14,8 +14,6 @@ const noCutoff = ^uint64(0)
 // fakeRows marks a fixed set of addresses as row hits.
 type fakeRows map[mem.PAddr]bool
 
-func (f fakeRows) WouldRowHit(a mem.PAddr) bool { return f[a] }
-
 func (f fakeRows) WouldRowHitReq(r *dram.Request) bool { return f[r.Addr] }
 
 func TestFRFCFSPrefersRowHits(t *testing.T) {

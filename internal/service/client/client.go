@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/runner"
 	"repro/internal/service"
-	"repro/internal/sim"
 )
 
 // Client talks to one tempo-serve base URL. The zero value is not
@@ -123,10 +122,11 @@ func errorMsg(blob []byte, status string) string {
 	return status
 }
 
-// Submit submits one configuration, retrying while the server applies
-// backpressure (sleeping each rejection's Retry-After) until ctx ends.
-func (c *Client) Submit(ctx context.Context, cfg sim.Config) (service.SubmitResponse, error) {
-	req := service.SubmitRequest{Config: &cfg, Tenant: c.Tenant, Priority: c.Priority}
+// Submit submits one job's configuration under its Key and Base
+// labels, retrying while the server applies backpressure (sleeping
+// each rejection's Retry-After) until ctx ends.
+func (c *Client) Submit(ctx context.Context, j runner.Job) (service.SubmitResponse, error) {
+	req := service.SubmitRequest{Config: &j.Config, Key: j.Key, Base: j.Base, Tenant: c.Tenant, Priority: c.Priority}
 	for {
 		var resp service.SubmitResponse
 		err := c.do(ctx, http.MethodPost, "/jobs", req, &resp)
@@ -195,7 +195,7 @@ func (c *Client) Run(ctx context.Context, jobs []runner.Job) []runner.JobResult 
 	results := make([]runner.JobResult, len(jobs))
 	ids := make([]string, len(jobs))
 	for i, j := range jobs {
-		resp, err := c.Submit(ctx, j.Config)
+		resp, err := c.Submit(ctx, j)
 		if err != nil {
 			results[i] = runner.JobResult{Key: j.Key, Err: err}
 			continue
@@ -210,21 +210,22 @@ func (c *Client) Run(ctx context.Context, jobs []runner.Job) []runner.JobResult 
 		if ids[i] == "" {
 			continue
 		}
-		results[i] = c.wait(ctx, j.Key, ids[i])
+		results[i] = c.wait(ctx, j, ids[i])
 	}
 	return results
 }
 
-// wait blocks until the job finishes and shapes the outcome as a
-// runner.JobResult.
-func (c *Client) wait(ctx context.Context, key, id string) runner.JobResult {
+// wait blocks until job j, submitted as id, finishes and shapes the
+// outcome as a runner.JobResult.
+func (c *Client) wait(ctx context.Context, j runner.Job, id string) runner.JobResult {
 	st, err := c.Wait(ctx, id)
 	if err != nil {
-		return runner.JobResult{Key: key, Err: err}
+		return runner.JobResult{Key: j.Key, Base: j.Base, Err: err}
 	}
 	r := runner.JobResult{
-		Key:       key,
+		Key:       j.Key,
 		Hash:      st.Job.Hash,
+		Base:      j.Base,
 		Wall:      time.Duration(st.Job.WallMS * float64(time.Millisecond)),
 		FromCache: st.Job.CacheHit,
 	}

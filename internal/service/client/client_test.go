@@ -7,13 +7,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/obsv/serve"
+	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -76,7 +79,7 @@ func TestEndToEndSharedExecutionAndRestart(t *testing.T) {
 	}
 	run := func(tenant string, ch chan<- outcome) {
 		c := &Client{Base: ts.URL, Tenant: tenant, Poll: 5 * time.Millisecond}
-		resp, err := c.Submit(ctx, cfgSeed(42))
+		resp, err := c.Submit(ctx, runner.Job{Config: cfgSeed(42)})
 		if err != nil {
 			ch <- outcome{err: err}
 			return
@@ -112,7 +115,7 @@ func TestEndToEndSharedExecutionAndRestart(t *testing.T) {
 	}})
 	_, ts2 := testServer(t, service.Options{Pool: pool2, Cache: cache, Workers: 2, JournalPath: journal})
 	c := &Client{Base: ts2.URL, Tenant: "carol"}
-	resp, err := c.Submit(ctx, cfgSeed(42))
+	resp, err := c.Submit(ctx, runner.Job{Config: cfgSeed(42)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +188,7 @@ func TestJobEventsStream(t *testing.T) {
 	_, ts := testServer(t, service.Options{Pool: pool, Workers: 1})
 
 	c := &Client{Base: ts.URL}
-	resp, err := c.Submit(context.Background(), cfgSeed(1))
+	resp, err := c.Submit(context.Background(), runner.Job{Config: cfgSeed(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +250,7 @@ func TestJobEventsStreamTerminalJob(t *testing.T) {
 	}})
 	_, ts := testServer(t, service.Options{Pool: pool, Workers: 1})
 	c := &Client{Base: ts.URL, Poll: 2 * time.Millisecond}
-	resp, err := c.Submit(context.Background(), cfgSeed(1))
+	resp, err := c.Submit(context.Background(), runner.Job{Config: cfgSeed(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,5 +345,61 @@ func TestClientEngineRun(t *testing.T) {
 		if r.Result.Total.Cycles != uint64(i+1) {
 			t.Errorf("%s: cycles = %d", r.Key, r.Result.Total.Cycles)
 		}
+	}
+}
+
+// A sweep run through the service records its declared pairs: mech01
+// submitted through the client lands in the server's runs.jsonl under
+// its figure keys, each variant with its baseline's hash, and the pairs
+// table over that log lists every variant.
+func TestSweepThroughServiceRecordsPairs(t *testing.T) {
+	s := experiments.QuickScale()
+	s.Records = 4_000
+	s.Footprint = 128 << 20
+	dir := t.TempDir()
+	cache, err := runner.NewDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runsPath := filepath.Join(dir, "runs.jsonl")
+	log, err := os.Create(runsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	pool := runner.New(runner.Options{Parallelism: 2, Cache: cache, Telemetry: &runner.Telemetry{JSONL: log}})
+	_, ts := testServer(t, service.Options{Pool: pool, Cache: cache, Workers: 2})
+
+	r := experiments.NewRunner(s)
+	r.Mechs = []string{"tempo", "victima"}
+	r.Engine = &Client{Base: ts.URL, Poll: 5 * time.Millisecond}
+	f, _ := experiments.ByID("mech01")
+	if _, err := r.RunFigure(f); err != nil {
+		t.Fatal(err)
+	}
+	d, err := report.Load(runsPath, dir, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, row := range report.PairTable(d).Rows {
+		listed[row.Label] = true
+	}
+	variants := 0
+	for _, key := range d.Keys() {
+		if !strings.HasPrefix(key, "mech/") {
+			continue
+		}
+		variants++
+		if d.Get(key).Base == "" {
+			t.Errorf("%s: the server's runs.jsonl line carries no base", key)
+		}
+		if !listed[key] {
+			t.Errorf("%s: missing from the pairs table", key)
+		}
+	}
+	// 2 workloads × tempo and victima.
+	if variants != 4 {
+		t.Errorf("%d mech/ lines in the server's runs.jsonl, want 4: %v", variants, d.Keys())
 	}
 }

@@ -34,6 +34,7 @@ func FuzzJobConfig(f *testing.F) {
 	}
 	f.Add([]byte(`{"sweep":"fig10","scale":"quick"}`))
 	f.Add([]byte(`{"config":{"Workloads":[{"Name":"xsbench"}],"Records":-1}}`))
+	f.Add([]byte(`{"config":{"Workloads":[{"TracePath":"/dev/stdin"}],"Records":1000}}`))
 
 	pool := runner.New(runner.Options{Parallelism: 1, Exec: func(cfg sim.Config) (*sim.Result, error) {
 		if _, err := sim.New(cfg); err != nil {

@@ -21,6 +21,12 @@ import (
 // list and submits every configuration.
 type SubmitRequest struct {
 	Config *sim.Config `json:"config,omitempty"`
+	// Key and Base label a Config submission's line in the server's
+	// runs.jsonl, as runner.Job's fields do: Key names the run (the
+	// job ID when empty) and Base is the config hash of the run it is
+	// measured against. A sweep labels its jobs itself.
+	Key  string `json:"key,omitempty"`
+	Base string `json:"base,omitempty"`
 	// Sweep names a figure/ablation ID ("fig10", "abl-prio", ...).
 	Sweep string `json:"sweep,omitempty"`
 	// Scale picks the sweep's working-set scale: "quick" (default) or
@@ -94,7 +100,7 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 		a.submitSweep(w, req)
 		return
 	}
-	sub, err := a.co.Submit(*req.Config, req.Tenant, req.Priority)
+	sub, err := a.co.Submit(runner.Job{Key: req.Key, Config: *req.Config, Base: req.Base}, req.Tenant, req.Priority)
 	if err != nil {
 		a.submitError(w, err, SubmitResponse{})
 		return
@@ -134,7 +140,7 @@ func (a *API) submitSweep(w http.ResponseWriter, req SubmitRequest) {
 	resp := SubmitResponse{Sweep: fig.ID}
 	anyCreated, allCached := false, true
 	for _, jb := range jobs {
-		sub, err := a.co.Submit(jb.Config, req.Tenant, req.Priority)
+		sub, err := a.co.Submit(jb, req.Tenant, req.Priority)
 		if err != nil {
 			a.submitError(w, err, resp)
 			return

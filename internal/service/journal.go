@@ -24,6 +24,8 @@ type journalRecord struct {
 	Tenant   string      `json:"tenant,omitempty"`
 	Priority int         `json:"priority,omitempty"`
 	Hash     string      `json:"hash,omitempty"`
+	Key      string      `json:"key,omitempty"`
+	Base     string      `json:"base,omitempty"`
 	Config   *sim.Config `json:"config,omitempty"`
 	State    State       `json:"state,omitempty"`
 	CacheHit bool        `json:"cacheHit,omitempty"`

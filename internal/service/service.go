@@ -63,11 +63,13 @@ var (
 )
 
 // job is one accepted submission. All fields are guarded by the
-// coordinator's mutex except cfg/hash/id/seq/done, which are immutable
-// after creation.
+// coordinator's mutex except cfg/hash/id/key/base/seq/done, which are
+// immutable after creation. key and base are the submission's labels
+// for the pool's runs.jsonl (runner.Job.Key and Base).
 type job struct {
 	id        string
 	hash      string
+	key, base string
 	tenant    string
 	priority  int
 	seq       uint64
@@ -290,15 +292,25 @@ type Submission struct {
 	CacheHit bool
 }
 
-// Submit accepts one configuration for tenantName at the given
-// priority. Submissions deduplicate on the config's content hash: a
-// hash already queued or running attaches to that job (bumping its
-// priority upward if the new submission's is higher), and a hash
-// already completed is answered immediately. Deduplicated submissions
-// consume no quota or queue slot. A tenant at its quota gets
-// ErrQuotaExceeded; a full queue gets ErrQueueFull.
-func (c *Coordinator) Submit(cfg sim.Config, tenantName string, priority int) (Submission, error) {
-	hash, err := runner.ConfigKey(cfg)
+// Submit accepts one job's configuration for tenantName at the given
+// priority. The job's Key and Base are labels for the pool's runs.jsonl
+// line (the job ID stands in for an empty Key); they change neither
+// the simulation nor deduplication. Submissions deduplicate on the
+// config's content hash: a hash already queued or running attaches to
+// that job (bumping its priority upward if the new submission's is
+// higher), and a hash already completed is answered immediately, each
+// keeping the labels it was first submitted with. Deduplicated
+// submissions consume no quota or queue slot. A config that names a
+// trace file is refused: job configs are untrusted, and a path would
+// have the server open any file its client names. A tenant at its
+// quota gets ErrQuotaExceeded; a full queue gets ErrQueueFull.
+func (c *Coordinator) Submit(jb runner.Job, tenantName string, priority int) (Submission, error) {
+	for i, w := range jb.Config.Workloads {
+		if w.TracePath != "" {
+			return Submission{}, fmt.Errorf("service: workload %d names a trace file; jobs run generated workloads only", i)
+		}
+	}
+	hash, err := runner.ConfigKey(jb.Config)
 	if err != nil {
 		return Submission{}, err
 	}
@@ -340,11 +352,13 @@ func (c *Coordinator) Submit(cfg sim.Config, tenantName string, priority int) (S
 	j := &job{
 		id:        fmt.Sprintf("%s-%d", hash[:12], c.seq),
 		hash:      hash,
+		key:       jb.Key,
+		base:      jb.Base,
 		tenant:    tenantName,
 		priority:  priority,
 		seq:       c.seq,
 		state:     StateQueued,
-		cfg:       cfg,
+		cfg:       jb.Config,
 		submitted: c.now(),
 		done:      make(chan struct{}),
 	}
@@ -357,7 +371,8 @@ func (c *Coordinator) Submit(cfg sim.Config, tenantName string, priority int) (S
 	tAdmit.Inc()
 	c.journalAppend(journalRecord{
 		Op: "submit", ID: j.id, Seq: j.seq, Tenant: j.tenant,
-		Priority: j.priority, Hash: j.hash, Config: &j.cfg, T: j.submitted,
+		Priority: j.priority, Hash: j.hash, Key: j.key, Base: j.base,
+		Config: &j.cfg, T: j.submitted,
 	}, true)
 	c.broadcastLocked(j)
 	c.cond.Signal()
@@ -535,7 +550,11 @@ func (c *Coordinator) worker() {
 		c.broadcastLocked(j)
 		c.mu.Unlock()
 
-		r := c.opts.Pool.RunJob(ctx, runner.Job{Key: j.id, Config: j.cfg})
+		key := j.key
+		if key == "" {
+			key = j.id
+		}
+		r := c.opts.Pool.RunJob(ctx, runner.Job{Key: key, Config: j.cfg, Base: j.base})
 		cancel()
 		c.finish(j, r)
 	}
@@ -593,7 +612,7 @@ func (c *Coordinator) restore(recs []journalRecord) {
 				continue
 			}
 			j := &job{
-				id: rec.ID, hash: rec.Hash, tenant: rec.Tenant,
+				id: rec.ID, hash: rec.Hash, key: rec.Key, base: rec.Base, tenant: rec.Tenant,
 				priority: rec.Priority, seq: rec.Seq, state: StateQueued,
 				cfg: *rec.Config, submitted: rec.T, done: make(chan struct{}),
 			}

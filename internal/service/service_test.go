@@ -76,12 +76,12 @@ func TestSubmitDedupAndCacheHit(t *testing.T) {
 	}
 	defer co.Close()
 
-	s1, err := co.Submit(cfgSeed(1), "alice", 0)
+	s1, err := co.Submit(runner.Job{Config: cfgSeed(1)}, "alice", 0)
 	if err != nil || !s1.Created {
 		t.Fatalf("first submit: %+v, %v", s1, err)
 	}
 	waitState(t, co, s1.Job.ID, StateRunning)
-	s2, err := co.Submit(cfgSeed(1), "bob", 7)
+	s2, err := co.Submit(runner.Job{Config: cfgSeed(1)}, "bob", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSubmitDedupAndCacheHit(t *testing.T) {
 	close(gate)
 	waitDone(t, co, s1.Job.ID)
 
-	s3, err := co.Submit(cfgSeed(1), "carol", 0)
+	s3, err := co.Submit(runner.Job{Config: cfgSeed(1)}, "carol", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +134,12 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 	defer co.Close()
 
-	s1, _ := co.Submit(cfgSeed(1), "", 0)
+	s1, _ := co.Submit(runner.Job{Config: cfgSeed(1)}, "", 0)
 	<-started // worker busy; everything below queues
-	low, _ := co.Submit(cfgSeed(2), "", 0)
-	high, _ := co.Submit(cfgSeed(3), "", 10)
-	bumped, _ := co.Submit(cfgSeed(4), "", 0)
-	if s, err := co.Submit(cfgSeed(4), "", 20); err != nil || s.Created || s.Job.Priority != 20 {
+	low, _ := co.Submit(runner.Job{Config: cfgSeed(2)}, "", 0)
+	high, _ := co.Submit(runner.Job{Config: cfgSeed(3)}, "", 10)
+	bumped, _ := co.Submit(runner.Job{Config: cfgSeed(4)}, "", 0)
+	if s, err := co.Submit(runner.Job{Config: cfgSeed(4)}, "", 20); err != nil || s.Created || s.Job.Priority != 20 {
 		t.Fatalf("priority bump: %+v, %v", s, err)
 	}
 	close(gate)
@@ -175,15 +175,15 @@ func TestTenantQuotaAndCancelFreesSlot(t *testing.T) {
 	}
 	defer co.Close()
 
-	s1, err := co.Submit(cfgSeed(1), "alice", 0)
+	s1, err := co.Submit(runner.Job{Config: cfgSeed(1)}, "alice", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	if _, err := co.Submit(cfgSeed(2), "alice", 0); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := co.Submit(runner.Job{Config: cfgSeed(2)}, "alice", 0); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("over-quota submit: %v, want ErrQuotaExceeded", err)
 	}
-	sb, err := co.Submit(cfgSeed(3), "bob", 0)
+	sb, err := co.Submit(runner.Job{Config: cfgSeed(3)}, "bob", 0)
 	if err != nil {
 		t.Fatalf("other tenant blocked by alice's quota: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestTenantQuotaAndCancelFreesSlot(t *testing.T) {
 		t.Fatalf("cancelled job state = %s", v.State)
 	}
 	// The slot is free: alice can submit again.
-	s4, err := co.Submit(cfgSeed(4), "alice", 0)
+	s4, err := co.Submit(runner.Job{Config: cfgSeed(4)}, "alice", 0)
 	if err != nil {
 		t.Fatalf("submit after cancel: %v", err)
 	}
@@ -229,14 +229,14 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	defer co.Close()
 
-	if _, err := co.Submit(cfgSeed(1), "", 0); err != nil {
+	if _, err := co.Submit(runner.Job{Config: cfgSeed(1)}, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	if _, err := co.Submit(cfgSeed(2), "", 0); err != nil {
+	if _, err := co.Submit(runner.Job{Config: cfgSeed(2)}, "", 0); err != nil {
 		t.Fatal(err) // fills the queue
 	}
-	if _, err := co.Submit(cfgSeed(3), "", 0); !errors.Is(err, ErrQueueFull) {
+	if _, err := co.Submit(runner.Job{Config: cfgSeed(3)}, "", 0); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overfull submit: %v, want ErrQueueFull", err)
 	}
 	if qv := co.Queue(); qv.RejectedBackpressure != 1 || qv.Depth != 1 {
@@ -264,9 +264,9 @@ func TestCancelQueued(t *testing.T) {
 	}
 	defer co.Close()
 
-	s1, _ := co.Submit(cfgSeed(1), "", 0)
+	s1, _ := co.Submit(runner.Job{Config: cfgSeed(1)}, "", 0)
 	<-started
-	queued, _ := co.Submit(cfgSeed(2), "", 0)
+	queued, _ := co.Submit(runner.Job{Config: cfgSeed(2)}, "", 0)
 	if err := co.Cancel(queued.Job.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -310,12 +310,12 @@ func TestJournalResumeAcrossRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := co1.Submit(cfgSeed(1), "alice", 0)
+	s1, err := co1.Submit(runner.Job{Config: cfgSeed(1)}, "alice", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	s2, err := co1.Submit(cfgSeed(2), "alice", 0)
+	s2, err := co1.Submit(runner.Job{Config: cfgSeed(2)}, "alice", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestJournalResumeAcrossRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co3.Close()
-	s3, err := co3.Submit(cfgSeed(1), "bob", 0)
+	s3, err := co3.Submit(runner.Job{Config: cfgSeed(1)}, "bob", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := co1.Submit(cfgSeed(1), "", 0)
+	s1, err := co1.Submit(runner.Job{Config: cfgSeed(1)}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,14 +441,14 @@ func TestServiceMetricsAuditClean(t *testing.T) {
 	}
 	defer co.Close()
 
-	s1, _ := co.Submit(cfgSeed(1), "alice", 0)
+	s1, _ := co.Submit(runner.Job{Config: cfgSeed(1)}, "alice", 0)
 	<-started
-	s2, _ := co.Submit(cfgSeed(2), "alice", 0)
-	if _, err := co.Submit(cfgSeed(9), "alice", 0); !errors.Is(err, ErrQuotaExceeded) {
+	s2, _ := co.Submit(runner.Job{Config: cfgSeed(2)}, "alice", 0)
+	if _, err := co.Submit(runner.Job{Config: cfgSeed(9)}, "alice", 0); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("quota: %v", err)
 	}
-	s3, _ := co.Submit(cfgSeed(3), "bob", 0) // will fail
-	s4, _ := co.Submit(cfgSeed(4), "bob", 0) // will be cancelled while queued
+	s3, _ := co.Submit(runner.Job{Config: cfgSeed(3)}, "bob", 0) // will fail
+	s4, _ := co.Submit(runner.Job{Config: cfgSeed(4)}, "bob", 0) // will be cancelled while queued
 	if err := co.Cancel(s4.Job.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestSubmitAfterClose(t *testing.T) {
 	if err := co.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Submit(cfgSeed(1), "", 0); !errors.Is(err, ErrClosed) {
+	if _, err := co.Submit(runner.Job{Config: cfgSeed(1)}, "", 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 }
@@ -518,13 +518,13 @@ func TestSubmitDedupsAcrossWorkerCounts(t *testing.T) {
 
 	cfg := cfgSeed(3)
 	cfg.Workers = 1
-	s1, err := co.Submit(cfg, "alice", 0)
+	s1, err := co.Submit(runner.Job{Config: cfg}, "alice", 0)
 	if err != nil || !s1.Created {
 		t.Fatalf("first submit: %+v, %v", s1, err)
 	}
 	waitDone(t, co, s1.Job.ID)
 	cfg.Workers = 8
-	s2, err := co.Submit(cfg, "bob", 0)
+	s2, err := co.Submit(runner.Job{Config: cfg}, "bob", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,6 +565,43 @@ func TestSweepListsEachConfigurationOnce(t *testing.T) {
 	}
 	if qv := co.Queue(); qv.Submitted != uint64(len(resp.Jobs)) {
 		t.Errorf("sweep listed %d jobs, the queue took %d", len(resp.Jobs), qv.Submitted)
+	}
+}
+
+// A job config that names a trace file is refused with 400 before it
+// becomes a job: the server would otherwise open whatever path an
+// untrusted client names. The error names the workload, and nothing
+// runs.
+func TestSubmitRefusesTracePath(t *testing.T) {
+	var execs atomic.Int64
+	pool := runner.New(runner.Options{Parallelism: 1, Exec: func(cfg sim.Config) (*sim.Result, error) {
+		execs.Add(1)
+		return stubResult(cfg), nil
+	}})
+	co, err := New(Options{Pool: pool, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	api := NewAPI(co)
+
+	cfg := smallConfig(1)
+	cfg.Workloads = append(cfg.Workloads, sim.WorkloadSpec{TracePath: filepath.Join(t.TempDir(), "x.trc"), Footprint: 64 << 20})
+	body, err := json.Marshal(SubmitRequest{Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	api.submit(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(string(body))))
+	var resp SubmitResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusBadRequest || resp.Job != nil || !strings.Contains(resp.Error, "workload 1 names a trace file") {
+		t.Fatalf("POST /jobs with a trace path: %d %+v", rec.Code, resp)
+	}
+	if qv := co.Queue(); qv.Submitted != 0 || execs.Load() != 0 {
+		t.Fatalf("refused config became a job: %+v, %d executions", qv, execs.Load())
 	}
 }
 
@@ -633,7 +670,7 @@ func TestOversizedMachineFailsJob(t *testing.T) {
 	for i, b := range badMachines {
 		cfg := smallConfig(int64(i + 1))
 		b.edit(&cfg)
-		s, err := co.Submit(cfg, "", 0)
+		s, err := co.Submit(runner.Job{Config: cfg}, "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -643,7 +680,7 @@ func TestOversizedMachineFailsJob(t *testing.T) {
 			t.Fatalf("bad machine job: state %s, err %q; want failed with %q", v.State, v.Err, b.want)
 		}
 	}
-	ok, err := co.Submit(smallConfig(int64(len(badMachines)+1)), "", 0)
+	ok, err := co.Submit(runner.Job{Config: smallConfig(int64(len(badMachines) + 1))}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/obsv"
+	"repro/internal/stats"
 )
 
 // TestAuditEndToEnd is the acceptance check for the counter audit: a
@@ -64,6 +65,31 @@ func TestAuditEndToEnd(t *testing.T) {
 	if !found {
 		t.Fatal("corrupted prefetch counter not flagged by the audit")
 	}
+}
+
+// A result whose replay DRAM stall cycles exceed its demand-data DRAM
+// buckets fails Result.Audit: Figure 1 reads other misses as those
+// buckets less the replays' share, which would wrap.
+func TestAuditFlagsReplayBeyondDataDRAM(t *testing.T) {
+	res, err := Run(quickCfg("xsbench", 5_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &res.Total
+	if st.ReplayDRAMCycles == 0 {
+		t.Fatal("no replay stalled on DRAM; the law would be vacuous")
+	}
+	if v := res.Audit(); len(v) != 0 {
+		t.Fatalf("clean run flagged: %v", v)
+	}
+	st.ReplayDRAMCycles = st.CPIStack[stats.CPIDataDRAMQueue] +
+		st.CPIStack[stats.CPIDataDRAMService] + st.CPIStack[stats.CPIRowConflictExtra] + 1
+	for _, v := range res.Audit() {
+		if v.Check == "replay-dram-within-data-dram" {
+			return
+		}
+	}
+	t.Fatalf("replay stalls beyond the data-DRAM buckets not flagged: %v", res.Audit())
 }
 
 // TestAuditBaselineRun checks the audit on a TEMPO-off run: the

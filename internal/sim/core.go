@@ -372,7 +372,6 @@ kernel:
 			}
 			doneAt := req.Complete + m.Interconnect
 			c.submitWritebacks(c.hier.FillFromDRAM(req.Addr, false))
-			c.st.PTWDRAMCycles += doneAt - (c.waitAt + c.waitLat)
 			c.waitReq = nil
 			c.pool.Release(req)
 			c.ws.FeedDRAM(doneAt-c.waitAt, c.waitLat)
@@ -445,7 +444,6 @@ kernel:
 				// Independent misses partially overlap with the
 				// out-of-order window.
 				charged := uint64(float64(dramPortion) * m.OtherOverlap)
-				c.st.OtherDRAMCycles += charged
 				c.now += c.ar.Latency + charged
 				c.chargeDRAMStall(req, dramPortion, charged)
 			}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -110,7 +111,9 @@ func checkInvariants(t *testing.T, cfg Config, res *Result) {
 		}
 	}
 	st := &res.Total
-	if st.PTWDRAMCycles+st.ReplayDRAMCycles+st.OtherDRAMCycles > st.Cycles*uint64(len(res.Cores)) {
+	attr := st.DRAMStallCycles(stats.DRAMPTW) + st.DRAMStallCycles(stats.DRAMReplay) +
+		st.DRAMStallCycles(stats.DRAMOther)
+	if attr > st.Cycles*uint64(len(res.Cores)) {
 		t.Error("attributed more cycles than exist across all cores")
 	}
 	if !cfg.Tempo.Enabled && (st.TempoPrefetches != 0 || st.TempoLLCFills != 0) {

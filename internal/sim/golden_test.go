@@ -80,7 +80,7 @@ func checkFixture(t *testing.T, fx schedulerFixture) {
 		st.DRAMRefs[stats.DRAMOther], st.DRAMRefs[stats.DRAMPrefetch],
 		st.TempoTriggers, st.TempoPrefetches, st.TempoLLCFills, st.TempoUseful,
 		st.IMPPrefetches, st.IMPUseful, st.ActCount, st.RefCount, st.RdCount,
-		st.ReplayDRAMCycles, st.OtherDRAMCycles, st.PTWDRAMCycles,
+		st.ReplayDRAMCycles, st.DRAMStallCycles(stats.DRAMOther), st.DRAMStallCycles(stats.DRAMPTW),
 		st.WalkDRAMThenReplayDRAM,
 		st.ReplayServiced[0], st.ReplayServiced[1], st.ReplayServiced[2],
 	}
@@ -91,7 +91,7 @@ func checkFixture(t *testing.T, fx schedulerFixture) {
 		"DRAMRefsPTW", "DRAMRefsReplay", "DRAMRefsOther", "DRAMRefsPrefetch",
 		"TempoTriggers", "TempoPrefetches", "TempoLLCFills", "TempoUseful",
 		"IMPPrefetches", "IMPUseful", "ActCount", "RefCount", "RdCount",
-		"ReplayDRAMCycles", "OtherDRAMCycles", "PTWDRAMCycles",
+		"ReplayDRAMCycles", "DRAMStallCycles(other)", "DRAMStallCycles(PTW)",
 		"WalkDRAMThenReplayDRAM",
 		"ReplayLLC", "ReplayRowBuffer", "ReplayDRAMArray",
 	}

@@ -152,11 +152,12 @@ func TestWalkerAttributionWithinRuntime(t *testing.T) {
 	for _, wl := range []string{"xsbench", "spmv", "illustris"} {
 		res := run(t, quickCfg(wl, 8_000))
 		st := &res.Total
-		sum := st.PTWDRAMCycles + st.ReplayDRAMCycles + st.OtherDRAMCycles
+		ptw := st.DRAMStallCycles(stats.DRAMPTW)
+		sum := ptw + st.DRAMStallCycles(stats.DRAMReplay) + st.DRAMStallCycles(stats.DRAMOther)
 		if sum > st.Cycles {
 			t.Errorf("%s: attribution %d exceeds runtime %d", wl, sum, st.Cycles)
 		}
-		if st.PTWDRAMCycles == 0 {
+		if ptw == 0 {
 			t.Errorf("%s: no PTW DRAM cycles attributed", wl)
 		}
 	}

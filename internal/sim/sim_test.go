@@ -47,7 +47,8 @@ func TestRunBasicInvariants(t *testing.T) {
 		t.Errorf("DRAM categories empty: %v", st.DRAMRefs)
 	}
 	// Runtime attribution must not exceed total runtime.
-	attr := st.PTWDRAMCycles + st.ReplayDRAMCycles + st.OtherDRAMCycles
+	attr := st.DRAMStallCycles(stats.DRAMPTW) + st.DRAMStallCycles(stats.DRAMReplay) +
+		st.DRAMStallCycles(stats.DRAMOther)
 	if attr > st.Cycles {
 		t.Errorf("attributed %d > total %d cycles", attr, st.Cycles)
 	}
@@ -368,7 +369,7 @@ func TestBadMachineGeometryIsError(t *testing.T) {
 		{"2^62-cycle interconnect", "Interconnect of 4611686018427387904 cycles is over the 1048576-cycle limit", func(c *Config) {
 			c.Machine.Interconnect = 1 << 62
 		}},
-		{"16 GiB LLC", "need 2148591108 bytes of host memory, over the 268435456-byte limit", func(c *Config) {
+		{"16 GiB LLC", "need 2148590980 bytes of host memory, over the 268435456-byte limit", func(c *Config) {
 			c.Machine.Caches.LLC.SizeB = 16 << 30
 		}},
 		{"4096 cores", "bytes of host memory, over the 268435456-byte limit", func(c *Config) {

@@ -126,13 +126,11 @@ type Stats struct {
 	// MemRefs counts memory references replayed from the trace.
 	MemRefs uint64
 
-	// Cycle attribution (Figure 1). The three DRAM buckets count
-	// cycles the core was stalled waiting on a DRAM access of that
-	// category; NonDRAMCycles is everything else (compute, cache
-	// hits, TLB/walker activity that stayed on chip).
-	PTWDRAMCycles    uint64
+	// ReplayDRAMCycles counts the CPI stack's demand-data DRAM cycles
+	// (data-dram-queue, data-dram-service, row-conflict-extra) that
+	// post-walk replays stalled on: the one split Figure 1 needs that
+	// the stack does not keep (DRAMStallCycles).
 	ReplayDRAMCycles uint64
-	OtherDRAMCycles  uint64
 
 	// TLB and walk behaviour.
 	TLBHits      uint64
@@ -277,22 +275,31 @@ func (s *Stats) DRAMRefFraction(c DRAMCategory) float64 {
 	return float64(s.DRAMRefs[c]) / float64(total)
 }
 
-// RuntimeFraction returns the fraction of cycles attributed to the
-// given DRAM category (Figure 1's y-axis).
+// DRAMStallCycles returns the cycles the cores stalled on demand DRAM
+// accesses of category c, read off the CPI stack (Figure 1): page
+// walks are the walk-pte-dram bucket, replays ReplayDRAMCycles, and
+// other misses the three demand-data DRAM buckets less the replays'
+// share. Other categories stall no core and return 0.
+func (s *Stats) DRAMStallCycles(c DRAMCategory) uint64 {
+	switch c {
+	case DRAMPTW:
+		return s.CPIStack[CPIWalkPTEDRAM]
+	case DRAMReplay:
+		return s.ReplayDRAMCycles
+	case DRAMOther:
+		return s.CPIStack[CPIDataDRAMQueue] + s.CPIStack[CPIDataDRAMService] +
+			s.CPIStack[CPIRowConflictExtra] - s.ReplayDRAMCycles
+	}
+	return 0
+}
+
+// RuntimeFraction returns the fraction of cycles the cores stalled on
+// DRAM accesses of category c (Figure 1's y-axis).
 func (s *Stats) RuntimeFraction(c DRAMCategory) float64 {
 	if s.Cycles == 0 {
 		return 0
 	}
-	var n uint64
-	switch c {
-	case DRAMPTW:
-		n = s.PTWDRAMCycles
-	case DRAMReplay:
-		n = s.ReplayDRAMCycles
-	case DRAMOther:
-		n = s.OtherDRAMCycles
-	}
-	return float64(n) / float64(s.Cycles)
+	return float64(s.DRAMStallCycles(c)) / float64(s.Cycles)
 }
 
 // LeafPTWFraction returns the share of DRAM page-table references that
@@ -345,34 +352,13 @@ func (s *Stats) TLBMissRate() float64 {
 	return float64(s.TLBMisses) / float64(t)
 }
 
-// SuperpageFraction returns the fraction of the resident footprint
-// backed by pages of the given class or larger-than-4KB classes
-// combined when both superpage classes are requested by the caller.
-func (s *Stats) SuperpageFraction(classes ...int) float64 {
-	var total, super uint64
-	for i, b := range s.FootprintBytes {
-		total += b
-		for _, c := range classes {
-			if i == c {
-				super += b
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(super) / float64(total)
-}
-
 // Add accumulates other into s (used to merge per-core stats into a
 // system view for multiprogrammed runs).
 func (s *Stats) Add(o *Stats) {
 	s.Cycles = max(s.Cycles, o.Cycles)
 	s.Instructions += o.Instructions
 	s.MemRefs += o.MemRefs
-	s.PTWDRAMCycles += o.PTWDRAMCycles
 	s.ReplayDRAMCycles += o.ReplayDRAMCycles
-	s.OtherDRAMCycles += o.OtherDRAMCycles
 	s.TLBHits += o.TLBHits
 	s.TLBMisses += o.TLBMisses
 	s.WalksStarted += o.WalksStarted

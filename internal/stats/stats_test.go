@@ -64,13 +64,21 @@ func TestFractionsEmptyStatsAreZero(t *testing.T) {
 	if s.DRAMRefFraction(DRAMPTW) != 0 || s.RuntimeFraction(DRAMPTW) != 0 ||
 		s.LeafPTWFraction() != 0 || s.ReplayAfterPTWFraction() != 0 ||
 		s.ReplayServiceFraction(ReplayLLC) != 0 || s.IPC() != 0 ||
-		s.TLBMissRate() != 0 || s.SuperpageFraction(1) != 0 {
+		s.TLBMissRate() != 0 {
 		t.Error("empty stats must yield zero fractions, not NaN")
 	}
 }
 
 func TestRuntimeFraction(t *testing.T) {
-	s := Stats{Cycles: 1000, PTWDRAMCycles: 250, ReplayDRAMCycles: 150, OtherDRAMCycles: 100}
+	// 250 data-DRAM cycles, 150 of them post-walk replays; the on-chip
+	// buckets are no DRAM stall.
+	s := Stats{Cycles: 1000, ReplayDRAMCycles: 150}
+	s.CPIStack[CPIWalkPTEDRAM] = 250
+	s.CPIStack[CPIDataDRAMQueue] = 60
+	s.CPIStack[CPIDataDRAMService] = 160
+	s.CPIStack[CPIRowConflictExtra] = 30
+	s.CPIStack[CPIWalkPTECache] = 200
+	s.CPIStack[CPIDataLLC] = 100
 	if !almost(s.RuntimeFraction(DRAMPTW), 0.25) {
 		t.Error("PTW runtime fraction")
 	}
@@ -119,19 +127,6 @@ func TestIPCAndTLBMissRate(t *testing.T) {
 	}
 	if !almost(s.TLBMissRate(), 0.1) {
 		t.Error("TLB miss rate")
-	}
-}
-
-func TestSuperpageFraction(t *testing.T) {
-	var s Stats
-	s.FootprintBytes[0] = 1 << 30 // 4KB-backed bytes
-	s.FootprintBytes[1] = 3 << 30 // 2MB-backed
-	if !almost(s.SuperpageFraction(1), 0.75) {
-		t.Error("2MB fraction")
-	}
-	s.FootprintBytes[2] = 4 << 30 // 1GB-backed
-	if !almost(s.SuperpageFraction(1, 2), 7.0/8.0) {
-		t.Error("combined superpage fraction")
 	}
 }
 

@@ -98,7 +98,6 @@ type AddressSpace struct {
 
 	// Resident footprint in bytes by page-size class.
 	footprint [3]uint64
-	faults    uint64
 }
 
 // NewAddressSpace builds an address space with its own physical memory
@@ -168,9 +167,6 @@ func (as *AddressSpace) Table() *PageTable { return as.table }
 // Buddy exposes the physical allocator.
 func (as *AddressSpace) Buddy() *Buddy { return as.buddy }
 
-// Faults returns the number of demand page faults taken so far.
-func (as *AddressSpace) Faults() uint64 { return as.faults }
-
 // FootprintBytes returns resident bytes by page-size class
 // (indexed by mem.PageSizeClass).
 func (as *AddressSpace) FootprintBytes() [3]uint64 { return as.footprint }
@@ -204,7 +200,6 @@ func (as *AddressSpace) Touch(v mem.VAddr) (Translation, bool, error) {
 	if err != nil {
 		return Translation{}, false, err
 	}
-	as.faults++
 	return tr, true, nil
 }
 

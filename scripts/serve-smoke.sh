@@ -10,8 +10,13 @@
 #      -> expect "completed" and a result payload
 #   3. POST the identical config again
 #      -> expect 200 with "cacheHit": true and no new execution
-# Any deviation (timeout, failed job, cache miss on re-submit) fails
-# the script; the server is torn down on exit either way.
+#   4. run a mech01 sweep (tempo, victima) through the server with
+#      tempo-bench -submit
+#      -> expect the server's runs.jsonl to carry "base" on the four
+#         mech/<name>/<workload> lines, the pairs the sweep declared
+# Any deviation (timeout, failed job, cache miss on re-submit, a
+# variant line without its baseline) fails the script; the server is
+# torn down on exit either way.
 #
 # Usage:  scripts/serve-smoke.sh [records]   (default 2000)
 set -euo pipefail
@@ -107,4 +112,15 @@ assert resp.get("cacheHit") is True, "re-submit was not served from cache: %r" %
 assert resp.get("created") is False, "re-submit created a new job: %r" % resp
 ' "${TMP}/submit2.json"
 
-echo "serve-smoke: OK (job ${JOB_ID} ran once, re-submit was a cache hit)" >&2
+echo "== running a mech01 sweep through the server" >&2
+go run ./cmd/tempo-bench -scale quick -figure mech01 -mech tempo,victima \
+  -submit "${BASE}" > "${TMP}/mech01.txt"
+python3 -c 'import json,sys
+runs = [json.loads(l) for l in open(sys.argv[1])]
+mech = [r for r in runs if r["key"].startswith("mech/")]
+assert len(mech) == 4, "want 4 mech/ lines in the server runs.jsonl, got %r" % [r["key"] for r in mech]
+bare = [r["key"] for r in mech if not r.get("base")]
+assert not bare, "mech/ lines without their baseline: %r" % bare
+' "${TMP}/cache/runs.jsonl"
+
+echo "serve-smoke: OK (job ${JOB_ID} ran once, re-submit was a cache hit, the sweep recorded its pairs)" >&2
