@@ -106,10 +106,8 @@ func main() {
 
 	co, err := service.New(service.Options{
 		Pool:        pool,
-		Cache:       cache,
 		QueueDepth:  *queueDepth,
 		TenantQuota: *tenantQuota,
-		Workers:     *workers,
 		JournalPath: *journalPath,
 		Registry:    reg,
 		Events:      events,

@@ -500,7 +500,18 @@ func (r *Runner) homoCfg(wl string) sim.Config {
 	// Homogeneous cores model the threads of one multithreaded
 	// application: one address space, one page table.
 	cfg.SharedAddressSpace = true
+	scaleChannels(&cfg)
 	return cfg
+}
+
+// scaleChannels gives a multi-core configuration one memory channel
+// per two cores (the server-class ratio the paper's 32-core machine
+// implies), never fewer than the default machine's, so multi-core runs
+// stress scheduling rather than raw bus bandwidth.
+func scaleChannels(cfg *sim.Config) {
+	if ch := len(cfg.Workloads) / 2; ch > cfg.Machine.DRAM.Geometry.Channels {
+		cfg.Machine.DRAM.Geometry.Channels = ch
+	}
 }
 
 // mixSpecs builds the multiprogrammed mixes: each mix draws MixCores

@@ -245,3 +245,19 @@ func TestReportCSV(t *testing.T) {
 		t.Errorf("CSV = %q, want %q", got, want)
 	}
 }
+
+// Threads (homoCfg) and mixes (mixCfg) get memory channels by one
+// rule: one per two cores, never fewer than the default machine's two.
+func TestChannelsScaleWithCores(t *testing.T) {
+	for _, c := range []struct{ cores, want int }{{2, 2}, {4, 2}, {8, 4}, {16, 8}} {
+		s := tinyScale()
+		s.HomoCores, s.MixCores = c.cores, c.cores
+		r := NewRunner(s)
+		if got := r.homoCfg("xsbench").Machine.DRAM.Geometry.Channels; got != c.want {
+			t.Errorf("homoCfg at %d cores: %d channels, want %d", c.cores, got, c.want)
+		}
+		if got := r.mixCfg(0).Machine.DRAM.Geometry.Channels; got != c.want {
+			t.Errorf("mixCfg at %d cores: %d channels, want %d", c.cores, got, c.want)
+		}
+	}
+}

@@ -25,17 +25,13 @@ func (r *Runner) aloneIPC(specs []sim.WorkloadSpec) ([]float64, error) {
 	return out, nil
 }
 
-// mixCfg builds the shared-system configuration for one mix. Memory
-// channels scale with the core count (1 channel per 2 cores, the
-// server-class ratio the paper's 32-core machine implies), so the
-// mixes stress scheduling rather than raw bus bandwidth.
+// mixCfg builds the shared-system configuration for one mix, with
+// memory channels scaled to its cores (scaleChannels).
 func (r *Runner) mixCfg(mix int) sim.Config {
 	cfg := sim.DefaultConfig("xsbench") // workloads replaced below
 	cfg.Records = r.Scale.MixRecords
 	cfg.Workloads = r.mixSpecs(mix)
-	if ch := r.Scale.MixCores / 2; ch > cfg.Machine.DRAM.Geometry.Channels {
-		cfg.Machine.DRAM.Geometry.Channels = ch
-	}
+	scaleChannels(&cfg)
 	return cfg
 }
 

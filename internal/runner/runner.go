@@ -106,6 +106,9 @@ func New(opts Options) *Pool {
 // Parallelism returns the configured worker count.
 func (p *Pool) Parallelism() int { return p.opts.Parallelism }
 
+// Cache returns the persistent result cache (nil when none is set).
+func (p *Pool) Cache() *DiskCache { return p.opts.Cache }
+
 // Executed returns how many simulations actually ran (cache misses).
 func (p *Pool) Executed() uint64 { return p.executed.Load() }
 
@@ -175,6 +178,9 @@ func (p *Pool) Run(ctx context.Context, jobs []Job) []JobResult {
 		p.opts.Telemetry.begin(len(tasks), p.opts.Parallelism)
 	}
 
+	// Every task goes through a worker, so every result is noted; once
+	// ctx is cancelled, runOne marks the not-yet-started remainder with
+	// ctx.Err() without running it.
 	work := make(chan int)
 	var wg sync.WaitGroup
 	workers := p.opts.Parallelism
@@ -195,23 +201,8 @@ func (p *Pool) Run(ctx context.Context, jobs []Job) []JobResult {
 			}
 		}()
 	}
-feed:
 	for i := range tasks {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			// Mark the unscheduled remainder; in-flight jobs finish.
-			for j := i; j < len(tasks); j++ {
-				select {
-				case work <- j:
-				default:
-					at := index[tasks[j].job.Key]
-					results[at] = JobResult{Key: tasks[j].job.Key, Hash: tasks[j].hash, Err: ctx.Err()}
-					p.failed.Add(1)
-				}
-			}
-			break feed
-		}
+		work <- i
 	}
 	close(work)
 	wg.Wait()

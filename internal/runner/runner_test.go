@@ -161,6 +161,42 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
+// A batch cut short by its context still reports every job: the jobs
+// it never started are noted as failed, so runs.jsonl gets one line per
+// job and the progress view reaches Total with the pool's failure count.
+func TestRunCancellationNotesEveryJob(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	release := make(chan struct{})
+	defer close(release)
+	var log strings.Builder
+	tel := &Telemetry{JSONL: &log}
+	p := New(Options{
+		Parallelism: 1,
+		Telemetry:   tel,
+		Exec: func(cfg sim.Config) (*sim.Result, error) {
+			cancel()
+			<-release // abandoned: the pool answers ctx.Err()
+			return stubResult(cfg), nil
+		},
+	})
+	var jobs []Job
+	for i := 1; i <= 5; i++ {
+		jobs = append(jobs, Job{Key: fmt.Sprintf("j%d", i), Config: cfgWithSeed(int64(i))})
+	}
+	for _, r := range p.Run(ctx, jobs) {
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("%s: err %v, want context.Canceled", r.Key, r.Err)
+		}
+	}
+	if n := strings.Count(log.String(), "\n"); n != len(jobs) {
+		t.Errorf("runs.jsonl has %d lines, want %d:\n%s", n, len(jobs), log.String())
+	}
+	pr := tel.Progress()
+	if pr.Done != pr.Total || pr.Total != len(jobs) || uint64(pr.Failed) != p.Failed() {
+		t.Errorf("progress %+v after a cancelled batch; pool failed %d", pr, p.Failed())
+	}
+}
+
 func TestRunErrorDoesNotKillSweep(t *testing.T) {
 	p := New(Options{
 		Parallelism: 3,

@@ -69,7 +69,7 @@ func TestEndToEndSharedExecutionAndRestart(t *testing.T) {
 		return stubResult(cfg), nil
 	}
 	pool := runner.New(runner.Options{Parallelism: 2, Cache: cache, Exec: exec})
-	_, ts := testServer(t, service.Options{Pool: pool, Cache: cache, Workers: 2, JournalPath: journal})
+	_, ts := testServer(t, service.Options{Pool: pool, JournalPath: journal})
 
 	ctx := context.Background()
 	type outcome struct {
@@ -113,7 +113,7 @@ func TestEndToEndSharedExecutionAndRestart(t *testing.T) {
 		t.Error("restarted server re-ran a cached config")
 		return stubResult(cfg), nil
 	}})
-	_, ts2 := testServer(t, service.Options{Pool: pool2, Cache: cache, Workers: 2, JournalPath: journal})
+	_, ts2 := testServer(t, service.Options{Pool: pool2, JournalPath: journal})
 	c := &Client{Base: ts2.URL, Tenant: "carol"}
 	resp, err := c.Submit(ctx, runner.Job{Config: cfgSeed(42)})
 	if err != nil {
@@ -145,7 +145,7 @@ func TestQuota429RetryAfterOverHTTP(t *testing.T) {
 	}})
 	defer close(gate)
 	_, ts := testServer(t, service.Options{
-		Pool: pool, Workers: 1, TenantQuota: 1, RetryAfter: 3 * time.Second,
+		Pool: pool, TenantQuota: 1, RetryAfter: 3 * time.Second,
 	})
 
 	post := func(seed int64, tenant string) *http.Response {
@@ -185,7 +185,7 @@ func TestJobEventsStream(t *testing.T) {
 		<-gate
 		return stubResult(cfg), nil
 	}})
-	_, ts := testServer(t, service.Options{Pool: pool, Workers: 1})
+	_, ts := testServer(t, service.Options{Pool: pool})
 
 	c := &Client{Base: ts.URL}
 	resp, err := c.Submit(context.Background(), runner.Job{Config: cfgSeed(1)})
@@ -248,7 +248,7 @@ func TestJobEventsStreamTerminalJob(t *testing.T) {
 	pool := runner.New(runner.Options{Parallelism: 1, Exec: func(cfg sim.Config) (*sim.Result, error) {
 		return stubResult(cfg), nil
 	}})
-	_, ts := testServer(t, service.Options{Pool: pool, Workers: 1})
+	_, ts := testServer(t, service.Options{Pool: pool})
 	c := &Client{Base: ts.URL, Poll: 2 * time.Millisecond}
 	resp, err := c.Submit(context.Background(), runner.Job{Config: cfgSeed(1)})
 	if err != nil {
@@ -286,7 +286,7 @@ func TestSweepSubmission(t *testing.T) {
 	pool := runner.New(runner.Options{Parallelism: 4, Cache: cache, Exec: func(cfg sim.Config) (*sim.Result, error) {
 		return stubResult(cfg), nil
 	}})
-	_, ts := testServer(t, service.Options{Pool: pool, Cache: cache, Workers: 4})
+	_, ts := testServer(t, service.Options{Pool: pool})
 
 	submit := func() (service.SubmitResponse, int) {
 		t.Helper()
@@ -327,7 +327,7 @@ func TestClientEngineRun(t *testing.T) {
 	pool := runner.New(runner.Options{Parallelism: 2, Exec: func(cfg sim.Config) (*sim.Result, error) {
 		return stubResult(cfg), nil
 	}})
-	_, ts := testServer(t, service.Options{Pool: pool, Workers: 2})
+	_, ts := testServer(t, service.Options{Pool: pool})
 	c := &Client{Base: ts.URL, Poll: 2 * time.Millisecond}
 	jobs := []runner.Job{
 		{Key: "a", Config: cfgSeed(1)},
@@ -368,7 +368,7 @@ func TestSweepThroughServiceRecordsPairs(t *testing.T) {
 	}
 	defer log.Close()
 	pool := runner.New(runner.Options{Parallelism: 2, Cache: cache, Telemetry: &runner.Telemetry{JSONL: log}})
-	_, ts := testServer(t, service.Options{Pool: pool, Cache: cache, Workers: 2})
+	_, ts := testServer(t, service.Options{Pool: pool})
 
 	r := experiments.NewRunner(s)
 	r.Mechs = []string{"tempo", "victima"}

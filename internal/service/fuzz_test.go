@@ -5,10 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obsv"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
@@ -42,7 +46,7 @@ func FuzzJobConfig(f *testing.F) {
 		}
 		return &sim.Result{}, nil
 	}})
-	co, err := New(Options{Pool: pool, Workers: 1})
+	co, err := New(Options{Pool: pool})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -74,6 +78,70 @@ func FuzzJobConfig(f *testing.F) {
 		api.queue(rec, httptest.NewRequest(http.MethodGet, "/queue", nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("GET /queue after the submission answered %d: %s", rec.Code, rec.Body)
+		}
+	})
+}
+
+// FuzzJournalRestore starts a coordinator on arbitrary journal bytes,
+// with a registry and a stub Exec on a one-worker pool, and waits until
+// nothing is queued or running. It fails on a panic, on an Exec call
+// whose config names a trace file, on an obsv.Audit violation of the
+// svc/* series, or on a tenant left holding a live slot.
+func FuzzJournalRestore(f *testing.F) {
+	line := func(rec journalRecord) string {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	cfg, traced := smallConfig(1), smallConfig(2)
+	traced.Workloads[0].TracePath = "no-such.trc"
+	submit := line(journalRecord{Op: "submit", ID: "a-1", Seq: 1, Tenant: "alice", Config: &cfg})
+	f.Add([]byte(submit + line(journalRecord{Op: "state", ID: "a-1", State: StateCompleted})))
+	f.Add([]byte(submit + line(journalRecord{Op: "submit", ID: "a-1", Seq: 2, Tenant: "bob", Config: &traced})))
+	f.Add([]byte(line(journalRecord{Op: "submit", ID: "t-1", Seq: 1, Config: &traced})))
+	f.Add([]byte(submit + `{"op":"submit","id":"torn`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		journal := filepath.Join(t.TempDir(), "queue.jsonl")
+		if err := os.WriteFile(journal, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var tracedExec atomic.Bool
+		pool := runner.New(runner.Options{Parallelism: 1, Exec: func(cfg sim.Config) (*sim.Result, error) {
+			for _, w := range cfg.Workloads {
+				if w.TracePath != "" {
+					tracedExec.Store(true)
+				}
+			}
+			return stubResult(cfg), nil
+		}})
+		reg := obsv.NewRegistry()
+		co, err := New(Options{Pool: pool, JournalPath: journal, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer co.Close()
+		deadline := time.Now().Add(time.Minute)
+		qv := co.Queue()
+		for qv.Depth+qv.Running > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("replayed jobs never drained: %+v", qv)
+			}
+			time.Sleep(time.Millisecond)
+			qv = co.Queue()
+		}
+		if tracedExec.Load() {
+			t.Fatal("a journaled config naming a trace file reached Exec")
+		}
+		if v := obsv.Audit(reg.Snapshot()); len(v) != 0 {
+			t.Fatalf("audit violations: %v", v)
+		}
+		for name, tv := range qv.Tenants {
+			if tv.Active != 0 {
+				t.Fatalf("tenant %q holds %d live slots with nothing queued or running", name, tv.Active)
+			}
 		}
 	})
 }

@@ -15,8 +15,8 @@ import (
 // documents the format). "submit" records carry the full configuration
 // so a restarted coordinator can re-enqueue unfinished jobs; "state"
 // records append lifecycle transitions. Replay folds the two into the
-// job table: a job whose last state is queued or running at
-// end-of-journal was in flight when the process died and is re-queued.
+// job table: a job with no terminal state record was unfinished when
+// the process stopped and is re-queued.
 type journalRecord struct {
 	Op       string      `json:"op"` // "submit" or "state"
 	ID       string      `json:"id"`
@@ -44,19 +44,38 @@ type journal struct {
 }
 
 // openJournal opens (creating if needed) the journal at path for
-// appending.
+// appending. A torn tail (a last line without its newline) gets one,
+// so the next record starts a line of its own instead of extending the
+// torn one into a line replay cannot parse.
 func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("service: journal: %w", err)
+	}
+	if err := endLine(f); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("service: journal: %w", err)
 	}
 	return &journal{f: f}, nil
 }
 
+// endLine appends a newline to f unless f is empty or ends with one.
+func endLine(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, fi.Size()-1); err != nil || last[0] == '\n' {
+		return err
+	}
+	_, err = f.Write([]byte{'\n'})
+	return err
+}
+
 // append writes one record. sync forces the line to stable storage —
 // used for submissions and terminal states; the "running" transition
-// is advisory (replay demotes it back to queued anyway), so it skips
-// the fsync.
+// is advisory (replay ignores it), so it skips the fsync.
 func (jl *journal) append(rec journalRecord, sync bool) error {
 	if jl == nil {
 		return nil
@@ -91,9 +110,10 @@ func (jl *journal) Close() error {
 
 // readJournal loads every parseable record from path, in order. A
 // missing file is an empty journal. An unparsable line — the torn tail
-// of a crashed write — ends the replay at the last good record rather
-// than failing it, which is exactly the prefix a crash-consistent
-// resume wants.
+// of a crashed write, which openJournal ends with a newline — is
+// skipped rather than failing the replay: a strict prefix of a record
+// never parses, so nothing it held is misread, and the records a
+// restarted coordinator appended after it still replay.
 func readJournal(path string) ([]journalRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -113,7 +133,7 @@ func readJournal(path string) ([]journalRecord, error) {
 		}
 		var rec journalRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			break // torn tail: stop at the last durable record
+			continue // a torn tail
 		}
 		recs = append(recs, rec)
 	}

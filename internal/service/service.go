@@ -80,7 +80,7 @@ type job struct {
 	finished  time.Time
 	cacheHit  bool
 	errMsg    string
-	wall      time.Duration
+	wallMS    float64
 	res       *sim.Result
 
 	heapIdx         int
@@ -158,22 +158,17 @@ type tenantState struct {
 
 // Options configures a Coordinator.
 type Options struct {
-	// Pool executes the jobs (required). Its cache is the shared
-	// content-addressed result store; its telemetry feeds runs.jsonl.
+	// Pool executes the jobs (required) on Pool.Parallelism() worker
+	// goroutines. Its cache is the shared content-addressed result
+	// store, which also answers journal-replayed completed jobs; its
+	// telemetry feeds runs.jsonl.
 	Pool *runner.Pool
-	// Cache, when set, answers results for journal-replayed completed
-	// jobs whose in-memory result is gone (normally the same DiskCache
-	// the pool uses).
-	Cache *runner.DiskCache
 	// QueueDepth bounds the number of queued jobs (default 256);
 	// submissions beyond it are rejected with ErrQueueFull.
 	QueueDepth int
 	// TenantQuota bounds one tenant's live (queued + running) jobs;
 	// 0 means unlimited.
 	TenantQuota int
-	// Workers is the number of concurrent job executors (default
-	// Pool.Parallelism()).
-	Workers int
 	// JournalPath, when set, persists the queue across restarts.
 	JournalPath string
 	// Registry, when set, receives the canonical svc/* metrics
@@ -203,21 +198,15 @@ type Coordinator struct {
 	tenants map[string]*tenantState
 	seq     uint64
 	stopped bool
-	drain   bool
 	wg      sync.WaitGroup
 
-	// Lifecycle counters (under mu). submitted counts accepted job
-	// records; the states partition it (the obsv.Audit law).
+	// Lifecycle counters (under mu), the service's only counts: /queue
+	// and the svc/* gauges both read them. submitted counts accepted
+	// job records; the states partition it (the obsv.Audit law).
 	submitted, completed, failed, canceled uint64
 	cacheHits, dedupHits                   uint64
 	rejectedQuota, rejectedQueue           uint64
 	running                                int
-
-	// Pre-created registry counters. These are incremented while mu is
-	// held, and the gauges registerMetrics installs take mu at snapshot
-	// time (under the registry lock) — so registry lookups must never
-	// happen under mu, only these atomic increments.
-	mCacheHits, mDedupHits, mRejQuota, mRejQueue *obsv.Counter
 }
 
 // New builds a coordinator, replays its journal (if configured) and
@@ -228,9 +217,6 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 256
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = opts.Pool.Parallelism()
 	}
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = time.Second
@@ -246,20 +232,18 @@ func New(opts Options) (*Coordinator, error) {
 	if c.events == nil {
 		c.events = serve.NewBroadcaster()
 	}
-	c.registerMetrics(opts.Registry)
 	if opts.JournalPath != "" {
 		recs, err := readJournal(opts.JournalPath)
 		if err != nil {
 			return nil, err
 		}
-		c.restore(recs)
-		jl, err := openJournal(opts.JournalPath)
-		if err != nil {
+		if c.jl, err = openJournal(opts.JournalPath); err != nil {
 			return nil, err
 		}
-		c.jl = jl
+		c.restore(recs)
 	}
-	for i := 0; i < opts.Workers; i++ {
+	c.registerMetrics()
+	for i := 0; i < opts.Pool.Parallelism(); i++ {
 		c.wg.Add(1)
 		go c.worker()
 	}
@@ -305,20 +289,12 @@ type Submission struct {
 // have the server open any file its client names. A tenant at its
 // quota gets ErrQuotaExceeded; a full queue gets ErrQueueFull.
 func (c *Coordinator) Submit(jb runner.Job, tenantName string, priority int) (Submission, error) {
-	for i, w := range jb.Config.Workloads {
-		if w.TracePath != "" {
-			return Submission{}, fmt.Errorf("service: workload %d names a trace file; jobs run generated workloads only", i)
-		}
-	}
-	hash, err := runner.ConfigKey(jb.Config)
+	hash, err := admissible(jb.Config)
 	if err != nil {
 		return Submission{}, err
 	}
-	if tenantName == "" {
-		tenantName = "default"
-	}
-	tAdmit := c.counter("svc/tenant/" + tenantName + "/admitted")
-	tReject := c.counter("svc/tenant/" + tenantName + "/rejected")
+	tenantName = tenantOrDefault(tenantName)
+	c.registerTenant(tenantName)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.stopped {
@@ -326,7 +302,6 @@ func (c *Coordinator) Submit(jb runner.Job, tenantName string, priority int) (Su
 	}
 	if prev := c.byHash[hash]; prev != nil && prev.state != StateFailed && prev.state != StateCanceled {
 		c.dedupHits++
-		c.mDedupHits.Inc()
 		if prev.state == StateQueued && priority > prev.priority {
 			prev.priority = priority
 			heap.Fix(&c.queue, prev.heapIdx)
@@ -337,46 +312,99 @@ func (c *Coordinator) Submit(jb runner.Job, tenantName string, priority int) (Su
 	if q := c.opts.TenantQuota; q > 0 && t.active >= q {
 		t.rejected++
 		c.rejectedQuota++
-		c.mRejQuota.Inc()
-		tReject.Inc()
 		return Submission{}, ErrQuotaExceeded
 	}
 	if len(c.queue) >= c.opts.QueueDepth {
 		t.rejected++
 		c.rejectedQueue++
-		c.mRejQueue.Inc()
-		tReject.Inc()
 		return Submission{}, ErrQueueFull
 	}
-	c.seq++
-	j := &job{
-		id:        fmt.Sprintf("%s-%d", hash[:12], c.seq),
-		hash:      hash,
-		key:       jb.Key,
-		base:      jb.Base,
-		tenant:    tenantName,
-		priority:  priority,
-		seq:       c.seq,
-		state:     StateQueued,
-		cfg:       jb.Config,
-		submitted: c.now(),
-		done:      make(chan struct{}),
+	rec := journalRecord{
+		Op: "submit", Tenant: tenantName, Priority: priority, Hash: hash,
+		Key: jb.Key, Base: jb.Base, Config: &jb.Config, T: c.now(),
 	}
-	c.jobs[j.id] = j
-	c.byHash[hash] = j
-	heap.Push(&c.queue, j)
-	c.submitted++
-	t.admitted++
-	t.active++
-	tAdmit.Inc()
-	c.journalAppend(journalRecord{
-		Op: "submit", ID: j.id, Seq: j.seq, Tenant: j.tenant,
-		Priority: j.priority, Hash: j.hash, Key: j.key, Base: j.base,
-		Config: &j.cfg, T: j.submitted,
-	}, true)
+	for rec.ID == "" || c.jobs[rec.ID] != nil {
+		c.seq++
+		rec.Seq, rec.ID = c.seq, fmt.Sprintf("%s-%d", hash[:12], c.seq)
+	}
+	j := c.admitLocked(rec)
+	c.journalAppend(rec, true)
 	c.broadcastLocked(j)
 	c.cond.Signal()
 	return Submission{Job: c.viewLocked(j), Created: true}, nil
+}
+
+// admissible returns cfg's config hash, or why the coordinator refuses
+// to run cfg. Job configs are untrusted, from clients and from the
+// journal alike, and a trace path would have the server open any file
+// its client names.
+func admissible(cfg sim.Config) (string, error) {
+	for i, w := range cfg.Workloads {
+		if w.TracePath != "" {
+			return "", fmt.Errorf("service: workload %d names a trace file; jobs run generated workloads only", i)
+		}
+	}
+	return runner.ConfigKey(cfg)
+}
+
+// tenantOrDefault names the tenant a submission without one is
+// charged to.
+func tenantOrDefault(name string) string {
+	if name == "" {
+		return "default"
+	}
+	return name
+}
+
+// admitLocked creates the queued job rec describes (rec.Hash must be
+// rec.Config's ConfigKey), indexes it by ID and hash, enqueues it and
+// counts it against its tenant. It returns nil and changes nothing
+// when the table already holds rec.ID: no admission replaces a record.
+// Caller holds mu.
+func (c *Coordinator) admitLocked(rec journalRecord) *job {
+	if c.jobs[rec.ID] != nil {
+		return nil
+	}
+	j := &job{
+		id: rec.ID, hash: rec.Hash, key: rec.Key, base: rec.Base, tenant: rec.Tenant,
+		priority: rec.Priority, seq: rec.Seq, state: StateQueued,
+		cfg: *rec.Config, submitted: rec.T, done: make(chan struct{}),
+	}
+	c.jobs[j.id] = j
+	c.byHash[j.hash] = j
+	heap.Push(&c.queue, j)
+	c.seq = max(c.seq, j.seq)
+	c.submitted++
+	t := c.tenantOf(j.tenant)
+	t.admitted++
+	t.active++
+	return j
+}
+
+// settleLocked applies the terminal state record rec to the live job
+// j: it sets j's state and outcome fields from rec, counts the outcome,
+// frees the tenant's slot, takes a queued job off the queue and closes
+// done. Cancel, finish and journal replay all settle through it; the
+// live callers journal and broadcast the result. Caller holds mu.
+func (c *Coordinator) settleLocked(j *job, rec journalRecord) {
+	if j.state == StateQueued {
+		heap.Remove(&c.queue, j.heapIdx)
+	}
+	j.state, j.finished = rec.State, rec.T
+	j.cacheHit, j.errMsg, j.wallMS = rec.CacheHit, rec.Err, rec.WallMS
+	switch j.state {
+	case StateCompleted:
+		c.completed++
+		if j.cacheHit {
+			c.cacheHits++
+		}
+	case StateFailed:
+		c.failed++
+	case StateCanceled:
+		c.canceled++
+	}
+	c.tenantOf(j.tenant).active--
+	close(j.done)
 }
 
 // Cancel cancels a job: a queued job leaves the queue (freeing its
@@ -391,14 +419,9 @@ func (c *Coordinator) Cancel(id string) error {
 	}
 	switch j.state {
 	case StateQueued:
-		heap.Remove(&c.queue, j.heapIdx)
-		j.state = StateCanceled
-		j.finished = c.now()
-		c.canceled++
-		c.tenantOf(j.tenant).active--
+		c.settleLocked(j, journalRecord{State: StateCanceled, T: c.now()})
 		c.journalAppend(stateRecord(j), true)
 		c.broadcastLocked(j)
-		close(j.done)
 		c.mu.Unlock()
 		return nil
 	case StateRunning:
@@ -439,7 +462,7 @@ func (c *Coordinator) Done(id string) <-chan struct{} {
 }
 
 // Result returns a completed job's result: from memory when the job
-// ran in this process, otherwise from the persistent cache (the
+// ran in this process, otherwise from the pool's persistent cache (the
 // journal-replay path after a restart).
 func (c *Coordinator) Result(id string) (*sim.Result, error) {
 	c.mu.Lock()
@@ -457,8 +480,8 @@ func (c *Coordinator) Result(id string) (*sim.Result, error) {
 	if res != nil {
 		return res, nil
 	}
-	if c.opts.Cache != nil {
-		if res, ok := c.opts.Cache.Get(hash); ok {
+	if cache := c.opts.Pool.Cache(); cache != nil {
+		if res, ok := cache.Get(hash); ok {
 			return res, nil
 		}
 	}
@@ -471,7 +494,7 @@ func (c *Coordinator) Queue() QueueView {
 	defer c.mu.Unlock()
 	v := QueueView{
 		Depth: len(c.queue), Capacity: c.opts.QueueDepth,
-		Running: c.running, Workers: c.opts.Workers,
+		Running: c.running, Workers: c.opts.Pool.Parallelism(),
 		Submitted: c.submitted, Completed: c.completed,
 		Failed: c.failed, Canceled: c.canceled,
 		CacheHits: c.cacheHits, DedupHits: c.dedupHits,
@@ -500,9 +523,10 @@ func (c *Coordinator) Queue() QueueView {
 }
 
 // Close drains the coordinator: no new submissions are accepted, idle
-// workers exit, and in-flight simulations are abandoned without being
-// marked terminal — the journal still shows them running, so the next
-// start re-queues them (the same crash-safe resume path a kill takes).
+// workers exit, and in-flight simulations are abandoned, their jobs
+// back on the queue without being marked terminal — the journal still
+// shows them running, so the next start re-queues them (the same
+// crash-safe resume path a kill takes).
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.stopped {
@@ -510,7 +534,6 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.stopped = true
-	c.drain = true
 	var cancels []context.CancelFunc
 	for _, j := range c.jobs {
 		if j.state == StateRunning && j.cancel != nil {
@@ -566,113 +589,70 @@ func (c *Coordinator) finish(j *job, r runner.JobResult) {
 	defer c.mu.Unlock()
 	j.cancel = nil
 	c.running--
-	if r.Err != nil && c.drain && !j.cancelRequested {
+	if r.Err != nil && c.stopped && !j.cancelRequested {
 		// Graceful shutdown abandoned the job mid-flight. Leave it
-		// resumable: no terminal journal record is written, so replay
-		// sees it running and demotes it back to queued.
+		// resumable: it goes back on the queue, which no worker reads
+		// any more, and no terminal journal record is written, so
+		// replay queues it again.
 		j.state = StateQueued
 		j.started = time.Time{}
+		heap.Push(&c.queue, j)
 		return
 	}
-	j.finished = c.now()
-	j.wall = r.Wall
+	rec := journalRecord{
+		State: StateCompleted, CacheHit: r.FromCache,
+		WallMS: float64(r.Wall) / float64(time.Millisecond), T: c.now(),
+	}
 	switch {
 	case r.Err != nil && (j.cancelRequested || errors.Is(r.Err, context.Canceled)):
-		j.state = StateCanceled
-		c.canceled++
+		rec.State = StateCanceled
 	case r.Err != nil:
-		j.state = StateFailed
-		j.errMsg = r.Err.Error()
-		c.failed++
+		rec.State, rec.Err = StateFailed, r.Err.Error()
 	default:
-		j.state = StateCompleted
 		j.res = r.Result
-		j.cacheHit = r.FromCache
-		c.completed++
-		if r.FromCache {
-			c.cacheHits++
-			c.mCacheHits.Inc()
-		}
 	}
-	c.tenantOf(j.tenant).active--
+	c.settleLocked(j, rec)
 	c.journalAppend(stateRecord(j), true)
 	c.broadcastLocked(j)
-	close(j.done)
 }
 
-// restore rebuilds the job table from journal records. Jobs whose last
-// state is queued or running are re-enqueued (in submission order);
-// terminal jobs keep answering status and dedup lookups, with results
-// served from the persistent cache.
+// restore rebuilds the job table from journal records through the
+// paths live jobs take. A submit record is admitted as Submit admits a
+// job, under its journaled ID and seq but with its hash recomputed; a
+// record whose ID is already in the table is skipped. A terminal state
+// record settles its job, and a running one changes nothing: a job in
+// flight when the previous process stopped runs again from the queue,
+// which orders it by priority, then seq. A job left unfinished goes
+// through Submit's check once more, and one it refuses fails with the
+// refusal, journaled so that the next replay finds it settled.
+// Finished jobs stay as history, unchecked: they answer status and
+// dedup lookups, with results from the pool's cache.
 func (c *Coordinator) restore(recs []journalRecord) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, rec := range recs {
 		switch rec.Op {
 		case "submit":
-			if rec.Config == nil || rec.ID == "" {
+			if rec.ID == "" || rec.Config == nil {
 				continue
 			}
-			j := &job{
-				id: rec.ID, hash: rec.Hash, key: rec.Key, base: rec.Base, tenant: rec.Tenant,
-				priority: rec.Priority, seq: rec.Seq, state: StateQueued,
-				cfg: *rec.Config, submitted: rec.T, done: make(chan struct{}),
+			hash, err := runner.ConfigKey(*rec.Config)
+			if err != nil {
+				continue
 			}
-			if j.tenant == "" {
-				j.tenant = "default"
-			}
-			c.jobs[j.id] = j
-			c.byHash[j.hash] = j
-			if rec.Seq > c.seq {
-				c.seq = rec.Seq
-			}
-			c.submitted++
-			t := c.tenantOf(j.tenant)
-			t.admitted++
-			t.active++
-			c.counter("svc/tenant/" + j.tenant + "/admitted").Inc()
+			rec.Hash, rec.Tenant = hash, tenantOrDefault(rec.Tenant)
+			c.admitLocked(rec) // a repeated ID is skipped
 		case "state":
-			j := c.jobs[rec.ID]
-			if j == nil || j.state.Terminal() {
-				continue
-			}
-			switch rec.State {
-			case StateRunning:
-				j.state = StateRunning
-			case StateCompleted, StateFailed, StateCanceled:
-				j.state = rec.State
-				j.finished = rec.T
-				j.cacheHit = rec.CacheHit
-				j.errMsg = rec.Err
-				j.wall = time.Duration(rec.WallMS * float64(time.Millisecond))
-				c.tenantOf(j.tenant).active--
-				switch rec.State {
-				case StateCompleted:
-					c.completed++
-					if rec.CacheHit {
-						c.cacheHits++
-						c.mCacheHits.Inc()
-					}
-				case StateFailed:
-					c.failed++
-				case StateCanceled:
-					c.canceled++
-				}
-				close(j.done)
+			if j := c.jobs[rec.ID]; j != nil && !j.state.Terminal() && rec.State.Terminal() {
+				c.settleLocked(j, rec)
 			}
 		}
 	}
-	// Re-queue the unfinished remainder: running jobs were in flight
-	// when the previous process died and restart from scratch.
-	var resume []*job
-	for _, j := range c.jobs {
-		if j.state == StateQueued || j.state == StateRunning {
-			j.state = StateQueued
-			j.started = time.Time{}
-			resume = append(resume, j)
+	for _, j := range append(jobQueue(nil), c.queue...) {
+		if _, err := admissible(j.cfg); err != nil {
+			c.settleLocked(j, journalRecord{State: StateFailed, Err: err.Error(), T: c.now()})
+			c.journalAppend(stateRecord(j), true)
 		}
-	}
-	sort.Slice(resume, func(i, k int) bool { return resume[i].seq < resume[k].seq })
-	for _, j := range resume {
-		heap.Push(&c.queue, j)
 	}
 }
 
@@ -680,8 +660,7 @@ func (c *Coordinator) restore(recs []journalRecord) {
 func stateRecord(j *job) journalRecord {
 	return journalRecord{
 		Op: "state", ID: j.id, State: j.state, CacheHit: j.cacheHit,
-		Err: j.errMsg, WallMS: float64(j.wall) / float64(time.Millisecond),
-		T: j.finished,
+		Err: j.errMsg, WallMS: j.wallMS, T: j.finished,
 	}
 }
 
@@ -699,14 +678,7 @@ func (c *Coordinator) journalAppend(rec journalRecord, sync bool) {
 // broadcastLocked emits j's current state on the event stream. Caller
 // holds mu.
 func (c *Coordinator) broadcastLocked(j *job) {
-	ev := Event{
-		Job: j.id, State: j.state, Tenant: j.tenant, Hash: j.hash,
-		CacheHit: j.cacheHit, Err: j.errMsg,
-	}
-	if j.state.Terminal() {
-		ev.WallMS = float64(j.wall) / float64(time.Millisecond)
-	}
-	writeEvent(c.events, ev)
+	writeEvent(c.events, eventOf(c.viewLocked(j)))
 }
 
 // viewLocked snapshots j for the wire. Caller holds mu.
@@ -714,8 +686,7 @@ func (c *Coordinator) viewLocked(j *job) JobView {
 	v := JobView{
 		ID: j.id, Hash: j.hash, Tenant: j.tenant, Priority: j.priority,
 		State: j.state, SubmittedAt: j.submitted,
-		WallMS:   float64(j.wall) / float64(time.Millisecond),
-		CacheHit: j.cacheHit, Err: j.errMsg,
+		WallMS: j.wallMS, CacheHit: j.cacheHit, Err: j.errMsg,
 	}
 	if !j.started.IsZero() {
 		t := j.started

@@ -70,7 +70,7 @@ func TestSubmitDedupAndCacheHit(t *testing.T) {
 		<-gate
 		return stubResult(cfg), nil
 	}})
-	co, err := New(Options{Pool: pool, Workers: 2})
+	co, err := New(Options{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestPriorityOrdering(t *testing.T) {
 		mu.Unlock()
 		return stubResult(cfg), nil
 	}})
-	co, err := New(Options{Pool: pool, Workers: 1})
+	co, err := New(Options{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestTenantQuotaAndCancelFreesSlot(t *testing.T) {
 		return stubResult(cfg), nil
 	}})
 	defer close(gate)
-	co, err := New(Options{Pool: pool, Workers: 1, TenantQuota: 1})
+	co, err := New(Options{Pool: pool, TenantQuota: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestQueueBackpressure(t *testing.T) {
 		return stubResult(cfg), nil
 	}})
 	defer close(gate)
-	co, err := New(Options{Pool: pool, Workers: 1, QueueDepth: 1})
+	co, err := New(Options{Pool: pool, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCancelQueued(t *testing.T) {
 		}
 		return stubResult(cfg), nil
 	}})
-	co, err := New(Options{Pool: pool, Workers: 1})
+	co, err := New(Options{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestJournalResumeAcrossRestarts(t *testing.T) {
 		<-gate
 		return stubResult(cfg), nil
 	}})
-	co1, err := New(Options{Pool: pool1, Cache: cache, Workers: 1, JournalPath: journal})
+	co1, err := New(Options{Pool: pool1, JournalPath: journal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestJournalResumeAcrossRestarts(t *testing.T) {
 		execs2.Add(1)
 		return stubResult(cfg), nil
 	}})
-	co2, err := New(Options{Pool: pool2, Cache: cache, Workers: 1, JournalPath: journal})
+	co2, err := New(Options{Pool: pool2, JournalPath: journal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestJournalResumeAcrossRestarts(t *testing.T) {
 		t.Error("third restart executed a simulation")
 		return stubResult(cfg), nil
 	}})
-	co3, err := New(Options{Pool: pool3, Cache: cache, Workers: 1, JournalPath: journal})
+	co3, err := New(Options{Pool: pool3, JournalPath: journal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestJournalTornTail(t *testing.T) {
 	pool := runner.New(runner.Options{Parallelism: 1, Exec: func(cfg sim.Config) (*sim.Result, error) {
 		return stubResult(cfg), nil
 	}})
-	co1, err := New(Options{Pool: pool, Workers: 1, JournalPath: journal})
+	co1, err := New(Options{Pool: pool, JournalPath: journal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestJournalTornTail(t *testing.T) {
 	f.WriteString(`{"op":"submit","id":"torn`) // no closing brace, no newline
 	f.Close()
 
-	co2, err := New(Options{Pool: pool, Workers: 1, JournalPath: journal})
+	co2, err := New(Options{Pool: pool, JournalPath: journal})
 	if err != nil {
 		t.Fatalf("torn tail failed startup: %v", err)
 	}
@@ -435,7 +435,7 @@ func TestServiceMetricsAuditClean(t *testing.T) {
 		return stubResult(cfg), nil
 	}})
 	defer close(gate)
-	co, err := New(Options{Pool: pool, Workers: 1, TenantQuota: 2, Registry: reg})
+	co, err := New(Options{Pool: pool, TenantQuota: 2, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestSubmitAfterClose(t *testing.T) {
 	pool := runner.New(runner.Options{Parallelism: 1, Exec: func(cfg sim.Config) (*sim.Result, error) {
 		return stubResult(cfg), nil
 	}})
-	co, err := New(Options{Pool: pool, Workers: 1})
+	co, err := New(Options{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestSubmitDedupsAcrossWorkerCounts(t *testing.T) {
 		execs.Add(1)
 		return stubResult(cfg), nil
 	}})
-	co, err := New(Options{Pool: pool, Workers: 1})
+	co, err := New(Options{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +544,7 @@ func TestSweepListsEachConfigurationOnce(t *testing.T) {
 	pool := runner.New(runner.Options{Parallelism: 1, Exec: func(cfg sim.Config) (*sim.Result, error) {
 		return stubResult(cfg), nil
 	}})
-	co, err := New(Options{Pool: pool, Workers: 1})
+	co, err := New(Options{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func TestSubmitRefusesTracePath(t *testing.T) {
 		execs.Add(1)
 		return stubResult(cfg), nil
 	}})
-	co, err := New(Options{Pool: pool, Workers: 1})
+	co, err := New(Options{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +661,7 @@ func tempoSubRows(n, prefetch int, policy sim.SubRowPolicyKind) func(*sim.Config
 // structures would exceed sim.MaxMachineBytes fails as that job's
 // error, through the real simulator, and the coordinator keeps serving.
 func TestOversizedMachineFailsJob(t *testing.T) {
-	co, err := New(Options{Pool: runner.New(runner.Options{Parallelism: 1}), Workers: 1})
+	co, err := New(Options{Pool: runner.New(runner.Options{Parallelism: 1})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,5 +690,282 @@ func TestOversizedMachineFailsJob(t *testing.T) {
 	}
 	if qv := co.Queue(); qv.Failed != uint64(len(badMachines)) || qv.Completed != 1 {
 		t.Fatalf("accounting: %+v", qv)
+	}
+}
+
+// writeJournal writes recs as the journal at path.
+func writeJournal(t *testing.T, path string, recs ...journalRecord) {
+	t.Helper()
+	var b strings.Builder
+	for _, rec := range recs {
+		blob, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(append(blob, '\n'))
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countingPool is a one-worker pool whose stub Exec counts its calls.
+func countingPool(execs *atomic.Int64) *runner.Pool {
+	return runner.New(runner.Options{Parallelism: 1, Exec: func(cfg sim.Config) (*sim.Result, error) {
+		execs.Add(1)
+		return stubResult(cfg), nil
+	}})
+}
+
+// A journaled job whose config names a trace file (a journal written
+// before Submit refused such configs, or by hand) fails on restart with
+// Submit's refusal: nothing runs, so nothing opens the path. The
+// refusal is journaled once: a second restart finds the job settled.
+func TestJournalRefusesTracePath(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "queue.jsonl")
+	cfg := smallConfig(1)
+	cfg.Workloads[0].TracePath = filepath.Join(dir, "no-such.trc")
+	writeJournal(t, journal, journalRecord{Op: "submit", ID: "trace-1", Seq: 1, Tenant: "alice", Config: &cfg})
+
+	var execs atomic.Int64
+	for restart := 1; restart <= 2; restart++ {
+		co, err := New(Options{Pool: countingPool(&execs), JournalPath: journal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, co, "trace-1")
+		v, _ := co.Job("trace-1")
+		if v.State != StateFailed || !strings.Contains(v.Err, "workload 0 names a trace file") {
+			t.Errorf("restart %d: journaled trace-path job ended %s: %q", restart, v.State, v.Err)
+		}
+		if qv := co.Queue(); qv.Failed != 1 || qv.Tenants["alice"].Active != 0 {
+			t.Errorf("restart %d: accounting %+v", restart, qv)
+		}
+		if err := co.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := execs.Load(); n != 0 {
+		t.Errorf("a journaled trace-path job reached the pool %d times", n)
+	}
+	recs, err := readJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var states int
+	for _, rec := range recs {
+		if rec.Op == "state" && rec.ID == "trace-1" {
+			states++
+		}
+	}
+	if states != 1 {
+		t.Errorf("refusal journaled %d times across two restarts, want once", states)
+	}
+}
+
+// A journal that repeats a job ID, which no coordinator writes, keeps
+// the first record and skips the second. Every job record is counted
+// once, so the svc/* audit stays clean and the tenant's slot frees when
+// the job ends.
+func TestJournalRepeatedIDLeavesAuditClean(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "queue.jsonl")
+	c1, c2 := smallConfig(1), smallConfig(2)
+	writeJournal(t, journal,
+		journalRecord{Op: "submit", ID: "dup-1", Seq: 1, Tenant: "alice", Config: &c1},
+		journalRecord{Op: "submit", ID: "dup-1", Seq: 2, Tenant: "alice", Config: &c2})
+	reg := obsv.NewRegistry()
+	var execs atomic.Int64
+	co, err := New(Options{Pool: countingPool(&execs), JournalPath: journal, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	waitDone(t, co, "dup-1")
+	if v := obsv.Audit(reg.Snapshot()); len(v) != 0 {
+		t.Errorf("audit violations: %v", v)
+	}
+	h1, _ := runner.ConfigKey(c1)
+	if v, _ := co.Job("dup-1"); v.Hash != h1 || v.State != StateCompleted {
+		t.Errorf("dup-1 is %+v, want the first record's config (%s) completed", v, h1)
+	}
+	if qv := co.Queue(); qv.Submitted != 1 || qv.Tenants["alice"].Active != 0 || execs.Load() != 1 {
+		t.Errorf("accounting %+v after %d executions", qv, execs.Load())
+	}
+}
+
+// Replay indexes a journaled job by its config's hash, not by the
+// journal's hash field, and a fresh submission never takes over a
+// journaled job's ID, even the one its sequence number would give it.
+func TestSubmitAfterReplay(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "queue.jsonl")
+	c1, c2 := smallConfig(1), smallConfig(2)
+	h1, _ := runner.ConfigKey(c1)
+	h2, _ := runner.ConfigKey(c2)
+	taken := h2[:12] + "-2" // the ID Submit would give c2 after seq 1
+	writeJournal(t, journal,
+		journalRecord{Op: "submit", ID: taken, Seq: 1, Hash: strings.Repeat("0", 64), Config: &c1},
+		journalRecord{Op: "state", ID: taken, State: StateCompleted})
+	var execs atomic.Int64
+	co, err := New(Options{Pool: countingPool(&execs), JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if s, err := co.Submit(runner.Job{Config: c1}, "", 0); err != nil || !s.CacheHit || s.Job.ID != taken {
+		t.Errorf("resubmitting the journaled config: %+v, %v; want a cache hit on %s", s, err, taken)
+	}
+	s, err := co.Submit(runner.Job{Config: c2}, "", 0)
+	if err != nil || !s.Created || s.Job.ID == taken {
+		t.Fatalf("fresh submit: %+v, %v; want a new job that is not %s", s, err, taken)
+	}
+	waitDone(t, co, s.Job.ID)
+	if v, _ := co.Job(taken); v.Hash != h1 || v.State != StateCompleted {
+		t.Errorf("journaled job %s became %+v", taken, v)
+	}
+	if qv := co.Queue(); qv.Submitted != 2 || qv.Completed != 2 || execs.Load() != 1 {
+		t.Errorf("accounting %+v after %d executions", qv, execs.Load())
+	}
+}
+
+// Records a coordinator appends after a torn tail (a crash mid-write
+// before its start) replay on the next start: the torn line does not
+// swallow the first of them, and replay reads past it.
+func TestJournalAppendsAfterTornTail(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "queue.jsonl")
+	if err := os.WriteFile(journal, []byte(`{"op":"submit","id":"torn`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var execs atomic.Int64
+	co1, err := New(Options{Pool: countingPool(&execs), JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := co1.Submit(runner.Job{Config: smallConfig(1)}, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, co1, s.Job.ID)
+	if err := co1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	co2, err := New(Options{Pool: countingPool(&execs), JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co2.Close()
+	if v, ok := co2.Job(s.Job.ID); !ok || v.State != StateCompleted {
+		t.Errorf("job journaled after a torn tail: ok=%v state=%v", ok, v.State)
+	}
+	if _, ok := co2.Job("torn"); ok {
+		t.Error("torn record replayed")
+	}
+}
+
+// A job that Close abandoned mid-flight is back on the queue: it counts
+// in the queue's depth, so the svc/* audit holds after Close, and
+// cancelling it settles it rather than panicking.
+func TestCloseRequeuesRunningJob(t *testing.T) {
+	started, gate := make(chan struct{}), make(chan struct{})
+	defer close(gate)
+	pool := runner.New(runner.Options{Parallelism: 1, Exec: func(cfg sim.Config) (*sim.Result, error) {
+		close(started)
+		<-gate
+		return stubResult(cfg), nil
+	}})
+	reg := obsv.NewRegistry()
+	co, err := New(Options{Pool: pool, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := co.Submit(runner.Job{Config: smallConfig(1)}, "alice", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := co.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if qv := co.Queue(); qv.Depth != 1 || qv.Running != 0 || len(qv.Jobs) != 1 || qv.Jobs[0].State != StateQueued {
+		t.Errorf("after Close: %+v", qv)
+	}
+	if v := obsv.Audit(reg.Snapshot()); len(v) != 0 {
+		t.Errorf("audit violations after Close: %v", v)
+	}
+	if err := co.Cancel(s.Job.ID); err != nil {
+		t.Fatal(err)
+	}
+	if qv := co.Queue(); qv.Depth != 0 || qv.Canceled != 1 || qv.Tenants["alice"].Active != 0 {
+		t.Errorf("after cancelling the drained job: %+v", qv)
+	}
+}
+
+// /metrics and /queue read the same counts, also while submissions
+// from several tenants race with registry snapshots. The gauges take
+// the coordinator's lock under the registry's, so a registry call made
+// under the coordinator's lock would deadlock here.
+func TestMetricsMatchQueueUnderConcurrentSubmits(t *testing.T) {
+	reg := obsv.NewRegistry()
+	var execs atomic.Int64
+	co, err := New(Options{Pool: countingPool(&execs), Registry: reg, TenantQuota: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	stop := make(chan struct{})
+	var snaps, subs sync.WaitGroup
+	snaps.Add(1)
+	go func() {
+		defer snaps.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				reg.Snapshot()
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		subs.Add(1)
+		go func(g int) {
+			defer subs.Done()
+			for i := 0; i < 40; i++ {
+				// Every other config repeats, so dedup hits and quota
+				// rejections happen alongside admissions.
+				_, err := co.Submit(runner.Job{Config: smallConfig(int64(g*100 + i/2))}, "t"+string(rune('a'+g)), 0)
+				if err != nil && !errors.Is(err, ErrQuotaExceeded) {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	subs.Wait()
+	for qv := co.Queue(); qv.Depth+qv.Running > 0; qv = co.Queue() {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	snaps.Wait()
+
+	snap, qv := reg.Snapshot(), co.Queue()
+	if v := obsv.Audit(snap); len(v) != 0 {
+		t.Errorf("audit violations: %v", v)
+	}
+	want := map[string]uint64{
+		obsv.MetricSvcSubmitted: qv.Submitted, obsv.MetricSvcCompleted: qv.Completed,
+		obsv.MetricSvcCacheHits: qv.CacheHits, obsv.MetricSvcDedupHits: qv.DedupHits,
+		obsv.MetricSvcRejectedQuota: qv.RejectedQuota, obsv.MetricSvcRejectedQueue: qv.RejectedBackpressure,
+	}
+	for name, tv := range qv.Tenants {
+		want["svc/tenant/"+name+"/admitted"] = tv.Admitted
+		want["svc/tenant/"+name+"/rejected"] = tv.Rejected
+	}
+	for name, n := range want {
+		if got, ok := snap.Counters[name]; !ok || got != n {
+			t.Errorf("/metrics %s = %d (present %v), /queue says %d", name, got, ok, n)
+		}
+	}
+	if qv.Submitted == 0 || qv.DedupHits == 0 || len(qv.Tenants) != 4 {
+		t.Errorf("the submissions did not exercise admission and dedup: %+v", qv)
 	}
 }

@@ -182,3 +182,29 @@ func TestCPIMechElidedEngages(t *testing.T) {
 		t.Errorf("elided credits %d != victima PTE hits %d", res.Total.CPIMechElided, hits)
 	}
 }
+
+// Figure 1's runtime fractions are read off the CPI stack, whose
+// stall cycles are summed over cores, so on a multi-core run they
+// share its per-core-sum denominator: each is at most 1, and together
+// they are at most 1, since every stall cycle is one core's cycle.
+func TestRuntimeFractionsMultiCore(t *testing.T) {
+	cfg := quickCfg("xsbench", 20_000)
+	cfg.Tempo = DefaultTempo()
+	cfg.SharedAddressSpace = true
+	cfg.Workloads = nil
+	for i := 0; i < 4; i++ {
+		cfg.Workloads = append(cfg.Workloads, WorkloadSpec{Name: "xsbench", Footprint: 512 << 20, Seed: int64(i + 1)})
+	}
+	st := checkCPI(t, "4-core xsbench", run(t, cfg))
+	var sum float64
+	for _, c := range []stats.DRAMCategory{stats.DRAMPTW, stats.DRAMReplay, stats.DRAMOther} {
+		f := st.RuntimeFraction(c)
+		if f > 1 {
+			t.Errorf("%v runtime fraction %.3f > 1", c, f)
+		}
+		sum += f
+	}
+	if sum > 1 || sum == 0 {
+		t.Errorf("runtime fractions sum to %.3f, want (0, 1]", sum)
+	}
+}

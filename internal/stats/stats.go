@@ -294,12 +294,15 @@ func (s *Stats) DRAMStallCycles(c DRAMCategory) uint64 {
 }
 
 // RuntimeFraction returns the fraction of cycles the cores stalled on
-// DRAM accesses of category c (Figure 1's y-axis).
+// DRAM accesses of category c (Figure 1's y-axis). The stall cycles are
+// summed over cores, so they are divided by CPICycles, the per-core
+// cycle sum the CPI stack adds up to, not by Cycles, the slowest
+// core's count; the two agree on one core.
 func (s *Stats) RuntimeFraction(c DRAMCategory) float64 {
-	if s.Cycles == 0 {
+	if s.CPICycles == 0 {
 		return 0
 	}
-	return float64(s.DRAMStallCycles(c)) / float64(s.Cycles)
+	return float64(s.DRAMStallCycles(c)) / float64(s.CPICycles)
 }
 
 // LeafPTWFraction returns the share of DRAM page-table references that

@@ -72,7 +72,7 @@ func TestFractionsEmptyStatsAreZero(t *testing.T) {
 func TestRuntimeFraction(t *testing.T) {
 	// 250 data-DRAM cycles, 150 of them post-walk replays; the on-chip
 	// buckets are no DRAM stall.
-	s := Stats{Cycles: 1000, ReplayDRAMCycles: 150}
+	s := Stats{Cycles: 1000, CPICycles: 1000, ReplayDRAMCycles: 150}
 	s.CPIStack[CPIWalkPTEDRAM] = 250
 	s.CPIStack[CPIDataDRAMQueue] = 60
 	s.CPIStack[CPIDataDRAMService] = 160
