@@ -38,8 +38,8 @@
 // not re-execute and therefore produce no series file.
 //
 // With -http the sweep serves live introspection while it runs:
-// /metrics is a Prometheus exposition of TEMPO counters accumulated
-// across completed simulations plus pool progress gauges, /runs is the
+// /metrics is a Prometheus exposition of TEMPO counters summed across
+// completed simulations plus the pool's bench/* counts, /runs is the
 // batch progress JSON, /events streams runs.jsonl records (and, with
 // -stats-interval, per-simulation interval lines) as SSE, and
 // /debug/pprof profiles the sweep itself.
@@ -63,6 +63,7 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	tempo "repro"
@@ -165,14 +166,17 @@ func main() {
 			*runsLog = *cacheDir + "/runs.jsonl"
 		}
 	}
-	// With -http, completed-simulation totals accumulate into a shared
-	// registry (all-atomic counters, safe to snapshot from the server's
-	// goroutines) and telemetry/interval lines fan out over SSE.
+	// With -http, completed-simulation totals accumulate into one
+	// sweep-wide sum that the registry reads as a source, and
+	// telemetry/interval lines fan out over SSE.
 	var events *serve.Broadcaster
 	var sweepReg *obsv.Registry
+	var totals *sweepTotals
 	if *httpAddr != "" {
 		events = serve.NewBroadcaster()
 		sweepReg = obsv.NewRegistry()
+		totals = &sweepTotals{}
+		sweepReg.Source(obsv.StatsSource(totals.read))
 	}
 	tel := &runner.Telemetry{}
 	if *verbose {
@@ -199,15 +203,12 @@ func main() {
 			fatal("obs-dir: %v", err)
 		}
 	}
-	if *statsInt > 0 || sweepReg != nil {
-		popts.Exec = observedExec(*statsInt, *obsDir, events, sweepReg)
+	if *statsInt > 0 || totals != nil {
+		popts.Exec = observedExec(*statsInt, *obsDir, events, totals)
 	}
 	pool := runner.New(popts)
 	if *httpAddr != "" {
-		sweepReg.Gauge("bench/executed", pool.Executed)
-		sweepReg.Gauge("bench/cache_hits", pool.CacheHits)
-		sweepReg.Gauge("bench/cache_misses", pool.CacheMisses)
-		sweepReg.Gauge("bench/failed", pool.Failed)
+		sweepReg.Source(pool.CountersInto)
 		srv := serve.New(serve.Options{
 			Metrics:   sweepReg.Snapshot,
 			Telemetry: tel,
@@ -244,12 +245,6 @@ func main() {
 			benchRunner.Mechs = append(benchRunner.Mechs, m)
 		}
 	}
-	if *verbose {
-		benchRunner.Log = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
-		}
-	}
-
 	var report strings.Builder
 	fmt.Fprintf(&report, "TEMPO evaluation — scale=%s\n\n", scale.Name)
 	start := time.Now()
@@ -316,13 +311,35 @@ func main() {
 	}
 }
 
+// sweepTotals sums the totals of every simulation a sweep completes:
+// the stats source behind -http's /metrics. Each run is added, and the
+// sum read, under one lock, so a snapshot never shows part of a run
+// and audits as any merged result does.
+type sweepTotals struct {
+	mu  sync.Mutex
+	sum tempo.Stats
+}
+
+func (t *sweepTotals) add(st *tempo.Stats) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.sum.Add(st)
+}
+
+func (t *sweepTotals) read() tempo.Stats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sum
+}
+
 // observedExec returns a pool executor that attaches an interval-stats
 // observer to each simulation it actually runs (every > 0), streaming
 // the epoch series to <dir>/<confighash>.jsonl and, when a broadcaster
-// is attached, over SSE. Completed totals accumulate into reg (the
-// sweep-wide /metrics view). Workers run it concurrently; each call
-// builds its own observer, so only the atomic registry is shared.
-func observedExec(every uint64, dir string, bc *serve.Broadcaster, reg *obsv.Registry) func(tempo.Config) (*tempo.Result, error) {
+// is attached, over SSE. Completed totals are added to totals (the
+// sweep-wide /metrics view) when it is set. Workers run it
+// concurrently; each call builds its own observer, so only totals is
+// shared.
+func observedExec(every uint64, dir string, bc *serve.Broadcaster, totals *sweepTotals) func(tempo.Config) (*tempo.Result, error) {
 	return func(cfg tempo.Config) (*tempo.Result, error) {
 		run := func() (*tempo.Result, error) {
 			if every == 0 {
@@ -351,8 +368,8 @@ func observedExec(every uint64, dir string, bc *serve.Broadcaster, reg *obsv.Reg
 			return s.Run()
 		}
 		res, err := run()
-		if err == nil && reg != nil {
-			obsv.AddStats(reg, &res.Total)
+		if err == nil && totals != nil {
+			totals.add(&res.Total)
 		}
 		return res, err
 	}

@@ -98,11 +98,7 @@ func main() {
 		Cache:       cache,
 		Telemetry:   tel,
 	})
-	reg.Gauge("bench/executed", pool.Executed)
-	reg.Gauge("bench/cache_hits", pool.CacheHits)
-	reg.Gauge("bench/cache_misses", pool.CacheMisses)
-	reg.Gauge("bench/failed", pool.Failed)
-	reg.Gauge("bench/cache_schema_mismatches", pool.CacheSchemaMismatches)
+	reg.Source(pool.CountersInto)
 
 	co, err := service.New(service.Options{
 		Pool:        pool,

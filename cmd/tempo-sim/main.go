@@ -9,7 +9,9 @@
 //
 // Workload selection: -workload names a generator (-list prints them),
 // -records sets trace records per core, -footprint-mb overrides the
-// working-set size (0 = workload default), -seed the generator seed,
+// working-set size (0 = workload default), -seed the generator seed
+// (core i's generator takes seed+i, so one core's trace is what
+// tempo-trace gen -seed captures; the OS derives its seed from it too),
 // and -trace replays a tempo-trace capture instead of a generator.
 // Machine shape: -cores, -shared-as (threads of one address space),
 // -scheduler (frfcfs or bliss), -row-policy (adaptive, open, closed),
@@ -88,7 +90,7 @@ func buildConfig(o options) (tempo.Config, error) {
 	cfg.Workloads = nil
 	for i := 0; i < o.cores; i++ {
 		cfg.Workloads = append(cfg.Workloads, tempo.WorkloadSpec{
-			Name: o.workload, Footprint: o.footprint << 20, Seed: int64(i + 1),
+			Name: o.workload, Footprint: o.footprint << 20, Seed: o.seed + int64(i),
 			TracePath: o.tracePath,
 		})
 	}
@@ -99,19 +101,11 @@ func buildConfig(o options) (tempo.Config, error) {
 		cfg.Tempo.PTRowWait = o.ptWait
 	}
 	cfg.IMP = o.impOn
-	switch o.mech {
-	case "", "tempo":
-		// The default machine: leave Config.Mech empty so the config
-		// hash matches runs that name no mechanism. -tempo alone
-		// decides whether TEMPO prefetches.
-		cfg.Mech = ""
-	default:
-		if !slices.Contains(translation.Names(), o.mech) {
-			return cfg, fmt.Errorf("unknown mechanism %q (registered: %s)",
-				o.mech, strings.Join(translation.Names(), ", "))
-		}
-		cfg.Mech = o.mech
+	if o.mech != "" && !slices.Contains(translation.Names(), o.mech) {
+		return cfg, fmt.Errorf("unknown mechanism %q (registered: %s)",
+			o.mech, strings.Join(translation.Names(), ", "))
 	}
+	cfg.Mech = o.mech
 	switch o.scheduler {
 	case "frfcfs":
 		cfg.Scheduler = tempo.SchedFRFCFS

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	tempo "repro"
+	"repro/internal/trace"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 func defaults() options {
@@ -130,5 +135,68 @@ func TestModeString(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("mode %q missing %q", got, want)
 		}
+	}
+}
+
+// -seed seeds the generators: core 0 runs the trace `tempo-trace gen
+// -seed` captures, so replaying that capture gives the live run's
+// numbers.
+func TestSeedReachesTraces(t *testing.T) {
+	o := defaults()
+	o.seed = 7
+	o.records = 3000
+	o.footprint = 64
+	o.pageMode = "4k"
+	cfg, err := buildConfig(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cfg.Workloads[0].Seed; got != 7 {
+		t.Fatalf("-seed 7 gives core 0 seed %d", got)
+	}
+	live, err := tempo.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// What tempo-trace gen -workload xsbench -footprint-mb 64 -seed 7
+	// -records 3000 writes.
+	g, err := workload.New(o.workload, workload.Config{FootprintBytes: o.footprint << 20, Seed: o.seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "xs.trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.NewWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]trace.Record, o.records)
+	for _, rec := range recs[:g.Read(recs)] {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	o.tracePath = path
+	if cfg, err = buildConfig(o); err != nil {
+		t.Fatal(err)
+	}
+	replay, err := tempo.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(replay.Total, live.Total) {
+		t.Fatalf("replay of the -seed 7 capture ran %d cycles, the live -seed 7 run %d",
+			replay.Total.Cycles, live.Total.Cycles)
 	}
 }

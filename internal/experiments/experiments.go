@@ -263,15 +263,11 @@ type Engine interface {
 // parallelism lives inside the Engine.
 type Runner struct {
 	Scale Scale
-	// Log, when set, receives progress lines.
-	Log func(format string, args ...any)
 	// Engine, when set, executes simulations through the parallel
 	// work pool (and its persistent cache) — or any other Engine
 	// implementation, such as a remote tempo-serve submission client —
 	// instead of inline.
 	Engine Engine
-	// Ctx, when set, cancels in-flight batches (default Background).
-	Ctx context.Context
 	// Mechs restricts the mech01 mechanism-zoo figure to the named
 	// translation mechanisms (tempo-bench's -mech axis); empty runs
 	// every registered mechanism.
@@ -297,19 +293,6 @@ func NewRunner(s Scale) *Runner {
 	return &Runner{Scale: s, hashes: make(map[string]string), cache: make(map[string]*sim.Result)}
 }
 
-func (r *Runner) logf(format string, args ...any) {
-	if r.Log != nil {
-		r.Log(format, args...)
-	}
-}
-
-func (r *Runner) ctx() context.Context {
-	if r.Ctx != nil {
-		return r.Ctx
-	}
-	return context.Background()
-}
-
 // RunFigure executes one figure through the runner, using two-phase
 // enumerate-then-evaluate execution when an Engine is attached.
 func (r *Runner) RunFigure(f Figure) (*Report, error) {
@@ -321,7 +304,7 @@ func (r *Runner) RunFigure(f Figure) (*Report, error) {
 	// which reproduces the error (or succeeds serially) with real
 	// results instead of placeholders.
 	if err == nil && len(jobs) > 0 {
-		for _, jr := range r.Engine.Run(r.ctx(), jobs) {
+		for _, jr := range r.Engine.Run(context.Background(), jobs) {
 			if jr.Err != nil {
 				return nil, fmt.Errorf("experiments: %s: %w", f.ID, jr.Err)
 			}
@@ -429,13 +412,12 @@ func (r *Runner) run(key string, cfg sim.Config, base string) (*sim.Result, erro
 		return placeholderResult(cfg), nil
 	}
 	r.mu.Unlock()
-	r.logf("running %s", key)
 	var res *sim.Result
 	var err error
 	if r.Engine != nil {
 		// Stragglers outside a batch still get the engine's persistent
 		// cache, panic containment and runs.jsonl line.
-		jr := r.Engine.Run(r.ctx(), []runner.Job{job})[0]
+		jr := r.Engine.Run(context.Background(), []runner.Job{job})[0]
 		res, err = jr.Result, jr.Err
 	} else {
 		res, err = sim.Run(cfg)

@@ -126,22 +126,6 @@ func TestRunnerCacheReuseAcrossFigures(t *testing.T) {
 	}
 }
 
-func TestRunnerLogging(t *testing.T) {
-	s := tinyScale()
-	s.Big = []string{"mcf"}
-	r := NewRunner(s)
-	var lines []string
-	r.Log = func(format string, args ...any) {
-		lines = append(lines, format)
-	}
-	if _, err := r.Fig01(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) == 0 {
-		t.Error("no progress logged")
-	}
-}
-
 func TestClaimsEngine(t *testing.T) {
 	claims := Claims()
 	if len(claims) < 12 {

@@ -9,11 +9,11 @@ import (
 // Canonical registry names for the cross-subsystem metrics the audit
 // and the cross-run tooling (cmd/tempo-report, the introspection
 // server) consume. "mem/..." metrics live in the shared memory-system
-// stats; "sys/..." metrics are sums across cores. The three views of
-// these names — live gauges (RegisterStatsGauges), end-of-run
-// snapshots (StatsSnapshot) and sweep accumulation (AddStats) — all
-// derive from statsPairs, so a check written against one view holds
-// for the others.
+// stats; "sys/..." metrics are sums across cores. The two views of
+// these names — live sources (StatsSource, over a running simulation
+// or a sweep's summed totals) and end-of-run snapshots
+// (StatsSnapshot) — both come from emitStats, so a check written
+// against one view holds for the other.
 const (
 	MetricReads           = "mem/reads"
 	MetricWrites          = "mem/writes"
@@ -130,104 +130,74 @@ const (
 	MetricSvcRejectedQueue = "svc/rejected/backpressure"
 )
 
-// metricPair is one (name, value) sample of a Stats field.
-type metricPair struct {
-	name string
-	v    uint64
-}
+// Canonical registry names for a runner pool's counts, the source
+// tempo-bench -http and tempo-serve register ((*runner.Pool).CountersInto).
+const (
+	MetricBenchExecuted              = "bench/executed"
+	MetricBenchCacheHits             = "bench/cache_hits"
+	MetricBenchCacheMisses           = "bench/cache_misses"
+	MetricBenchFailed                = "bench/failed"
+	MetricBenchCacheSchemaMismatches = "bench/cache_schema_mismatches"
+)
 
-// statsPairs samples every canonical metric from st. st should be a
-// merged system view (Result.Total) so memory-side and per-core
-// counters are both populated.
-func statsPairs(st *stats.Stats) []metricPair {
-	pairs := make([]metricPair, 0, 40)
+// emitStats emits every canonical metric of st. st should be a merged
+// system view (Result.Total) so memory-side and per-core counters are
+// both populated.
+func emitStats(st *stats.Stats, emit func(name string, v uint64)) {
 	for b, name := range CPIBucketMetrics {
-		pairs = append(pairs, metricPair{name, st.CPIStack[b]})
+		emit(name, st.CPIStack[b])
 	}
-	pairs = append(pairs,
-		metricPair{MetricCPICycles, st.CPICycles},
-		metricPair{MetricCPIHiddenByPrefetch, st.CPIHiddenByPrefetch},
-		metricPair{MetricCPIMechElided, st.CPIMechElided},
-		metricPair{MetricReplayDRAMCycles, st.ReplayDRAMCycles},
-	)
-	return append(pairs, []metricPair{
-		{MetricReads, st.RdCount},
-		{MetricWrites, st.WrCount},
-		{MetricRefreshes, st.RefCount},
-		{MetricLeafPTReads, st.DRAMPTWLeaf},
-		{MetricTempoTriggers, st.TempoTriggers},
-		{MetricTempoPrefetches, st.TempoPrefetches},
-		{MetricTempoSuppressed, st.TempoSuppressed},
-		{MetricTempoLLCFills, st.TempoLLCFills},
-		{MetricDRAMRefsPTW, st.DRAMRefs[stats.DRAMPTW]},
-		{MetricDRAMRefsReplay, st.DRAMRefs[stats.DRAMReplay]},
-		{MetricDRAMRefsOther, st.DRAMRefs[stats.DRAMOther]},
-		{MetricDRAMRefsPf, st.DRAMRefs[stats.DRAMPrefetch]},
-		{MetricTempoUseful, st.TempoUseful},
-		{MetricIMPPrefetches, st.IMPPrefetches},
-		{MetricIMPUseful, st.IMPUseful},
-		{MetricIMPWalks, st.IMPWalks},
-		{MetricTLBHits, st.TLBHits},
-		{MetricTLBMisses, st.TLBMisses},
-		{MetricWalksStarted, st.WalksStarted},
-		{MetricWalkDRAM, st.WalkDRAMTouched},
-		{MetricWalkDRAMReplay, st.WalkDRAMThenReplayDRAM},
-		{MetricMemRefs, st.MemRefs},
-		{MetricInstructions, st.Instructions},
-	}...)
+	emit(MetricCPICycles, st.CPICycles)
+	emit(MetricCPIHiddenByPrefetch, st.CPIHiddenByPrefetch)
+	emit(MetricCPIMechElided, st.CPIMechElided)
+	emit(MetricReplayDRAMCycles, st.ReplayDRAMCycles)
+	emit(MetricReads, st.RdCount)
+	emit(MetricWrites, st.WrCount)
+	emit(MetricRefreshes, st.RefCount)
+	emit(MetricLeafPTReads, st.DRAMPTWLeaf)
+	emit(MetricTempoTriggers, st.TempoTriggers)
+	emit(MetricTempoPrefetches, st.TempoPrefetches)
+	emit(MetricTempoSuppressed, st.TempoSuppressed)
+	emit(MetricTempoLLCFills, st.TempoLLCFills)
+	emit(MetricDRAMRefsPTW, st.DRAMRefs[stats.DRAMPTW])
+	emit(MetricDRAMRefsReplay, st.DRAMRefs[stats.DRAMReplay])
+	emit(MetricDRAMRefsOther, st.DRAMRefs[stats.DRAMOther])
+	emit(MetricDRAMRefsPf, st.DRAMRefs[stats.DRAMPrefetch])
+	emit(MetricTempoUseful, st.TempoUseful)
+	emit(MetricIMPPrefetches, st.IMPPrefetches)
+	emit(MetricIMPUseful, st.IMPUseful)
+	emit(MetricIMPWalks, st.IMPWalks)
+	emit(MetricTLBHits, st.TLBHits)
+	emit(MetricTLBMisses, st.TLBMisses)
+	emit(MetricWalksStarted, st.WalksStarted)
+	emit(MetricWalkDRAM, st.WalkDRAMTouched)
+	emit(MetricWalkDRAMReplay, st.WalkDRAMThenReplayDRAM)
+	emit(MetricMemRefs, st.MemRefs)
+	emit(MetricInstructions, st.Instructions)
 }
 
 // StatsSnapshot builds a registry Snapshot from end-of-run stats
-// totals, under the same canonical names RegisterStatsGauges exposes
-// live. It lets offline tooling (tempo-report) run Audit against
-// cached results exactly as the introspection server runs it against
-// a live registry.
+// totals, under the same canonical names StatsSource emits live. It
+// lets offline tooling (tempo-report) run Audit against cached results
+// exactly as the introspection server runs it against a live registry.
 func StatsSnapshot(st *stats.Stats) Snapshot {
 	s := Snapshot{Counters: map[string]uint64{}, Hists: map[string]HistSnapshot{}}
-	if st == nil {
-		return s
-	}
-	for _, p := range statsPairs(st) {
-		s.Counters[p.name] = p.v
+	if st != nil {
+		emitStats(st, func(name string, v uint64) { s.Counters[name] = v })
 	}
 	return s
 }
 
-// AddStats accumulates st's canonical metrics into reg's counters —
-// the sweep-level aggregation tempo-bench's introspection server
-// exposes: each completed simulation adds its totals, so /metrics
-// shows cumulative TEMPO activity across the whole batch. Nil-safe.
-func AddStats(reg *Registry, st *stats.Stats) {
-	if reg == nil || st == nil {
-		return
-	}
-	for _, p := range statsPairs(st) {
-		reg.Counter(p.name).Add(p.v)
-	}
-}
-
-// RegisterStatsGauges registers one lazy gauge per canonical metric,
-// sampling read() at snapshot time. read must return a merged system
-// view and be safe to call whenever Snapshot is (the simulator
-// snapshots on its own thread at interval boundaries).
-func RegisterStatsGauges(reg *Registry, read func() stats.Stats) {
-	if reg == nil || read == nil {
-		return
-	}
-	// One gauge per name; each samples the full pair set and picks its
-	// metric. Gauges fire only at snapshot time, so the repeated merge
-	// costs the record path nothing.
-	for _, p := range statsPairs(&stats.Stats{}) {
-		name := p.name
-		reg.Gauge(name, func() uint64 {
-			st := read()
-			for _, q := range statsPairs(&st) {
-				if q.name == name {
-					return q.v
-				}
-			}
-			return 0
-		})
+// StatsSource returns a registry Source over a merged system view:
+// each snapshot calls read once and emits every canonical metric of
+// what it returns, so a live snapshot satisfies the same Audit laws as
+// an end-of-run StatsSnapshot. read must be safe to call whenever
+// Snapshot is (the simulator snapshots on its own thread at interval
+// boundaries).
+func StatsSource(read func() stats.Stats) func(emit func(name string, v uint64)) {
+	return func(emit func(name string, v uint64)) {
+		st := read()
+		emitStats(&st, emit)
 	}
 }
 

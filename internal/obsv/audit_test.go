@@ -149,37 +149,48 @@ func TestAuditSkipsUnattributedCPIStack(t *testing.T) {
 	}
 }
 
-// AddStats accumulates; two identical runs double every counter, and
-// the accumulated registry still audits clean (conservation laws are
-// closed under addition).
-func TestAddStatsAccumulatesAndAuditsClean(t *testing.T) {
-	st := consistentStats()
-	reg := NewRegistry()
-	AddStats(reg, &st)
-	AddStats(reg, &st)
-	snap := reg.Snapshot()
-	if got := snap.Counters[MetricTempoPrefetches]; got != 2*st.TempoPrefetches {
-		t.Fatalf("accumulated prefetches = %d, want %d", got, 2*st.TempoPrefetches)
-	}
-	if v := Audit(snap); len(v) != 0 {
-		t.Fatalf("accumulated registry audited dirty: %v", v)
-	}
-}
-
 func TestRegisterStatsGaugesTracksLiveStats(t *testing.T) {
 	st := consistentStats()
 	reg := NewRegistry()
-	RegisterStatsGauges(reg, func() stats.Stats { return st })
+	reg.Source(StatsSource(func() stats.Stats { return st }))
 	snap := reg.Snapshot()
 	if got := snap.Counters[MetricTLBMisses]; got != st.TLBMisses {
-		t.Fatalf("gauge read %d, want %d", got, st.TLBMisses)
+		t.Fatalf("source read %d, want %d", got, st.TLBMisses)
 	}
 	if v := Audit(snap); len(v) != 0 {
-		t.Fatalf("gauge snapshot audited dirty: %v", v)
+		t.Fatalf("source snapshot audited dirty: %v", v)
 	}
 	st.TempoPrefetches += 7 // drifts from triggers+suppressed
 	if v := Audit(reg.Snapshot()); len(v) == 0 {
-		t.Fatal("live gauge snapshot should reflect the corrupted counter")
+		t.Fatal("live source snapshot should reflect the corrupted counter")
+	}
+}
+
+// The stats source reads its owner's state once per snapshot and emits
+// every canonical name from that one read, the same set an end-of-run
+// StatsSnapshot carries.
+func TestStatsSourceReadsOncePerSnapshot(t *testing.T) {
+	st := consistentStats()
+	reads := 0
+	reg := NewRegistry()
+	reg.Source(StatsSource(func() stats.Stats {
+		reads++
+		return st
+	}))
+	for i := 1; i <= 3; i++ {
+		snap := reg.Snapshot()
+		if reads != i {
+			t.Fatalf("after %d snapshots read was called %d times", i, reads)
+		}
+		want := StatsSnapshot(&st).Counters
+		if len(snap.Counters) != len(want) {
+			t.Fatalf("source emitted %d names, StatsSnapshot has %d", len(snap.Counters), len(want))
+		}
+		for name, v := range want {
+			if snap.Counters[name] != v {
+				t.Errorf("%s = %d, want %d", name, snap.Counters[name], v)
+			}
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ type Observer struct {
 	// Rec records lifecycle events; nil when tracing is disabled (all
 	// recording sites are nil-safe).
 	Rec *Recorder
-	// Reg names counters, histograms and gauges.
+	// Reg names counters and histograms and holds the sources.
 	Reg *Registry
 	// IntervalEvery is the epoch length in executed records; 0
 	// disables interval snapshots.
@@ -78,10 +78,11 @@ type histLine struct {
 }
 
 // FlushInterval writes one JSONL snapshot line: the epoch index, every
-// registry counter/gauge as its delta since the previous flush, every
-// histogram as an epoch-local summary, and the caller's extra fields
-// (records, cycles, derived rates) merged at top level. Returns the
-// first write/encode error; nil-safe and a no-op without a sink.
+// registry counter and source series as its delta since the previous
+// flush, every histogram as an epoch-local summary, and the caller's
+// extra fields (records, cycles, derived rates) merged at top level.
+// Returns the first write/encode error; nil-safe and a no-op without a
+// sink.
 func (o *Observer) FlushInterval(extra map[string]any) error {
 	if o == nil || o.sink == nil {
 		return nil
@@ -135,7 +136,7 @@ func (o *Observer) FlushInterval(extra map[string]any) error {
 // LastSnapshot returns the registry snapshot taken at the most recent
 // interval flush (a zero snapshot before the first). It is safe to
 // call from any goroutine while the simulation runs — unlike
-// Reg.Snapshot, whose lazy gauges read simulator state that only the
+// Reg.Snapshot, whose sources read simulator state that only the
 // simulation thread may touch — so it is what the introspection
 // server's /metrics endpoint scrapes. Nil-safe.
 func (o *Observer) LastSnapshot() Snapshot {

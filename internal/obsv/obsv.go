@@ -11,10 +11,12 @@
 //     exports them as Chrome trace-event JSON loadable in Perfetto
 //     (see WriteChromeTrace).
 //
-//   - A Registry names Counters, Histograms (power-of-two latency
-//     buckets, no allocations on the record path) and lazy Gauges in a
-//     slash-separated hierarchy ("core0/walk/latency"), and snapshots
-//     them for interval time series (see Snapshot and its Delta).
+//   - A Registry names Counters and Histograms (power-of-two latency
+//     buckets, no allocations on the record path) in a slash-separated
+//     hierarchy ("core0/walk/latency"), takes lazy Sources that emit a
+//     whole set of series from one read of their owner's state, and
+//     snapshots them for interval time series (see Snapshot and its
+//     Delta).
 //
 // Every record-path entry point is nil-safe: a component holds plain
 // pointers (possibly nil) and calls methods on them unconditionally,

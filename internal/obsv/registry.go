@@ -182,7 +182,7 @@ type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	hists    map[string]*Histogram
-	gauges   map[string]func() uint64
+	sources  []func(emit func(name string, v uint64))
 }
 
 // NewRegistry builds an empty registry.
@@ -190,7 +190,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		hists:    make(map[string]*Histogram),
-		gauges:   make(map[string]func() uint64),
 	}
 }
 
@@ -226,43 +225,50 @@ func (g *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Gauge registers a lazy value read at snapshot time — the zero-cost
-// way to expose an existing counter (say, a stats.Stats field) in the
-// registry's namespace without double-counting on the record path.
-// fn must be safe to call whenever Snapshot is. Nil-safe.
-func (g *Registry) Gauge(name string, fn func() uint64) {
+// Source registers fn, which emits a set of cumulative series from one
+// read of its owner's state — the zero-cost way to expose counts an
+// owner already keeps (a stats.Stats, a coordinator's tallies) without
+// double-counting on the record path. Snapshot calls each source once,
+// so the series one source emits are consistent with each other. A
+// name comes from exactly one source, and no source emits a Counter's
+// name. fn must be safe to call whenever Snapshot is. Nil-safe.
+func (g *Registry) Source(fn func(emit func(name string, v uint64))) {
 	if g == nil || fn == nil {
 		return
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.gauges[name] = fn
+	g.sources = append(g.sources, fn)
 }
 
-// Snapshot captures every instrument's current value. Counter and
-// gauge values land in Counters (both are cumulative uint64 series);
-// histograms land in Hists. Nil-safe (returns an empty snapshot).
+// Snapshot captures every instrument's current value. Counter values
+// and the series sources emit land in Counters (all are cumulative
+// uint64 series); histograms land in Hists. Sources run after the
+// registry's lock is released, so a source may take its owner's locks
+// in any order. Nil-safe (returns an empty snapshot).
 func (g *Registry) Snapshot() Snapshot {
 	s := Snapshot{Counters: map[string]uint64{}, Hists: map[string]HistSnapshot{}}
 	if g == nil {
 		return s
 	}
 	g.mu.RLock()
-	defer g.mu.RUnlock()
 	for name, c := range g.counters {
 		s.Counters[name] = c.Value()
 	}
-	for name, fn := range g.gauges {
-		s.Counters[name] = fn()
-	}
 	for name, h := range g.hists {
 		s.Hists[name] = h.Snapshot()
+	}
+	sources := g.sources // append-only: the first len entries never change
+	g.mu.RUnlock()
+	emit := func(name string, v uint64) { s.Counters[name] = v }
+	for _, fn := range sources {
+		fn(emit)
 	}
 	return s
 }
 
 // Snapshot is a point-in-time copy of a Registry: cumulative counter
-// and gauge values plus histogram states.
+// and source values plus histogram states.
 type Snapshot struct {
 	Counters map[string]uint64
 	Hists    map[string]HistSnapshot
@@ -284,7 +290,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	return d
 }
 
-// Names returns the sorted union of counter/gauge names in the
+// Names returns the sorted union of counter and source names in the
 // snapshot — the stable iteration order interval emitters use.
 func (s Snapshot) Names() []string {
 	names := make([]string, 0, len(s.Counters))

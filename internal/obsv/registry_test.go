@@ -123,13 +123,13 @@ func TestRegistryIdentityAndGauges(t *testing.T) {
 		t.Error("same name must return the same histogram")
 	}
 	v := uint64(7)
-	g.Gauge("lazy", func() uint64 { return v })
+	g.Source(func(emit func(string, uint64)) { emit("lazy", v) })
 	if got := g.Snapshot().Counters["lazy"]; got != 7 {
-		t.Errorf("gauge = %d, want 7", got)
+		t.Errorf("source = %d, want 7", got)
 	}
 	v = 9
 	if got := g.Snapshot().Counters["lazy"]; got != 9 {
-		t.Errorf("gauge = %d, want 9 (read at snapshot time)", got)
+		t.Errorf("source = %d, want 9 (read at snapshot time)", got)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestNilInstrumentsSafe(t *testing.T) {
 	if g.Counter("x") != nil || g.Histogram("y") != nil {
 		t.Error("nil registry must hand out nil instruments")
 	}
-	g.Gauge("z", func() uint64 { return 1 })
+	g.Source(func(emit func(string, uint64)) { emit("z", 1) })
 	if len(g.Snapshot().Counters) != 0 {
 		t.Error("nil registry snapshot")
 	}

@@ -32,9 +32,9 @@ func scrape(t *testing.T, out string) map[string]uint64 {
 	return parsed
 }
 
-// TestWritePrometheusCPIRoundTrip registers the CPI gauges the
-// simulator registers (obsv.RegisterStatsGauges over an attributed
-// Stats), renders /metrics, and scrapes it back: every cpi/* metric
+// TestWritePrometheusCPIRoundTrip registers the stats source the
+// simulator registers (obsv.StatsSource over an attributed Stats),
+// renders /metrics, and scrapes it back: every cpi/* metric
 // must survive the name mapping with its exact value, and the scraped
 // buckets must still satisfy the cpi-stack-sums-to-cycles law.
 func TestWritePrometheusCPIRoundTrip(t *testing.T) {
@@ -48,7 +48,7 @@ func TestWritePrometheusCPIRoundTrip(t *testing.T) {
 	st.TLBMisses = 50
 
 	reg := obsv.NewRegistry()
-	obsv.RegisterStatsGauges(reg, func() stats.Stats { return st })
+	reg.Source(obsv.StatsSource(func() stats.Stats { return st }))
 
 	var b strings.Builder
 	if err := WritePrometheus(&b, reg.Snapshot()); err != nil {

@@ -3,8 +3,8 @@
 // attach with -http. It exposes
 //
 //   - /metrics — Prometheus text exposition rendered from a registry
-//     snapshot (counters and gauges as cumulative series, histograms
-//     as cumulative power-of-two buckets);
+//     snapshot (counter and source series as cumulative samples,
+//     histograms as cumulative power-of-two buckets);
 //   - /runs — live experiment-batch progress (done/cached/failed,
 //     ETA) from the runner's telemetry;
 //   - /events — a Server-Sent-Events stream of interval-stats and
@@ -190,7 +190,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 }
 
 // WritePrometheus renders a snapshot in the Prometheus text exposition
-// format (version 0.0.4). Counter and gauge series become untyped
+// format (version 0.0.4). Counter and source series become untyped
 // cumulative samples; histograms become the classic cumulative-bucket
 // triplet (_bucket{le=...}, _sum, _count) with bucket bounds from
 // obsv.BucketUpper, so quantile queries work out of the box. Names are

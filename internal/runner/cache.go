@@ -34,6 +34,11 @@ const SchemaVersion = 2
 // equal exactly when every field (machine, OS policy, workloads,
 // seeds, TEMPO switches, …) is equal.
 func ConfigKey(cfg sim.Config) (string, error) {
+	// "tempo" and "" both name the default machine (translation.New),
+	// so both spellings get the key of the empty, omitted field.
+	if cfg.Mech == "tempo" {
+		cfg.Mech = ""
+	}
 	// JSON of a struct is deterministic: fields serialize in
 	// declaration order, maps are not part of Config.
 	blob, err := json.Marshal(cfg)

@@ -3,11 +3,13 @@ package runner
 import (
 	"context"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/obsv"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -68,6 +70,28 @@ func TestConfigKeyIgnoresWorkers(t *testing.T) {
 			t.Errorf("Workers=%d changed the config hash: cached results "+
 				"would no longer be shared across worker counts", w)
 		}
+	}
+}
+
+// "tempo" and "" both select the default machine, so they share one
+// key: the result cache and tempo-serve store and run that machine
+// once. A rival mechanism still moves the key.
+func TestConfigKeyFoldsDefaultMechSpellings(t *testing.T) {
+	key := func(mech string) string {
+		cfg := sim.DefaultConfig("xsbench")
+		cfg.Tempo = sim.DefaultTempo()
+		cfg.Mech = mech
+		k, err := ConfigKey(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	if key("tempo") != key("") {
+		t.Error(`Mech "tempo" and Mech "" hash apart`)
+	}
+	if key("victima") == key("") {
+		t.Error(`Mech "victima" hashes like the default machine`)
 	}
 }
 
@@ -228,6 +252,16 @@ func TestPoolSurfacesCacheSchemaMismatch(t *testing.T) {
 	// 1 foreign entry + 1 decode failure, all otherwise reading as misses.
 	if n := p.CacheSchemaMismatches(); n != 2 {
 		t.Fatalf("CacheSchemaMismatches = %d, want 2", n)
+	}
+	// The pool's registry source carries the same five counts.
+	got := map[string]uint64{}
+	p.CountersInto(func(name string, v uint64) { got[name] = v })
+	want := map[string]uint64{
+		obsv.MetricBenchExecuted: 3, obsv.MetricBenchCacheHits: 0, obsv.MetricBenchCacheMisses: 3,
+		obsv.MetricBenchFailed: 0, obsv.MetricBenchCacheSchemaMismatches: 2,
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("CountersInto = %v, want %v", got, want)
 	}
 	warns := strings.Count(out.String(), "cache schema mismatch")
 	if warns != 1 {

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obsv"
 	"repro/internal/sim"
 )
 
@@ -129,6 +130,17 @@ func (p *Pool) Failed() uint64 { return p.failed.Load() }
 // an older binary), which the pool also reports through telemetry
 // once.
 func (p *Pool) CacheSchemaMismatches() uint64 { return p.schemaMismatches.Load() }
+
+// CountersInto emits the pool's five counts under their canonical
+// bench/* registry names: the registry source tempo-bench -http and
+// tempo-serve register.
+func (p *Pool) CountersInto(emit func(name string, v uint64)) {
+	emit(obsv.MetricBenchExecuted, p.Executed())
+	emit(obsv.MetricBenchCacheHits, p.CacheHits())
+	emit(obsv.MetricBenchCacheMisses, p.CacheMisses())
+	emit(obsv.MetricBenchFailed, p.Failed())
+	emit(obsv.MetricBenchCacheSchemaMismatches, p.CacheSchemaMismatches())
+}
 
 // SimWall returns the summed execution wall-clock across all workers —
 // the serial-equivalent cost of the work the pool has done.

@@ -201,7 +201,7 @@ type Coordinator struct {
 	wg      sync.WaitGroup
 
 	// Lifecycle counters (under mu), the service's only counts: /queue
-	// and the svc/* gauges both read them. submitted counts accepted
+	// and the svc/* series both read them. submitted counts accepted
 	// job records; the states partition it (the obsv.Audit law).
 	submitted, completed, failed, canceled uint64
 	cacheHits, dedupHits                   uint64
@@ -242,7 +242,7 @@ func New(opts Options) (*Coordinator, error) {
 		}
 		c.restore(recs)
 	}
-	c.registerMetrics()
+	opts.Registry.Source(c.metricsInto)
 	for i := 0; i < opts.Pool.Parallelism(); i++ {
 		c.wg.Add(1)
 		go c.worker()
@@ -294,7 +294,6 @@ func (c *Coordinator) Submit(jb runner.Job, tenantName string, priority int) (Su
 		return Submission{}, err
 	}
 	tenantName = tenantOrDefault(tenantName)
-	c.registerTenant(tenantName)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.stopped {

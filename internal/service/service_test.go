@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -901,9 +902,8 @@ func TestCloseRequeuesRunningJob(t *testing.T) {
 }
 
 // /metrics and /queue read the same counts, also while submissions
-// from several tenants race with registry snapshots. The gauges take
-// the coordinator's lock under the registry's, so a registry call made
-// under the coordinator's lock would deadlock here.
+// from several tenants race with registry snapshots, whose source
+// takes the coordinator's lock as the submissions do.
 func TestMetricsMatchQueueUnderConcurrentSubmits(t *testing.T) {
 	reg := obsv.NewRegistry()
 	var execs atomic.Int64
@@ -967,5 +967,141 @@ func TestMetricsMatchQueueUnderConcurrentSubmits(t *testing.T) {
 	}
 	if qv.Submitted == 0 || qv.DedupHits == 0 || len(qv.Tenants) != 4 {
 		t.Errorf("the submissions did not exercise admission and dedup: %+v", qv)
+	}
+}
+
+// Every live /metrics scrape audits clean: snapshots taken in a loop
+// while jobs complete on several workers never break the service's
+// conservation laws, because one source emits all svc/* series from
+// one hold of the coordinator's lock.
+func TestLiveSnapshotsAuditCleanWhileJobsComplete(t *testing.T) {
+	reg := obsv.NewRegistry()
+	pool := runner.New(runner.Options{Parallelism: 4, Exec: func(cfg sim.Config) (*sim.Result, error) {
+		return stubResult(cfg), nil
+	}})
+	reg.Source(pool.CountersInto)
+	co, err := New(Options{Pool: pool, Registry: reg, QueueDepth: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	var snaps, dirty int
+	var first []obsv.AuditViolation
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snaps++
+			if v := obsv.Audit(reg.Snapshot()); len(v) > 0 {
+				if dirty++; first == nil {
+					first = v
+				}
+			}
+		}
+	}()
+	const jobs = 2000
+	for i := 0; i < jobs; i++ {
+		if _, err := co.Submit(runner.Job{Config: cfgSeed(int64(i + 1))}, "alice", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for qv := co.Queue(); qv.Completed < jobs; qv = co.Queue() {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	<-done
+	if dirty > 0 {
+		t.Fatalf("%d of %d live snapshots failed the audit; first: %v", dirty, snaps, first)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters[obsv.MetricSvcCompleted] != jobs || snap.Counters[obsv.MetricBenchExecuted] != jobs {
+		t.Fatalf("final snapshot: %d completed, %d executed, want %d each",
+			snap.Counters[obsv.MetricSvcCompleted], snap.Counters[obsv.MetricBenchExecuted], jobs)
+	}
+}
+
+// Tenant series exist exactly for the tenants /queue lists. A
+// submission that deduplicates onto an existing job charges no tenant,
+// so client-chosen tenant names on dedup hits add no series.
+func TestTenantSeriesMatchQueueTenants(t *testing.T) {
+	reg := obsv.NewRegistry()
+	var execs atomic.Int64
+	co, err := New(Options{Pool: countingPool(&execs), Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	s1, err := co.Submit(runner.Job{Config: cfgSeed(1)}, "alice", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, co, s1.Job.ID)
+	for i := 0; i < 5000; i++ {
+		s, err := co.Submit(runner.Job{Config: cfgSeed(1)}, fmt.Sprintf("tenant-%d", i), 0)
+		if err != nil || !s.CacheHit {
+			t.Fatalf("submission %d: %+v, %v", i, s, err)
+		}
+	}
+
+	snap, qv := reg.Snapshot(), co.Queue()
+	want := map[string]bool{}
+	for name := range qv.Tenants {
+		want["svc/tenant/"+name+"/admitted"] = true
+		want["svc/tenant/"+name+"/rejected"] = true
+	}
+	var got int
+	var stray []string
+	for name := range snap.Counters {
+		if !strings.HasPrefix(name, "svc/tenant/") {
+			continue
+		}
+		got++
+		if !want[name] {
+			stray = append(stray, name)
+		}
+	}
+	if len(stray) > 0 {
+		t.Fatalf("%d tenant series name a tenant /queue does not list, such as %s", len(stray), stray[0])
+	}
+	if got != len(want) || len(qv.Tenants) != 1 {
+		t.Fatalf("%d tenant series for /queue's %d tenants (%v), want %d", got, len(qv.Tenants), qv.Tenants, len(want))
+	}
+	if len(snap.Counters) != 12 {
+		t.Errorf("registry holds %d series, want the 10 svc/* and alice's 2", len(snap.Counters))
+	}
+}
+
+// "tempo" and "" both name the default machine, so a submission under
+// one spelling deduplicates onto the job the other made.
+func TestSubmitDedupsMechSpellings(t *testing.T) {
+	var execs atomic.Int64
+	co, err := New(Options{Pool: countingPool(&execs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	cfg := cfgSeed(5)
+	s1, err := co.Submit(runner.Job{Config: cfg}, "alice", 0)
+	if err != nil || !s1.Created {
+		t.Fatalf("first submit: %+v, %v", s1, err)
+	}
+	waitDone(t, co, s1.Job.ID)
+	cfg.Mech = "tempo"
+	s2, err := co.Submit(runner.Job{Config: cfg}, "alice", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Created || !s2.CacheHit || s2.Job.ID != s1.Job.ID {
+		t.Fatalf(`Mech "tempo" submission did not dedup onto the Mech "" job: %+v`, s2)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("executed %d simulations, want 1", n)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // TestAuditEndToEnd is the acceptance check for the counter audit: a
 // real TEMPO simulation must satisfy every cross-subsystem
 // conservation law, in all three metric views — the end-of-run result
-// totals, the live registry (gauges registered by Attach), and the
+// totals, the live registry (sources registered by Attach), and the
 // last interval-boundary snapshot the introspection server scrapes.
 // It also pins the strictest invariant empirically: DRAM read
 // commands exactly equal the sum of the four read-reference
@@ -28,9 +28,9 @@ func TestAuditEndToEnd(t *testing.T) {
 	views := map[string]obsv.Snapshot{
 		// Offline view: what tempo-report audits from the result cache.
 		"result-totals": obsv.StatsSnapshot(&res.Total),
-		// Live view: the registry's gauges, sampled after the run (the
+		// Live view: the registry's sources, sampled after the run (the
 		// simulation thread is done, so direct snapshots are safe).
-		"registry-gauges": o.Reg.Snapshot(),
+		"registry-sources": o.Reg.Snapshot(),
 		// Server view: the snapshot published at the last interval
 		// flush, which /metrics serves during a run.
 		"last-interval": o.LastSnapshot(),

@@ -166,9 +166,10 @@ type Config struct {
 	// (internal/translation; see MECHANISMS.md). Empty and "tempo" both
 	// select the default machine, whose TEMPO engine Tempo.Enabled
 	// switches; the field is omitted from the cache-hash JSON when
-	// empty, so existing cached results keep their keys. Rival
-	// mechanisms ("victima", "revelator") require Tempo.Enabled to be
-	// false.
+	// empty, so existing cached results keep their keys, and
+	// runner.ConfigKey hashes "tempo" as empty, so both spellings share
+	// one key. Rival mechanisms ("victima", "revelator") require
+	// Tempo.Enabled to be false.
 	Mech string `json:"Mech,omitempty"`
 
 	Scheduler SchedulerKind

@@ -43,8 +43,8 @@ func TestMechDefaultResultCarriesNoMechanism(t *testing.T) {
 }
 
 // TestMechGauges pins the observer wiring of MECHANISMS.md §1.3: a
-// rival's mech/* counters reach the registry as gauges holding the
-// values its Result reports, and the default machine with TEMPO on
+// rival's mech/* counters reach the registry, through its
+// CountersInto source, holding the values its Result reports, and the default machine with TEMPO on
 // registers no mech/* name at all (the engine reports under
 // mem/tempo_*).
 func TestMechGauges(t *testing.T) {
@@ -63,7 +63,7 @@ func TestMechGauges(t *testing.T) {
 	for _, name := range names {
 		got, ok := snap.Counters[name]
 		if want, inRes := res.MechCounters[name]; !ok || !inRes || got != want {
-			t.Errorf("victima gauge %s = %d (registered %v), result %d (reported %v)", name, got, ok, want, inRes)
+			t.Errorf("victima series %s = %d (emitted %v), result %d (reported %v)", name, got, ok, want, inRes)
 		}
 	}
 	for _, v := range obsv.Audit(snap) {

@@ -17,8 +17,9 @@ import (
 // hierarchy and IMP get registry instruments under "core<i>/...", the
 // shared controller and TEMPO engine get the recorder plus
 // "dram/queue_depth", and the memory-system stats fields the paper's
-// figures are built from are exposed as lazy gauges (read at snapshot
-// time, so the hot path never pays for them).
+// figures are built from, plus a rival mechanism's counters, are
+// registry sources (read at snapshot time, so the hot path never pays
+// for them).
 func (s *System) Attach(o *obsv.Observer) {
 	if o == nil {
 		return
@@ -44,42 +45,31 @@ func (s *System) Attach(o *obsv.Observer) {
 	}
 	if o.Reg != nil {
 		s.ctrl.QDepth = o.Reg.Histogram("dram/queue_depth")
-		// A rival mechanism's mech/<name>/* counters as lazy gauges:
-		// the name set is fixed at construction, so one registration
-		// pass covers the run's whole schema.
 		if s.mech != nil {
-			s.mech.CountersInto(func(name string, _ uint64) {
-				o.Reg.Gauge(name, func() uint64 {
-					var v uint64
-					s.mech.CountersInto(func(n string, x uint64) {
-						if n == name {
-							v = x
-						}
-					})
-					return v
-				})
-			})
+			o.Reg.Source(s.mech.CountersInto)
 		}
-		// Every canonical cross-subsystem metric (obsv.Metric*) becomes a
-		// lazy gauge over the merged system view — the same Stats merge
-		// Run uses for Result.Total, so live snapshots satisfy the same
-		// obsv.Audit conservation checks as end-of-run results. Gauges
+		// Every canonical cross-subsystem metric (obsv.Metric*) over the
+		// merged system view, so live snapshots satisfy the same
+		// obsv.Audit conservation checks as end-of-run results. Sources
 		// fire only at snapshot time, on the simulation thread.
-		obsv.RegisterStatsGauges(o.Reg, func() stats.Stats {
-			t := *s.mst
-			for _, c := range s.cores {
-				// Mid-run snapshot: stamp the per-core clock the way Run
-				// does at the end, so live gauges satisfy the same
-				// cpi-stack conservation law as finished results. Safe to
-				// copy: gauges fire on the simulation thread.
-				cs := *c.st
-				cs.Cycles = c.now
-				cs.CPICycles = c.now
-				t.Add(&cs)
-			}
-			return t
-		})
+		o.Reg.Source(obsv.StatsSource(s.liveTotal))
 	}
+}
+
+// liveTotal merges the memory-side and per-core stats mid-run as Run
+// merges them into Result.Total, with each core's clock stamped as its
+// cycle count the way Run does at the end, so the merge satisfies the
+// same cpi-stack conservation law as a finished result. It reads the
+// cores, so it runs on the simulation thread.
+func (s *System) liveTotal() stats.Stats {
+	t := *s.mst
+	for _, c := range s.cores {
+		cs := *c.st
+		cs.Cycles = c.now
+		cs.CPICycles = c.now
+		t.Add(&cs)
+	}
+	return t
 }
 
 // flushInterval emits one epoch line to the observer's interval sink.
@@ -88,24 +78,16 @@ func (s *System) Attach(o *obsv.Observer) {
 // cumulative progress markers so a consumer can plot rates without
 // integrating.
 func (s *System) flushInterval(records uint64) error {
-	var cycles, instr, tlbMisses, tlbRefs uint64
-	for _, c := range s.cores {
-		if c.now > cycles {
-			cycles = c.now
-		}
-		instr += c.st.Instructions
-		tlbMisses += c.st.TLBMisses
-		tlbRefs += c.st.TLBHits + c.st.TLBMisses
-	}
+	t := s.liveTotal()
 	extra := map[string]any{
 		"records": records,
-		"cycles":  cycles,
+		"cycles":  t.Cycles,
 	}
-	if cycles > 0 {
-		extra["ipc"] = float64(instr) / float64(cycles)
+	if t.Cycles > 0 {
+		extra["ipc"] = float64(t.Instructions) / float64(t.Cycles)
 	}
-	if tlbRefs > 0 {
-		extra["tlb_miss_rate"] = float64(tlbMisses) / float64(tlbRefs)
+	if refs := t.TLBHits + t.TLBMisses; refs > 0 {
+		extra["tlb_miss_rate"] = float64(t.TLBMisses) / float64(refs)
 	}
 	return s.obs.FlushInterval(extra)
 }

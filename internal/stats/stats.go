@@ -136,8 +136,9 @@ type Stats struct {
 	TLBHits      uint64
 	TLBMisses    uint64
 	WalksStarted uint64
-	// WalkDRAMTouched counts walks in which at least one PT reference
-	// reached DRAM.
+	// WalkDRAMTouched counts walks that found a translation and read
+	// their leaf PTE from DRAM. A walk whose upper-level PTEs alone
+	// reached DRAM is not counted.
 	WalkDRAMTouched uint64
 	// WalkDRAMThenReplayDRAM counts walks whose leaf PTE came from
 	// DRAM and whose replay also went to DRAM (the paper's 98%+

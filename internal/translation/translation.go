@@ -87,8 +87,8 @@ type Mechanism interface {
 	NewCore(coreID int, port CorePort) CoreHooks
 	// CountersInto emits every mechanism counter under its canonical
 	// mech/<name>/* registry name. The name set is fixed at
-	// construction (zero values included) so gauges registered before
-	// the run observe the full schema.
+	// construction (zero values included), so every registry snapshot,
+	// the first interval line included, carries the full schema.
 	CountersInto(emit func(name string, v uint64))
 	// EnergyJ returns the mechanism's modelled energy overhead in
 	// joules — the hardware the baseline machine does not have (tag
@@ -134,7 +134,7 @@ func Engagement(name string, total *stats.Stats, mech map[string]uint64) uint64 
 
 // Canonical mech/* registry names, re-exported from internal/obsv
 // (which owns the strings so the conservation audit and the mechanisms
-// cannot drift apart). Every mechanism counter appears in live gauges,
+// cannot drift apart). Every mechanism counter appears in live series,
 // Result.MechCounters and the obsv audit under exactly these names.
 const (
 	// MetricVictimaLookups counts tag-store probes (one per TLB miss).

@@ -10,13 +10,20 @@
 #      -> expect "completed" and a result payload
 #   3. POST the identical config again
 #      -> expect 200 with "cacheHit": true and no new execution
-#   4. run a mech01 sweep (tempo, victima) through the server with
+#   4. POST it under 20 new tenant names, and once more with
+#      "Mech": "tempo" (the default machine's other spelling)
+#      -> expect a cache hit each time; then /metrics must carry
+#         exactly two tempo_svc_tenant_* series per tenant /queue lists,
+#         and its tempo_svc_jobs_* values must satisfy submitted =
+#         queued + running + completed + failed + canceled
+#   5. run a mech01 sweep (tempo, victima) through the server with
 #      tempo-bench -submit
 #      -> expect the server's runs.jsonl to carry "base" on the four
 #         mech/<name>/<workload> lines, the pairs the sweep declared
 # Any deviation (timeout, failed job, cache miss on re-submit, a
-# variant line without its baseline) fails the script; the server is
-# torn down on exit either way.
+# tenant series /queue does not list, a broken job count, a variant
+# line without its baseline) fails the script; the server is torn down
+# on exit either way.
 #
 # Usage:  scripts/serve-smoke.sh [records]   (default 2000)
 set -euo pipefail
@@ -112,6 +119,48 @@ assert resp.get("cacheHit") is True, "re-submit was not served from cache: %r" %
 assert resp.get("created") is False, "re-submit created a new job: %r" % resp
 ' "${TMP}/submit2.json"
 
+echo "== re-submitting under 20 new tenant names and as \"Mech\": \"tempo\"" >&2
+resubmit() { # $1: request file
+  STATUS="$(curl -sS -o "${TMP}/resubmit.json" -w '%{http_code}' \
+    -H 'Content-Type: application/json' -d @"$1" "${BASE}/jobs")"
+  if [ "${STATUS}" != 200 ]; then
+    echo "serve-smoke: re-submit of $1 returned HTTP ${STATUS}, want 200:" >&2
+    cat "${TMP}/resubmit.json" >&2
+    exit 1
+  fi
+  python3 -c 'import json,sys
+resp = json.load(open(sys.argv[1]))
+assert resp.get("cacheHit") is True, "%s was not a cache hit: %r" % (sys.argv[2], resp)
+' "${TMP}/resubmit.json" "$1"
+}
+for i in $(seq 1 20); do
+  python3 -c 'import json,sys; r = json.load(open(sys.argv[1])); r["tenant"] = sys.argv[3]; json.dump(r, open(sys.argv[2], "w"))' \
+    "${TMP}/req.json" "${TMP}/req-tenant.json" "smoke-tenant-${i}"
+  resubmit "${TMP}/req-tenant.json"
+done
+python3 -c 'import json,sys; r = json.load(open(sys.argv[1])); r["config"]["Mech"] = "tempo"; json.dump(r, open(sys.argv[2], "w"))' \
+  "${TMP}/req.json" "${TMP}/req-mech.json"
+resubmit "${TMP}/req-mech.json"
+
+echo "== checking /metrics against /queue" >&2
+curl -sS -o "${TMP}/metrics.txt" "${BASE}/metrics"
+curl -sS -o "${TMP}/queue.json" "${BASE}/queue"
+python3 -c 'import json,re,sys
+series = {}
+for line in open(sys.argv[1]):
+    if line.startswith("tempo_"):
+        name, value = line.split()
+        series[name] = float(value)
+tenants = json.load(open(sys.argv[2]))["tenants"]
+clean = lambda s: re.sub(r"[^A-Za-z0-9_]", "_", s)
+want = {"tempo_svc_tenant_%s_%s" % (clean(t), kind) for t in tenants for kind in ("admitted", "rejected")}
+got = {n for n in series if n.startswith("tempo_svc_tenant_")}
+assert got == want, "tenant series %s, but /queue lists tenants %s" % (sorted(got), sorted(tenants))
+jobs = {k: series["tempo_svc_jobs_" + k] for k in ("submitted", "queued", "running", "completed", "failed", "canceled")}
+parts = sum(v for k, v in jobs.items() if k != "submitted")
+assert jobs["submitted"] == parts, "job counts do not conserve: %r" % jobs
+' "${TMP}/metrics.txt" "${TMP}/queue.json"
+
 echo "== running a mech01 sweep through the server" >&2
 go run ./cmd/tempo-bench -scale quick -figure mech01 -mech tempo,victima \
   -submit "${BASE}" > "${TMP}/mech01.txt"
@@ -123,4 +172,4 @@ bare = [r["key"] for r in mech if not r.get("base")]
 assert not bare, "mech/ lines without their baseline: %r" % bare
 ' "${TMP}/cache/runs.jsonl"
 
-echo "serve-smoke: OK (job ${JOB_ID} ran once, re-submit was a cache hit, the sweep recorded its pairs)" >&2
+echo "serve-smoke: OK (job ${JOB_ID} ran once, every re-submit was a cache hit, /metrics matched /queue, the sweep recorded its pairs)" >&2
